@@ -6,10 +6,11 @@ LMBENCH_CHAOS_SEED ?= 1
 
 .PHONY: all build vet test race chaos chaos-net verify bench bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke profile
 
-# Benchmarks recorded in BENCH_pr3.json: the Figure-1 sweep plus the
-# memory-heavy tables (the simulator hot paths), and the simmem
-# micro-benchmarks underneath them.
-BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch
+# The Figure-1 sweep plus the memory-heavy tables (the simulator hot
+# paths), the sweep-planning and unit-cache evaluation benchmarks, and
+# the simmem micro-benchmarks underneath them. The repository's
+# end-to-end benchmark is perfbench/ (see BENCHMARK.json).
+BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch|Figure1SweepPlanning|EvaluationUnitCache
 BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|StreamReadResident
 BENCH_COUNT   ?= 5
 
@@ -46,44 +47,19 @@ chaos:
 chaos-net:
 	GO="$(GO)" ./scripts/chaos_smoke.sh
 
-# bench measures the hot-path benchmarks ($(BENCH_COUNT) runs each; the
-# text logs feed benchstat directly) and condenses them into
-# BENCH_pr3.json. Set BENCH_BASELINE to a saved bench_after.txt from a
-# baseline tree to include before/after speedups.
-#
-# The unit-cache evaluation benchmark then runs twice against one cache
-# directory — cold (the cache is wiped before every iteration) and warm
-# — and benchjson condenses the pair into BENCH_pr8.json, where
-# "speedup" is warm-over-cold.
-#
-# The sweep-planning benchmark also runs twice — exhaustive, then
-# adaptive — and benchjson condenses the pair into BENCH_pr9.json,
-# where "speedup" is exhaustive-over-adaptive wall time and
-# "point_reduction" is the measured-grid-point ratio.
+# bench measures the hot-path benchmarks ($(BENCH_COUNT) runs each);
+# the text output feeds benchstat directly. Sweep planning runs as
+# exhaustive/adaptive sub-benchmarks and the unit-cache evaluation as
+# cold/warm ones.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -count $(BENCH_COUNT) . | tee bench_after.txt
-	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem -count $(BENCH_COUNT) ./internal/simmem/ | tee -a bench_after.txt
-	$(GO) run ./cmd/benchjson -after bench_after.txt $(if $(BENCH_BASELINE),-before $(BENCH_BASELINE)) -out BENCH_pr3.json
-	rm -rf bench_cache_dir
-	LMBENCH_UNIT_CACHE_DIR=$$PWD/bench_cache_dir LMBENCH_UNIT_CACHE_COLD=1 \
-		$(GO) test -run '^$$' -bench EvaluationUnitCache -count $(BENCH_COUNT) . | tee bench_cache_cold.txt
-	LMBENCH_UNIT_CACHE_DIR=$$PWD/bench_cache_dir \
-		$(GO) test -run '^$$' -bench EvaluationUnitCache -count $(BENCH_COUNT) . | tee bench_cache_warm.txt
-	$(GO) run ./cmd/benchjson -before bench_cache_cold.txt -after bench_cache_warm.txt -out BENCH_pr8.json
-	rm -rf bench_cache_dir
-	LMBENCH_SWEEP_MODE=exhaustive \
-		$(GO) test -run '^$$' -bench Figure1SweepPlanning -count $(BENCH_COUNT) . | tee bench_sweep_exhaustive.txt
-	LMBENCH_SWEEP_MODE=adaptive \
-		$(GO) test -run '^$$' -bench Figure1SweepPlanning -count $(BENCH_COUNT) . | tee bench_sweep_adaptive.txt
-	$(GO) run ./cmd/benchjson -before bench_sweep_exhaustive.txt -after bench_sweep_adaptive.txt -out BENCH_pr9.json
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -count $(BENCH_COUNT) .
+	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem -count $(BENCH_COUNT) ./internal/simmem/
 
-# bench-smoke proves every recorded benchmark still runs (one
-# iteration each); part of verify so a refactor cannot silently break
-# the measurement harness.
+# bench-smoke proves every sub-benchmark of the recorded benchmarks
+# still runs (one iteration each); part of verify so a refactor cannot
+# silently break the measurement harness.
 bench-smoke:
-	$(GO) test -run '^$$' -bench Figure1MemoryLatency -benchtime 1x . > /dev/null
-	LMBENCH_SWEEP_MODE=adaptive \
-		$(GO) test -run '^$$' -bench Figure1SweepPlanning -benchtime 1x . > /dev/null
+	$(GO) test -run '^$$' -bench 'Figure1MemoryLatency|Figure1SweepPlanning|EvaluationUnitCache' -benchtime 1x . > /dev/null
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchtime 1x ./internal/simmem/ > /dev/null
 
 # serve-smoke boots a short real run with `-serve` and proves all

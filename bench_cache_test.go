@@ -11,23 +11,17 @@ import (
 
 // BenchmarkEvaluationUnitCache measures one evaluation pass (five
 // testbed machines, the memory/syscall/process/context-switch tables)
-// through the unit cache rooted at $LMBENCH_UNIT_CACHE_DIR. `make
-// bench` runs it twice against one directory — cold with
-// $LMBENCH_UNIT_CACHE_COLD wiping the cache before every iteration,
-// then warm — and benchjson condenses the two logs into BENCH_pr8.json,
-// whose speedup is the headline number for incremental evaluation.
+// through the unit cache: "cold" wipes the cache before every
+// iteration, "warm" times passes over a cache seeded beforehand, which
+// must execute nothing. The ratio of the two is the headline number
+// for incremental evaluation.
 func BenchmarkEvaluationUnitCache(b *testing.B) {
-	dir := os.Getenv("LMBENCH_UNIT_CACHE_DIR")
-	if dir == "" {
-		b.Skip("set LMBENCH_UNIT_CACHE_DIR (see the Makefile bench target)")
-	}
-	cold := os.Getenv("LMBENCH_UNIT_CACHE_COLD") != ""
 	names := []string{
 		"Linux/i686", "HP K210", "Sun Ultra1", "SGI Challenge", "Sun SC1000",
 	}
 	tables := []string{"table2", "table5", "table7", "table9", "table10"}
 
-	run := func(timed bool) {
+	run := func(b *testing.B, dir string) *lmbench.Report {
 		opts := []lmbench.Option{
 			lmbench.WithOptions(goldenOpts()),
 			lmbench.WithUnitCache(dir),
@@ -44,21 +38,28 @@ func BenchmarkEvaluationUnitCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if timed && !cold && rep.Cache.Misses != 0 {
-			b.Fatalf("warm iteration executed %d units", rep.Cache.Misses)
-		}
+		return rep
 	}
 
-	if !cold {
-		run(false) // ensure the cache is fully seeded before timing
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cold {
+	b.Run("cold", func(b *testing.B) {
+		dir := b.TempDir()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
 			if err := os.RemoveAll(filepath.Join(dir, "units")); err != nil {
 				b.Fatal(err)
 			}
+			b.StartTimer()
+			run(b, dir)
 		}
-		run(true)
-	}
+	})
+	b.Run("warm", func(b *testing.B) {
+		dir := b.TempDir()
+		run(b, dir) // seed the cache before timing
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rep := run(b, dir); rep.Cache.Misses != 0 {
+				b.Fatalf("warm iteration executed %d units", rep.Cache.Misses)
+			}
+		}
+	})
 }

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
 	"testing"
@@ -150,33 +149,34 @@ func BenchmarkTable16FSLatency(b *testing.B)      { benchTable(b, "table16", ben
 func BenchmarkTable17DiskOverhead(b *testing.B)   { benchTable(b, "table17", benchMachines) }
 
 // BenchmarkFigure1SweepPlanning regenerates the Figure-1 memory
-// sweep under the sweep mode named by $LMBENCH_SWEEP_MODE (default
-// exhaustive) and reports the grid points actually measured as
-// points/op. `make bench` runs it once per mode and benchjson
-// condenses the pair into BENCH_pr9.json, where "speedup" is
-// exhaustive-over-adaptive wall time and "point_reduction" is the
-// measured-point ratio — the >=2x number the adaptive planner is
-// accountable for.
+// sweep under each sweep mode and reports the grid points actually
+// measured as points/op. Exhaustive over adaptive wall time is the
+// planner's speedup, and the points/op ratio its point reduction —
+// the >=2x number the adaptive planner is accountable for.
 func BenchmarkFigure1SweepPlanning(b *testing.B) {
-	opts := benchOpts()
-	opts.SweepMode = core.SweepMode(os.Getenv("LMBENCH_SWEEP_MODE"))
-	var entries []results.Entry
-	for i := 0; i < b.N; i++ {
-		var err error
-		entries, err = core.MemLatencySweep(context.Background(), benchMachine(b, "DEC Alpha@300"), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []core.SweepMode{core.SweepExhaustive, core.SweepAdaptive} {
+		b.Run(string(mode), func(b *testing.B) {
+			opts := benchOpts()
+			opts.SweepMode = mode
+			var entries []results.Entry
+			for i := 0; i < b.N; i++ {
+				var err error
+				entries, err = core.MemLatencySweep(context.Background(), benchMachine(b, "DEC Alpha@300"), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			measured := len(entries[0].Series)
+			if s := entries[0].Attrs["sweep.points_measured"]; s != "" {
+				var err error
+				if measured, err = strconv.Atoi(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(measured), "points/op")
+		})
 	}
-	b.StopTimer()
-	measured := len(entries[0].Series)
-	if s := entries[0].Attrs["sweep.points_measured"]; s != "" {
-		var err error
-		if measured, err = strconv.Atoi(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(measured), "points/op")
 }
 
 // BenchmarkFigure1MemoryLatency regenerates the Figure-1 sweep on the

@@ -10,8 +10,10 @@ import (
 
 	"repro/internal/calibrate"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/machines"
+	"repro/internal/obs"
 	"repro/internal/paper"
 	istore "repro/internal/store"
 	"repro/internal/unitcache"
@@ -29,7 +31,6 @@ type Bench struct {
 	parallel       int
 	timeout        time.Duration
 	retries        int
-	retryBackoff   time.Duration
 	maxRSD         float64
 	qualityRetries int
 	journalPath    string
@@ -43,10 +44,9 @@ type Bench struct {
 	cacheDir       string
 	cacheReadOnly  bool
 	cacheMaxBytes  int64
-	cacheObs       CacheObserver
+	metrics        *Registry
 	catalog        *machines.Catalog
 	calibTarget    *calibrate.Target
-	calibOpts      calibrate.Options
 	optsSet        bool
 	errs           []error
 }
@@ -87,7 +87,9 @@ func WithOptions(o Options) Option {
 }
 
 // WithSink adds one event sink. Repeat to fan the stream out; every
-// sink sees every event.
+// sink sees every event. A sink with a SetPlan(machine, groups) method
+// (Progress) is told each machine's experiment-group count before the
+// run starts.
 func WithSink(s EventSink) Option {
 	return func(b *Bench) {
 		if s != nil {
@@ -120,15 +122,9 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithRetries re-runs a failed experiment up to n times with doubling
-// backoff before giving up; WithRetryBackoff overrides the initial
-// delay (default 100ms).
+// backoff (100ms first) before giving up.
 func WithRetries(n int) Option {
 	return func(b *Bench) { b.retries = n }
-}
-
-// WithRetryBackoff sets the initial retry delay; see WithRetries.
-func WithRetryBackoff(d time.Duration) Option {
-	return func(b *Bench) { b.retryBackoff = d }
 }
 
 // WithMaxRSD enables the measurement quality gate: results whose
@@ -216,10 +212,22 @@ func WithUnitCacheLimit(maxBytes int64) Option {
 	return func(b *Bench) { b.cacheMaxBytes = maxBytes }
 }
 
-// WithUnitCacheObserver attaches an observer to the unit cache
-// (obs.CacheMetrics satisfies it); nil is ignored.
-func WithUnitCacheObserver(o CacheObserver) Option {
-	return func(b *Bench) { b.cacheObs = o }
+// WithMetrics exports the run's live state into reg, for a /metrics
+// endpoint (see Server): the suite's event metrics and harness
+// counters, plus the metric families of every part the run wires —
+// the journal, the unit cache, the fleet, the adaptive sweep planner,
+// publish retries and fault-injected machines. Metrics stay out of
+// band: they never touch a timed interval or the results database.
+//
+// The suite's families and the harness counters are registered when
+// New applies the option, so a server started before Run already
+// exposes them; the rest register as Run wires their parts.
+func WithMetrics(reg *Registry) Option {
+	return func(b *Bench) {
+		b.metrics = reg
+		b.sinks = append(b.sinks, obs.NewMetricsSink(reg))
+		obs.RegisterHarness(reg)
+	}
 }
 
 // WithSweepMode selects how point sweeps cover their grids:
@@ -251,32 +259,17 @@ func WithProfileFile(path string) Option {
 	}
 }
 
-// WithCatalog replaces the run's machine catalog wholesale; see
-// WithProfileFile for what the catalog resolves. A nil catalog means
-// the shipped default.
-func WithCatalog(cat *Catalog) Option {
-	return func(b *Bench) { b.catalog = cat }
-}
-
 // WithCalibrateTarget turns the run into a calibration: instead of
 // benchmarking, Run fits the single configured simulated machine's
 // profile until the suite reproduces the target's measurements, and
 // returns the fitted profile in Report.Calibration (the Report's DB is
 // the fit's final verification run). Requires exactly one WithMachine,
 // and it must be a simulated machine. WithOptions sets the candidate
-// runs' suite options, WithMaxRSD their quality gate, WithUnitCache
-// the per-candidate cache, and sinks see the calibration event stream.
+// runs' suite options (default: the fitter's fast settings),
+// WithMaxRSD their quality gate, WithUnitCache the per-candidate
+// cache, and sinks see the calibration event stream.
 func WithCalibrateTarget(t CalibrationTarget) Option {
 	return func(b *Bench) { b.calibTarget = &t }
-}
-
-// WithCalibrateOptions overrides the fitter's own knobs — tolerance,
-// evaluation budget, per-parameter concurrency. Zero fields keep
-// their defaults, and run-level settings (WithOptions, WithMaxRSD,
-// WithUnitCache, sinks) still apply where the corresponding
-// CalibrationOptions field is unset.
-func WithCalibrateOptions(o CalibrationOptions) Option {
-	return func(b *Bench) { b.calibOpts = o }
 }
 
 // WithRunLabel tags the run with a human-readable label
@@ -285,6 +278,10 @@ func WithCalibrateOptions(o CalibrationOptions) Option {
 func WithRunLabel(label string) Option {
 	return func(b *Bench) { b.runLabel = label }
 }
+
+// CacheStats is a snapshot of unit-cache traffic counters; its String
+// form is the CLI's stats line.
+type CacheStats = unitcache.Stats
 
 // Report is the outcome of a Bench run: the merged results database
 // and, per machine, the experiments its backend could not support.
@@ -327,14 +324,86 @@ func (r *Report) Publish(ctx context.Context, s *Store) (Manifest, error) {
 	return s.Put(r.manifest, r.DB)
 }
 
+// ConfigError is Run's refusal of a configuration that cannot
+// execute, returned before anything runs: two features that do not
+// compose, or a setting no run accepts.
+type ConfigError struct {
+	// Feature names the offending setting, e.g. "WithOnly" or "chaos"
+	// (a fault-injected machine among the WithMachine targets).
+	Feature string
+	// With names the feature it does not compose with; empty when
+	// Feature is invalid on its own.
+	With string
+	// Reason says why.
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	if e.With == "" {
+		return "lmbench: " + e.Feature + ": " + e.Reason
+	}
+	return "lmbench: " + e.Feature + " does not compose with " + e.With + ": " + e.Reason
+}
+
+// profiled is a machine built from a simulated profile.
+type profiled interface{ Profile() machines.Profile }
+
+// validate refuses a configuration before anything is opened or run.
+func (b *Bench) validate() error {
+	if len(b.machines) == 0 {
+		return errors.New("lmbench: no machines configured (use WithMachine)")
+	}
+	if _, err := b.opts.Normalize(); err != nil {
+		return err
+	}
+	for _, id := range b.only {
+		if _, ok := core.ExperimentByID(id); !ok {
+			return &ConfigError{Feature: "WithOnly", Reason: fmt.Sprintf("unknown experiment %q", id)}
+		}
+	}
+	if b.calibTarget != nil {
+		if len(b.machines) != 1 {
+			return &ConfigError{Feature: "WithCalibrateTarget", Reason: "calibration takes exactly one machine (the base profile)"}
+		}
+		if _, ok := b.machines[0].(profiled); !ok {
+			return &ConfigError{Feature: "WithCalibrateTarget",
+				Reason: fmt.Sprintf("calibration requires a simulated machine; %q carries no profile", b.machines[0].Name())}
+		}
+	}
+	if len(b.chaotic()) == 0 {
+		return nil
+	}
+	switch {
+	case b.fleet():
+		return &ConfigError{Feature: "chaos", With: "fleet execution", Reason: "fault wrappers cannot cross a process boundary"}
+	case b.cacheDir != "":
+		return &ConfigError{Feature: "chaos", With: "the unit cache", Reason: "fault-perturbed results must never seed the cache"}
+	case b.opts.SweepMode == SweepAdaptive:
+		return &ConfigError{Feature: "chaos", With: "adaptive sweeps", Reason: "injected noise would steer the planner's transition detection"}
+	}
+	return nil
+}
+
+// chaotic returns the fault-injected machines among the targets.
+func (b *Bench) chaotic() []*faults.Machine {
+	var fs []*faults.Machine
+	for _, m := range b.machines {
+		if f, ok := m.(*faults.Machine); ok {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}
+
+func (b *Bench) fleet() bool { return b.fleetWorkers > 0 || len(b.fleetConnect) > 0 }
+
 // Run executes the configured benchmark and returns its Report. The
-// context cancels or deadlines the run between measurement batches.
+// context cancels or deadlines the run between measurement batches. A
+// configuration that cannot execute is refused with a *ConfigError
+// (or an options error) before anything runs.
 func (b *Bench) Run(ctx context.Context) (*Report, error) {
 	if len(b.errs) > 0 {
 		return nil, errors.Join(b.errs...)
-	}
-	if len(b.machines) == 0 {
-		return nil, errors.New("lmbench: no machines configured (use WithMachine)")
 	}
 	// Fold the sweep mode into the options before anything derives
 	// state from them (unit-cache keys, the fleet/runner config, the
@@ -342,6 +411,9 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 	// ordering relative to WithOptions.
 	if b.sweepMode != "" {
 		b.opts.SweepMode = b.sweepMode
+	}
+	if err := b.validate(); err != nil {
+		return nil, err
 	}
 	if b.calibTarget != nil {
 		return b.runCalibration(ctx)
@@ -353,26 +425,35 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 			only[id] = true
 		}
 	}
+	exps := core.Experiments()
+	if b.extended {
+		exps = append(exps, core.Extensions()...)
+	}
+	groups := len(core.GroupExperiments(exps, only))
+	for _, s := range b.sinks {
+		if p, ok := s.(interface{ SetPlan(string, int) }); ok {
+			for _, m := range b.machines {
+				p.SetPlan(m.Name(), groups)
+			}
+		}
+	}
 	journal, replay, closeJournal, err := openJournalPath(b.journalPath)
 	if err != nil {
 		return nil, err
 	}
 	defer closeJournal()
 
-	db := &DB{}
-	var events EventSink
-	if len(b.sinks) > 0 {
-		events = b.sinks
+	var fleetObs fleet.Observer
+	cfg := unitcache.Config{
+		ReadOnly: b.cacheReadOnly,
+		MaxBytes: b.cacheMaxBytes,
+		MaxRSD:   b.maxRSD, QualityRetries: b.qualityRetries,
 	}
-
+	if b.metrics != nil {
+		fleetObs, cfg.Obs = b.registerMetrics(journal)
+	}
 	var cache *unitcache.Cache
 	if b.cacheDir != "" {
-		cfg := unitcache.Config{
-			ReadOnly: b.cacheReadOnly,
-			MaxBytes: b.cacheMaxBytes,
-			MaxRSD:   b.maxRSD, QualityRetries: b.qualityRetries,
-			Obs: b.cacheObs,
-		}
 		if cat := b.catalog; cat != nil {
 			cfg.Resolve = cat.ByName
 		}
@@ -382,8 +463,12 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 		}
 	}
 
-	var skipped map[string][]string
-	if b.fleetWorkers > 0 || len(b.fleetConnect) > 0 {
+	// The suite runner and the fleet coordinator are the in-process and
+	// the cross-process executor of the same unit pipeline.
+	var exec interface {
+		Run(context.Context, *DB) (map[string][]string, error)
+	}
+	if b.fleet() {
 		names, err := fleet.MachineNamesIn(b.catalog, b.machines)
 		if err != nil {
 			return nil, err
@@ -394,41 +479,41 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 			Opts:     b.opts,
 			Only:     only,
 			Extended: b.extended,
-			Events:   events,
+			Events:   b.sinks,
 			Workers:  b.fleetWorkers,
 			Connect:  b.fleetConnect,
-			Timeout:  b.timeout, Retries: b.retries, RetryBackoff: b.retryBackoff,
+			Timeout:  b.timeout, Retries: b.retries,
 			MaxRSD: b.maxRSD, QualityRetries: b.qualityRetries,
 			Journal: journal, Resume: replay,
+			Obs: fleetObs,
 		}
 		if cache != nil {
 			// Guarded assignment: a nil *unitcache.Cache in the
 			// interface field would be non-nil to == checks.
 			coord.Cache = cache
 		}
-		skipped, err = coord.Run(ctx, db)
-		if err != nil {
-			return nil, err
-		}
+		exec = coord
 	} else {
 		runner := &core.Runner{
 			Machines: b.machines,
 			Opts:     b.opts,
 			Parallel: b.parallel,
-			Events:   events,
+			Events:   b.sinks,
 			Only:     only,
 			Extended: b.extended,
-			Timeout:  b.timeout, Retries: b.retries, RetryBackoff: b.retryBackoff,
+			Timeout:  b.timeout, Retries: b.retries,
 			MaxRSD: b.maxRSD, QualityRetries: b.qualityRetries,
 			Journal: journal, Resume: replay,
 		}
 		if cache != nil {
 			runner.Cache = cache
 		}
-		skipped, err = runner.Run(ctx, db)
-		if err != nil {
-			return nil, err
-		}
+		exec = runner
+	}
+	db := &DB{}
+	skipped, err := exec.Run(ctx, db)
+	if err != nil {
+		return nil, err
 	}
 	rep := &Report{DB: db, Skipped: skipped}
 	if cache != nil {
@@ -460,33 +545,51 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
+// registerMetrics exports the metric families of the parts this run
+// wires beyond the suite itself, and returns the observers the fleet
+// and the unit cache report to (nil for a part the run does not use).
+func (b *Bench) registerMetrics(journal *core.JournalWriter) (fo fleet.Observer, co unitcache.Observer) {
+	reg := b.metrics
+	if b.fleet() {
+		fo = obs.NewFleetMetrics(reg)
+	}
+	if b.cacheDir != "" {
+		co = obs.NewCacheMetrics(reg)
+	}
+	if b.opts.SweepMode == SweepAdaptive {
+		obs.RegisterSweepPlanner(reg)
+	}
+	if b.publishAddr != "" {
+		obs.RegisterPublishRetries(reg, istore.PublishRetries)
+	}
+	if journal != nil {
+		obs.RegisterJournal(reg, journal)
+	}
+	if injected := b.chaotic(); len(injected) > 0 {
+		obs.RegisterFaults(reg, func() (calls, errors, stalls, spikes int64) {
+			for _, f := range injected {
+				st := f.Stats()
+				calls += int64(st.Calls)
+				errors += int64(st.Errors)
+				stalls += int64(st.Stalls)
+				spikes += int64(st.Spikes)
+			}
+			return
+		})
+	}
+	return fo, co
+}
+
 // runCalibration is Run's WithCalibrateTarget branch: fit the single
 // configured simulated machine's profile to the target and report the
 // verification run as the database.
 func (b *Bench) runCalibration(ctx context.Context) (*Report, error) {
-	if len(b.machines) != 1 {
-		return nil, errors.New("lmbench: calibration takes exactly one machine (the base profile)")
-	}
-	type profiled interface{ Profile() machines.Profile }
-	pm, ok := b.machines[0].(profiled)
-	if !ok {
-		return nil, fmt.Errorf("lmbench: calibration requires a simulated machine; %q carries no profile", b.machines[0].Name())
-	}
-	opts := b.calibOpts
-	if opts.Run == nil && b.optsSet {
+	opts := calibrate.Options{MaxRSD: b.maxRSD, CacheDir: b.cacheDir, Events: b.sinks}
+	if b.optsSet {
 		runOpts := b.opts
 		opts.Run = &runOpts
 	}
-	if opts.MaxRSD == 0 {
-		opts.MaxRSD = b.maxRSD
-	}
-	if opts.Events == nil && len(b.sinks) > 0 {
-		opts.Events = b.sinks
-	}
-	if opts.CacheDir == "" {
-		opts.CacheDir = b.cacheDir
-	}
-	res, err := calibrate.Calibrate(ctx, pm.Profile(), *b.calibTarget, opts)
+	res, err := calibrate.Calibrate(ctx, b.machines[0].(profiled).Profile(), *b.calibTarget, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -528,7 +631,7 @@ func (r *Report) fillManifest(b *Bench) error {
 // openJournalPath opens path with create-or-resume semantics: a new or
 // empty file starts a fresh journal; one with records replays them and
 // keeps appending past the last valid record.
-func openJournalPath(path string) (*core.JournalWriter, *core.JournalReplay, func(), error) {
+func openJournalPath(path string) (jw *core.JournalWriter, replay *core.JournalReplay, closeF func(), err error) {
 	if path == "" {
 		return nil, nil, func() {}, nil
 	}
@@ -536,27 +639,26 @@ func openJournalPath(path string) (*core.JournalWriter, *core.JournalReplay, fun
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	closeF := func() { _ = f.Close() }
-	replay, err := core.ReadJournal(f)
-	if err != nil {
-		closeF()
+	defer func() {
+		if err != nil {
+			_ = f.Close()
+		}
+	}()
+	if replay, err = core.ReadJournal(f); err != nil {
 		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := f.Truncate(replay.ValidBytes); err != nil {
-		closeF()
+	if err = f.Truncate(replay.ValidBytes); err != nil {
 		return nil, nil, nil, err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		closeF()
+	if _, err = f.Seek(0, io.SeekEnd); err != nil {
 		return nil, nil, nil, err
 	}
-	if replay.ValidBytes == 0 {
-		jw, err := core.NewJournalWriter(f)
-		if err != nil {
-			closeF()
-			return nil, nil, nil, err
-		}
-		return jw, nil, closeF, nil
+	closeF = func() { _ = f.Close() }
+	if replay.ValidBytes > 0 {
+		return core.AppendJournalWriter(f), replay, closeF, nil
 	}
-	return core.AppendJournalWriter(f), replay, closeF, nil
+	if jw, err = core.NewJournalWriter(f); err != nil {
+		return nil, nil, nil, err
+	}
+	return jw, nil, closeF, nil
 }

@@ -1,0 +1,113 @@
+package lmbench
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/faults"
+)
+
+// countSink counts the events it sees.
+type countSink struct{ n atomic.Int64 }
+
+func (c *countSink) Event(Event) { c.n.Add(1) }
+
+// TestConfigErrorsRefuseBeforeRunning: every configuration the library
+// cannot execute is refused by Run with a *ConfigError before anything
+// runs — no event, no cache directory, no worker.
+func TestConfigErrorsRefuseBeforeRunning(t *testing.T) {
+	sim := func() Machine {
+		m, err := NewSimMachine("Linux/i686")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	chaotic := func() Machine { return faults.Wrap(sim(), faults.Plan{Seed: 1, ErrorRate: 0.3}) }
+	host, err := NewHostMachine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = host.Close() }()
+	target := CalibrationTarget{Values: map[string]float64{"lat_syscall": 2}}
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+
+	cases := []struct {
+		name    string
+		options []Option
+		want    string
+	}{
+		{"chaos x fleet", []Option{WithMachine(chaotic()), WithFleet(2)}, "does not compose with fleet execution"},
+		{"chaos x unit cache", []Option{WithMachine(chaotic()), WithUnitCache(cacheDir)}, "does not compose with the unit cache"},
+		{"chaos x adaptive", []Option{WithMachine(chaotic()), WithSweepMode(SweepAdaptive)}, "does not compose with adaptive sweeps"},
+		{"unknown experiment", []Option{WithMachine(sim()), WithOnly("table7", "tabel7")}, `unknown experiment "tabel7"`},
+		{"calibrate host", []Option{WithMachine(host), WithCalibrateTarget(target)}, "requires a simulated machine"},
+		{"calibrate two machines", []Option{WithMachine(sim()), WithMachine(sim()), WithCalibrateTarget(target)}, "exactly one machine"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &countSink{}
+			rep, err := New(append(tc.options, WithOptions(exampleOpts()), WithSink(sink))...).Run(context.Background())
+			var ce *ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("err = %v (report %v), want a *ConfigError", err, rep)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %q, want it to mention %q", err, tc.want)
+			}
+			if n := sink.n.Load(); n != 0 {
+				t.Errorf("%d events emitted before the refusal", n)
+			}
+		})
+	}
+	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
+		t.Errorf("refused run touched the cache directory: %v", err)
+	}
+}
+
+// TestWithMetricsWiresEveryPart: WithMetrics registers the suite's
+// families at New (so a server started before Run exposes them), and
+// Run adds the families of the journal and the unit cache it wires;
+// a Progress sink learns each machine's plan.
+func TestWithMetricsWiresEveryPart(t *testing.T) {
+	m, err := NewSimMachine("Linux/i686")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reg, progress := NewRegistry(), NewProgress()
+	b := New(WithMachine(m), WithOptions(exampleOpts()), WithOnly("table7", "table8"),
+		WithMetrics(reg), WithSink(progress),
+		WithJournal(filepath.Join(dir, "run.jnl")), WithUnitCache(filepath.Join(dir, "cache")))
+	scrape := func() string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if !strings.Contains(scrape(), "lmbench_harness_benchloops_total") {
+		t.Error("harness counters not registered before Run")
+	}
+	if _, err := b.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	out := scrape()
+	for _, family := range []string{
+		"lmbench_experiments_finished_total", "lmbench_journal_bytes_total", "lmbench_unit_cache_misses_total",
+	} {
+		if !strings.Contains(out, family) {
+			t.Errorf("metrics lack %s", family)
+		}
+	}
+	snap := progress.Snapshot()
+	if len(snap.Machines) != 1 || snap.Machines[0].Planned != 2 || snap.Machines[0].Done != 2 {
+		t.Errorf("progress = %+v, want 2 planned and done", snap.Machines)
+	}
+}

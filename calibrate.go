@@ -1,28 +1,20 @@
 package lmbench
 
-import (
-	"context"
+import "repro/internal/calibrate"
 
-	"repro/internal/calibrate"
-)
-
-// This file re-exports the calibration surface: fitting a simulated
-// machine's profile so the suite reproduces target measurements — the
-// paper's numbers, a stored run, or a host-backend run of the real
-// machine. The fitter is coordinate descent over the profile's
-// observable parameters; every candidate evaluation is a normal suite
-// run (adaptive sweeps, quality gate, per-candidate unit cache), so
-// calibration reuses every layer below it.
+// This file re-exports the calibration surface that WithCalibrateTarget
+// consumes: fitting a simulated machine's profile so the suite
+// reproduces target measurements — the paper's numbers, a stored run,
+// or a host-backend run of the real machine. The fitter is coordinate
+// descent over the profile's observable parameters; every candidate
+// evaluation is a normal suite run (adaptive sweeps, quality gate,
+// per-candidate unit cache), so calibration reuses every layer below
+// it.
 
 // CalibrationTarget is the set of measurements a calibration descends
 // toward; build one with CalibrationFromPaper, CalibrationFromDB or
 // CalibrationFromFile.
 type CalibrationTarget = calibrate.Target
-
-// CalibrationOptions tunes a fit: tolerance, evaluation budget,
-// concurrency, candidate run options, events and the unit-cache
-// directory.
-type CalibrationOptions = calibrate.Options
 
 // CalibrationResult is a finished fit: the fitted profile, the
 // per-parameter trace and the final verification database.
@@ -49,13 +41,4 @@ func CalibrationFromDB(db *DB, machine string) (CalibrationTarget, error) {
 // -out` writes) and extracts machine's scalars.
 func CalibrationFromFile(path, machine string) (CalibrationTarget, error) {
 	return calibrate.FromFile(path, machine)
-}
-
-// Calibrate fits base's parameters until the simulated suite
-// reproduces target's measurements within tolerance (or the budget
-// expires). Only parameters whose benchmark appears in the target are
-// fitted. This is the programmatic form of `lmbench -calibrate`; the
-// builder form is WithCalibrateTarget.
-func Calibrate(ctx context.Context, base Profile, target CalibrationTarget, opts CalibrationOptions) (*CalibrationResult, error) {
-	return calibrate.Calibrate(ctx, base, target, opts)
 }

@@ -1,0 +1,162 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	lmbench "repro"
+	"repro/internal/core"
+	"repro/internal/results"
+)
+
+// TestRejectedCombinations: every flag combination that cannot run is
+// refused before anything runs — no output database, no journal, no
+// cache directory, no progress line. Combinations the library refuses
+// surface its typed *lmbench.ConfigError.
+func TestRejectedCombinations(t *testing.T) {
+	dir := t.TempDir()
+	// A results file holding a host measurement is a valid calibration
+	// target, so the host-as-base refusal comes from the builder.
+	hostDB := filepath.Join(dir, "host.db")
+	db := &results.DB{}
+	if err := db.Add(results.Entry{Benchmark: "lat_syscall", Machine: "host", Unit: "microseconds", Scalar: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(hostDB, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out := filepath.Join(dir, "out.db")
+	sim := []string{"-machine", "Linux/i686", "-fast", "-out", out}
+	cases := []struct {
+		name   string
+		args   []string
+		want   string
+		config bool // a *lmbench.ConfigError from the builder
+	}{
+		{"chaos x fleet", append(sim, "-only", "table7", "-chaos", "seed=1,err=0.3", "-fleet-workers", "2"),
+			"does not compose with fleet execution", true},
+		{"chaos x unit cache", append(sim, "-only", "table7", "-chaos", "seed=1,err=0.3", "-unit-cache", filepath.Join(dir, "cache")),
+			"does not compose with the unit cache", true},
+		{"chaos x adaptive", append(sim, "-only", "figure1", "-chaos", "seed=1,err=0.3", "-sweep", "adaptive"),
+			"does not compose with adaptive sweeps", true},
+		{"journal x resume", append(sim, "-only", "table7", "-journal", filepath.Join(dir, "a.jnl"), "-resume", filepath.Join(dir, "b.jnl")),
+			"mutually exclusive", false},
+		{"unknown experiment", append(sim, "-only", "table7,tabel7"),
+			`unknown experiment "tabel7"`, true},
+		{"calibrate host", []string{"-calibrate", "-machine", "host", "-target", hostDB, "-emit", out},
+			"requires a simulated machine", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			err := run(tc.args, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+			var ce *lmbench.ConfigError
+			if got := errors.As(err, &ce); got != tc.config {
+				t.Errorf("errors.As(*ConfigError) = %v, want %v (err %v)", got, tc.config, err)
+			}
+			if strings.Contains(stderr.String(), "running ") || stdout.Len() > 0 {
+				t.Errorf("the run started:\nstdout %q\nstderr %q", stdout.String(), stderr.String())
+			}
+		})
+	}
+	for _, left := range []string{"out.db", "cache", "a.jnl", "b.jnl"} {
+		if _, err := os.Stat(filepath.Join(dir, left)); !os.IsNotExist(err) {
+			t.Errorf("a refused run left %s behind (%v)", left, err)
+		}
+	}
+}
+
+// TestFlagsTranslateToBuilder: a CLI run writes exactly the bytes the
+// equivalent lmbench.New composition produces.
+func TestFlagsTranslateToBuilder(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "cli.db")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-machine", "Linux/i686", "-fast", "-only", "table7", "-quiet", "-out", out}, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := lmbench.NewSimMachine("Linux/i686")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.FastOptions()
+	opts.SweepShards = 1
+	rep, err := lmbench.New(lmbench.WithMachine(m), lmbench.WithOptions(opts), lmbench.WithOnly("table7")).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := rep.DB.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("CLI database differs from the builder's:\n--- cli\n%s\n--- builder\n%s", got, want.Bytes())
+	}
+	if !strings.Contains(stdout.String(), "Table 7") {
+		t.Errorf("stdout lacks the Table 7 rendering:\n%s", stdout.String())
+	}
+}
+
+// TestMergePersistsOnlyTheRun: -merge preloads join the rendered and
+// written output, while -store persists only the run's own entries
+// under a manifest naming the run's machines.
+func TestMergePersistsOnlyTheRun(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.db")
+	db := &results.DB{}
+	if err := db.Add(results.Entry{Benchmark: "lat_syscall", Machine: "Elsewhere", Unit: "microseconds", Scalar: 9}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, storeDir := filepath.Join(dir, "out.db"), filepath.Join(dir, "store")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-machine", "Linux/i686", "-fast", "-only", "table7", "-quiet",
+		"-merge", old, "-store", storeDir, "-out", out}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	written, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(written, []byte(`"Elsewhere"`)) {
+		t.Error("-out lost the merged entry")
+	}
+	s, err := lmbench.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, stored, err := s.DB("latest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stored.Get("lat_syscall", "Elsewhere"); ok {
+		t.Error("the stored run carries a preloaded -merge entry")
+	}
+	if _, ok := stored.Get("lat_syscall", "Linux/i686"); !ok || len(m.Machines) != 1 {
+		t.Errorf("the stored run lacks its own entry or names %v", m.Machines)
+	}
+}

@@ -26,11 +26,6 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// The facade's fleet metrics must satisfy the coordinator's observer
-// contract, and its cache metrics the unit cache's.
-var _ fleet.Observer = (*lmbench.FleetMetrics)(nil)
-var _ lmbench.CacheObserver = (*lmbench.CacheMetrics)(nil)
-
 func goldenHash(t *testing.T, db *results.DB) string {
 	t.Helper()
 	var buf bytes.Buffer

@@ -12,11 +12,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machines"
-	"repro/internal/ptime"
 	"repro/internal/results"
 	"repro/internal/simmem"
 	"repro/internal/simnet"
-	"repro/internal/timing"
 	"repro/internal/unitcache"
 )
 
@@ -124,11 +122,6 @@ type param struct {
 }
 
 func noFloor(*machines.Profile) float64 { return 0 }
-
-// discardSink stands in for a nil Options.Events.
-type discardSink struct{}
-
-func (discardSink) Event(core.Event) {}
 
 // continuousParams lists the monotone parameters for p (cache-level
 // latency parameters depend on how many levels p has).
@@ -253,19 +246,9 @@ func (f *fitter) spent() int { return int(f.evals.Load()) }
 // sweeps, and memory regions grown to cover p's hierarchy when the
 // group sweeps it.
 func (f *fitter) runOpts(p machines.Profile, group string) core.Options {
-	var o core.Options
+	o := core.FastOptions()
 	if f.opts.Run != nil {
 		o = *f.opts.Run
-	} else {
-		o = core.Options{
-			Timing:       timing.Options{MinSampleTime: ptime.Millisecond, Samples: 3},
-			MemSize:      2 << 20,
-			FileSize:     2 << 20,
-			MaxChaseSize: 2 << 20,
-			FSFiles:      200,
-			CtxProcs:     []int{2, 8, 16},
-			CtxSizes:     []int64{0, 16 << 10, 32 << 10},
-		}
 	}
 	if o.SweepMode == "" {
 		o.SweepMode = core.SweepAdaptive
@@ -308,24 +291,31 @@ func (f *fitter) measure(ctx context.Context, p machines.Profile, group string) 
 		MaxRSD: f.opts.MaxRSD,
 	}
 	if f.opts.CacheDir != "" {
-		cand := clone(p)
-		cache, err := unitcache.Open(f.opts.CacheDir, opts, unitcache.Config{
-			Resolve: func(name string) (machines.Profile, bool) {
-				if name == cand.Name {
-					return cand, true
-				}
-				return machines.Profile{}, false
-			},
-		})
-		if err == nil {
-			suite.Cache = cache
+		cache, err := f.openCache(p, opts)
+		if err != nil {
+			return nil, err
 		}
+		suite.Cache = cache
 	}
 	db := &results.DB{}
 	if _, err := suite.Run(ctx, db); err != nil {
 		return nil, err
 	}
 	return db, nil
+}
+
+// openCache opens the unit cache for one candidate evaluation. The key
+// covers everything the suite's bytes depend on: the candidate's own
+// fingerprint, the run options and the quality gate the candidate runs
+// under, which stamps quality.* attrs into every entry.
+func (f *fitter) openCache(p machines.Profile, opts core.Options) (*unitcache.Cache, error) {
+	cand := clone(p)
+	return unitcache.Open(f.opts.CacheDir, opts, unitcache.Config{
+		MaxRSD: f.opts.MaxRSD,
+		Resolve: func(name string) (machines.Profile, bool) {
+			return cand, name == cand.Name
+		},
+	})
 }
 
 // scalar measures group on p and extracts bench.
@@ -597,12 +587,15 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 		opts.MaxRSD = 0.05
 	}
 
-	events := opts.Events
-	if events == nil {
-		events = discardSink{}
-	}
-	f := &fitter{opts: opts, target: target, events: events}
+	f := &fitter{opts: opts, target: target, events: core.SinkOrDiscard(opts.Events)}
 	prof := clone(base)
+	if opts.CacheDir != "" {
+		// An unusable cache directory fails the fit here, not as an
+		// unusable probe on every candidate.
+		if _, err := f.openCache(prof, f.runOpts(prof, "")); err != nil {
+			return nil, err
+		}
+	}
 
 	only := map[string]bool{}
 	for _, name := range opts.Params {

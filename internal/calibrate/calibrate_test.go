@@ -3,6 +3,8 @@ package calibrate
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/ptime"
 	"repro/internal/results"
 	"repro/internal/timing"
+	"repro/internal/unitcache"
 )
 
 // fastOpts are the quick suite options both the target run and the
@@ -187,6 +190,52 @@ func TestCalibrateErrors(t *testing.T) {
 		Target{Values: map[string]float64{"lat_syscall": 1}},
 		Options{Params: []string{"fs_create_us"}}); err == nil {
 		t.Error("Params restriction excluding every target accepted")
+	}
+}
+
+// TestCandidateCacheKeyCoversQualityGate: candidate runs stamp
+// quality.* attrs under the fitter's gate, so their cached units must
+// key on MaxRSD — a run with another gate (or none) may never be
+// served them.
+func TestCandidateCacheKeyCoversQualityGate(t *testing.T) {
+	dir := t.TempDir()
+	p, _ := machines.ByName("Linux/i686")
+	open := func(maxRSD float64) *unitcache.Cache {
+		t.Helper()
+		f := &fitter{opts: Options{CacheDir: dir, MaxRSD: maxRSD}}
+		c, err := f.openCache(p, f.runOpts(p, "table7"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	rec := core.JournalRecord{Machine: p.Name, Key: "table7", Entries: []results.Entry{
+		{Benchmark: "lat_syscall", Machine: p.Name, Unit: "microseconds", Scalar: 2},
+	}}
+	if err := open(0.05).Store(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := open(0.05).Lookup(p.Name, "table7"); !ok {
+		t.Fatal("the same gate must hit")
+	}
+	for _, rsd := range []float64{0, 0.1} {
+		if _, ok := open(rsd).Lookup(p.Name, "table7"); ok {
+			t.Errorf("MaxRSD %v was served a unit stored under 0.05", rsd)
+		}
+	}
+}
+
+// TestCalibrateUnusableCacheDir: a cache directory that cannot be
+// opened fails the fit instead of silently running uncached.
+func TestCalibrateUnusableCacheDir(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := machines.ByName("Linux/i686")
+	target := Target{Values: map[string]float64{"lat_syscall": p.SyscallUS}}
+	if _, err := Calibrate(context.Background(), p, target, Options{CacheDir: file}); err == nil {
+		t.Error("a file as the cache directory was accepted")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/ptime"
 	"repro/internal/timing"
 )
 
@@ -307,6 +308,21 @@ func (o Options) SweepWorkers(m Machine, n int) int {
 		shards = n
 	}
 	return shards
+}
+
+// FastOptions shrinks the workloads for a quick pass — small regions,
+// millisecond samples, a short context-switch ladder. `lmbench -fast`
+// runs them, and so does every calibration candidate by default.
+func FastOptions() Options {
+	return Options{
+		Timing:       timing.Options{MinSampleTime: ptime.Millisecond, Samples: 3},
+		MemSize:      2 << 20,
+		FileSize:     2 << 20,
+		MaxChaseSize: 2 << 20,
+		FSFiles:      200,
+		CtxProcs:     []int{2, 8, 16},
+		CtxSizes:     []int64{0, 16 << 10, 32 << 10},
+	}
 }
 
 // Normalize validates o and fills in the paper's defaults for unset

@@ -142,7 +142,10 @@ type discardSink struct{}
 
 func (discardSink) Event(Event) {}
 
-func sinkOrDiscard(s EventSink) EventSink {
+// SinkOrDiscard returns s, or a sink that drops every event when s is
+// nil — the nil-sink rule of the suite, the scheduler, the fleet
+// coordinator and the calibrator.
+func SinkOrDiscard(s EventSink) EventSink {
 	if s == nil {
 		return discardSink{}
 	}

@@ -360,3 +360,96 @@ func TestResumeReplaysSkips(t *testing.T) {
 		t.Error("replayed skip produced entries")
 	}
 }
+
+// mapCache is an in-memory core.UnitCache that counts its traffic.
+type mapCache struct {
+	recs          map[string]core.JournalRecord
+	lookups, puts int
+}
+
+func (c *mapCache) Lookup(machine, key string) (core.JournalRecord, bool) {
+	c.lookups++
+	rec, ok := c.recs[machine+"/"+key]
+	return rec, ok
+}
+
+func (c *mapCache) Store(rec core.JournalRecord) error {
+	c.puts++
+	c.recs[rec.Machine+"/"+rec.Key] = rec
+	return nil
+}
+
+// TestUnitLog pins the one unit pipeline both executors share: resume
+// wins over the cache (and is mode-checked), a cache hit is journaled,
+// a miss recalls nothing, and Commit journals before it caches.
+func TestUnitLog(t *testing.T) {
+	entry := func(machine string, attrs map[string]string) []results.Entry {
+		return []results.Entry{{Benchmark: "lat_syscall", Machine: machine, Unit: "microseconds", Scalar: 1, Attrs: attrs}}
+	}
+	var prev bytes.Buffer
+	jw, err := core.NewJournalWriter(&prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []core.JournalRecord{
+		{Machine: "m", Key: "table7", Entries: entry("m", nil)},
+		{Machine: "m", Key: "mem_hier", Entries: entry("m", map[string]string{"sweep.mode": "adaptive"})},
+	} {
+		if err := jw.Record(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay, err := core.ReadJournal(&prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := &mapCache{recs: map[string]core.JournalRecord{
+		"m/table7": {Machine: "m", Key: "table7", Entries: entry("m", map[string]string{"from": "cache"})},
+		"m/table8": {Machine: "m", Key: "table8", Entries: entry("m", nil)},
+	}}
+	var out bytes.Buffer
+	journal, err := core.NewJournalWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := core.UnitLog{Resume: replay, Cache: cache, Journal: journal, Mode: core.SweepExhaustive}
+
+	rec, kind, err := log.Recall("m", "table7")
+	if err != nil || kind != core.ExperimentReplayed || rec.Entries[0].Attrs["from"] == "cache" {
+		t.Errorf("table7: kind %q, err %v — the resume journal must win over the cache", kind, err)
+	}
+	if _, _, err := log.Recall("m", "mem_hier"); err == nil || !strings.Contains(err.Error(), "adaptive-sweep results") {
+		t.Errorf("cross-mode replay: err = %v", err)
+	}
+	if rec, kind, err := log.Recall("m", "table8"); err != nil || kind != core.ExperimentCached || rec.Key != "table8" {
+		t.Errorf("table8: kind %q, err %v, want a cache hit", kind, err)
+	}
+	if _, kind, err := log.Recall("m", "table9"); err != nil || kind != "" {
+		t.Errorf("table9: kind %q, err %v, want a miss", kind, err)
+	}
+	fresh := core.JournalRecord{Machine: "m", Key: "table9", Entries: entry("m", nil)}
+	if err := log.Commit(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.recs["m/table9"]; !ok || cache.puts != 1 {
+		t.Errorf("Commit stored %d records in the cache, want the fresh one", cache.puts)
+	}
+	written, err := core.ReadJournal(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written.Len() != 2 {
+		t.Fatalf("journal holds %d records, want the cache hit and the commit", written.Len())
+	}
+	for _, key := range []string{"table8", "table9"} {
+		if _, ok := written.Lookup("m", key); !ok {
+			t.Errorf("journal lacks %s", key)
+		}
+	}
+	if _, _, err := (core.UnitLog{}).Recall("m", "table7"); err != nil {
+		t.Errorf("zero UnitLog: %v", err)
+	}
+	if err := (core.UnitLog{}).Commit(fresh); err != nil {
+		t.Errorf("zero UnitLog Commit: %v", err)
+	}
+}

@@ -81,7 +81,7 @@ func (r *Runner) Run(ctx context.Context, db *results.DB) (map[string][]string, 
 	if workers > len(r.Machines) {
 		workers = len(r.Machines)
 	}
-	sink := sinkOrDiscard(r.Events)
+	sink := SinkOrDiscard(r.Events)
 
 	// A failure cancels the machines still running; the per-machine
 	// results collected so far survive for the deterministic merge.

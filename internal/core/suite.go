@@ -129,9 +129,10 @@ func Experiments() []Experiment {
 	}
 }
 
-// ExperimentByID looks up one experiment.
+// ExperimentByID looks up one experiment of the paper's evaluation or
+// of its §7 extensions.
 func ExperimentByID(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), Extensions()...) {
 		if e.ID == id {
 			return e, true
 		}
@@ -171,9 +172,9 @@ type Suite struct {
 	// never retried; context cancellation is never retried.
 	Retries int
 	// RetryBackoff is the pause before the first retry, doubling each
-	// further attempt (capped at maxRetryBackoff); default 100ms when
-	// Retries > 0. The backoff sleep selects on the run context, so a
-	// cancelled run never waits out a pending backoff.
+	// further attempt (see NextBackoff); default 100ms when Retries > 0.
+	// The backoff sleep selects on the run context, so a cancelled run
+	// never waits out a pending backoff.
 	RetryBackoff time.Duration
 	// MaxRSD enables the measurement quality gate when positive. After
 	// a successful attempt, the relative spread ((median - min) / min)
@@ -219,7 +220,7 @@ func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err 
 	if err != nil {
 		return nil, err
 	}
-	sink := sinkOrDiscard(s.Events)
+	sink := SinkOrDiscard(s.Events)
 	exps := s.Experiments
 	if exps == nil {
 		exps = Experiments()
@@ -227,120 +228,70 @@ func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err 
 			exps = append(exps, Extensions()...)
 		}
 	}
+	log := UnitLog{Resume: s.Resume, Cache: s.Cache, Journal: s.Journal, Mode: opts.SweepMode}
 	for _, group := range GroupExperiments(exps, s.Only) {
 		exp, key := group.Exp, group.Key
 		if err := ctx.Err(); err != nil {
 			return skipped, err
 		}
-		if s.Resume != nil {
-			if rec, ok := s.Resume.Lookup(s.M.Name(), key); ok {
-				// A journal from the other sweep mode must not seed this
-				// run: adaptive results carry synthetic points an
-				// exhaustive database may never contain, and vice versa.
-				if err := CheckReplayMode(rec, opts.SweepMode); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
-				sink.Event(Event{
-					Kind: ExperimentReplayed, Time: time.Now(), Machine: s.M.Name(),
-					Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
-				})
-				if rec.Skipped {
-					skipped = append(skipped, exp.ID)
-					continue
-				}
-				for _, e := range rec.Entries {
-					if err := db.Add(e); err != nil {
-						return skipped, fmt.Errorf("%s: replay %q: %w", exp.ID, e.Benchmark, err)
-					}
-				}
-				continue
-			}
+		rec, kind, err := log.Recall(s.M.Name(), key)
+		if err != nil {
+			return skipped, fmt.Errorf("%s: %w", exp.ID, err)
 		}
-		if s.Cache != nil {
-			if rec, ok := s.Cache.Lookup(s.M.Name(), key); ok {
-				sink.Event(Event{
-					Kind: ExperimentCached, Time: time.Now(), Machine: s.M.Name(),
-					Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
-				})
-				// Journal the hit too: an interrupted cached run resumes
-				// without consulting the cache for units already landed.
-				if rec.Skipped {
-					skipped = append(skipped, exp.ID)
-					if err := s.journal(rec); err != nil {
-						return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-					}
-					continue
-				}
-				for _, e := range rec.Entries {
-					if err := db.Add(e); err != nil {
-						return skipped, fmt.Errorf("%s: cached %q: %w", exp.ID, e.Benchmark, err)
-					}
-				}
-				if err := s.journal(rec); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
-				continue
+		fresh := kind == ""
+		if fresh {
+			entries, runErr := s.runExperiment(ctx, sink, exp, opts)
+			switch {
+			case IsUnsupported(runErr):
+				rec = JournalRecord{Machine: s.M.Name(), Key: key, Skipped: true, Err: runErr.Error()}
+			case runErr != nil:
+				return skipped, fmt.Errorf("%s: %w", exp.ID, runErr)
+			default:
+				rec = JournalRecord{Machine: s.M.Name(), Key: key, Entries: entries}
 			}
+		} else {
+			// Replayed and cached units merge at the same point in the
+			// iteration order as live execution.
+			sink.Event(Event{
+				Kind: kind, Time: time.Now(), Machine: s.M.Name(),
+				Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
+			})
 		}
-		entries, runErr := s.runExperiment(ctx, sink, exp, opts)
-		if runErr != nil {
-			if IsUnsupported(runErr) {
-				skipped = append(skipped, exp.ID)
-				rec := JournalRecord{
-					Machine: s.M.Name(), Key: key, Skipped: true, Err: runErr.Error(),
-				}
-				if err := s.journal(rec); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
-				if err := s.cacheStore(rec); err != nil {
-					return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-				}
-				continue
-			}
-			return skipped, fmt.Errorf("%s: %w", exp.ID, runErr)
+		if rec.Skipped {
+			skipped = append(skipped, exp.ID)
 		}
-		for _, e := range entries {
+		for _, e := range rec.Entries {
 			if err := db.Add(e); err != nil {
 				// Entries already merged stay in db; the error names the
 				// experiment so a mid-run failure is attributable.
 				return skipped, fmt.Errorf("%s: add %q: %w", exp.ID, e.Benchmark, err)
 			}
 		}
-		rec := JournalRecord{Machine: s.M.Name(), Key: key, Entries: entries}
-		if err := s.journal(rec); err != nil {
-			return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-		}
-		if err := s.cacheStore(rec); err != nil {
-			return skipped, fmt.Errorf("%s: %w", exp.ID, err)
+		if fresh {
+			if err := log.Commit(rec); err != nil {
+				return skipped, fmt.Errorf("%s: %w", exp.ID, err)
+			}
 		}
 	}
 	return skipped, nil
 }
 
-// cacheStore persists rec in the unit cache when caching is enabled.
-func (s *Suite) cacheStore(rec JournalRecord) error {
-	if s.Cache == nil {
-		return nil
-	}
-	return s.Cache.Store(rec)
-}
+// Retry pauses: the first defaults to defaultRetryBackoff and each
+// further one doubles, capped at maxRetryBackoff so a large Retries
+// budget never escalates into multi-hour waits (or overflows).
+const (
+	defaultRetryBackoff = 100 * time.Millisecond
+	maxRetryBackoff     = 30 * time.Second
+)
 
-// journal appends rec when journaling is enabled.
-func (s *Suite) journal(rec JournalRecord) error {
-	if s.Journal == nil {
-		return nil
-	}
-	return s.Journal.Record(rec)
-}
-
-// maxRetryBackoff caps the doubling retry backoff: a large Retries
-// budget must never escalate a pause into multi-hour waits (or
-// overflow the duration entirely).
-const maxRetryBackoff = 30 * time.Second
-
-// nextBackoff doubles d, saturating at maxRetryBackoff.
-func nextBackoff(d time.Duration) time.Duration {
-	if d >= maxRetryBackoff/2 {
+// NextBackoff is the retry policy the suite and the fleet coordinator
+// share: the pause after d, or the default first pause when d is zero.
+// It doubles d, saturating at 30s.
+func NextBackoff(d time.Duration) time.Duration {
+	switch {
+	case d <= 0:
+		return defaultRetryBackoff
+	case d >= maxRetryBackoff/2:
 		return maxRetryBackoff
 	}
 	return d * 2
@@ -354,12 +305,9 @@ func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experimen
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
-	backoff := s.RetryBackoff
+	backoff := min(s.RetryBackoff, maxRetryBackoff)
 	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	if backoff > maxRetryBackoff {
-		backoff = maxRetryBackoff
+		backoff = NextBackoff(0)
 	}
 	qualityLeft := s.QualityRetries
 	if s.MaxRSD > 0 && s.QualityRetries == 0 {
@@ -423,7 +371,7 @@ func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experimen
 			return nil, ctx.Err()
 		case <-time.After(backoff):
 		}
-		backoff = nextBackoff(backoff)
+		backoff = NextBackoff(backoff)
 	}
 }
 

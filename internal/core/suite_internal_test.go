@@ -12,7 +12,7 @@ import (
 func TestNextBackoffSaturates(t *testing.T) {
 	d := 100 * time.Millisecond
 	for i := 0; i < 64; i++ {
-		d = nextBackoff(d)
+		d = NextBackoff(d)
 		if d > maxRetryBackoff {
 			t.Fatalf("step %d: backoff %v exceeds cap %v", i, d, maxRetryBackoff)
 		}
@@ -20,13 +20,13 @@ func TestNextBackoffSaturates(t *testing.T) {
 	if d != maxRetryBackoff {
 		t.Errorf("backoff settled at %v, want %v", d, maxRetryBackoff)
 	}
-	if got := nextBackoff(maxRetryBackoff); got != maxRetryBackoff {
-		t.Errorf("nextBackoff(cap) = %v, want %v", got, maxRetryBackoff)
+	if got := NextBackoff(maxRetryBackoff); got != maxRetryBackoff {
+		t.Errorf("NextBackoff(cap) = %v, want %v", got, maxRetryBackoff)
 	}
-	if got := nextBackoff(time.Duration(math.MaxInt64)); got != maxRetryBackoff {
-		t.Errorf("nextBackoff(MaxInt64) = %v, want %v (overflow guard)", got, maxRetryBackoff)
+	if got := NextBackoff(time.Duration(math.MaxInt64)); got != maxRetryBackoff {
+		t.Errorf("NextBackoff(MaxInt64) = %v, want %v (overflow guard)", got, maxRetryBackoff)
 	}
-	if got := nextBackoff(time.Millisecond); got != 2*time.Millisecond {
-		t.Errorf("nextBackoff(1ms) = %v, want 2ms", got)
+	if got := NextBackoff(time.Millisecond); got != 2*time.Millisecond {
+		t.Errorf("NextBackoff(1ms) = %v, want 2ms", got)
 	}
 }

@@ -6,9 +6,10 @@ package core
 // Table 10 come from the same context-switch sweep), and it is the
 // granularity at which the suite executes, journals, replays, and at
 // which the fleet coordinator partitions work across worker processes.
-// Suite.Run, cmd/lmbench's progress planning and internal/fleet all
+// Suite.Run, the builder's progress planning and internal/fleet all
 // derive their iteration from GroupExperiments, so "what counts as one
-// unit of work" is defined exactly once.
+// unit of work" is defined exactly once — and UnitLog defines once
+// what happens to a unit before and after it executes.
 
 // ExperimentGroup is one unit of suite execution: the experiments that
 // share a single Run invocation, after Only filtering.
@@ -84,6 +85,63 @@ type WorkUnit struct {
 type UnitCache interface {
 	Lookup(machine, key string) (JournalRecord, bool)
 	Store(rec JournalRecord) error
+}
+
+// UnitLog is the per-unit bookkeeping every executor shares: the
+// journal a run resumes from, the unit cache it consults and the
+// journal it writes. Suite.Run (in process) and the fleet coordinator
+// (across processes) drive every unit through it, so the rules are
+// stated once: the resume journal wins over the cache, a cache hit is
+// journaled, and a freshly executed unit is journaled before it is
+// cached. The zero value records nothing and recalls nothing.
+type UnitLog struct {
+	Resume  *JournalReplay
+	Cache   UnitCache
+	Journal *JournalWriter
+	// Mode is the run's sweep mode; resume records from the other mode
+	// are refused (see CheckReplayMode). Cache keys need no check: the
+	// mode is part of the options fingerprint.
+	Mode SweepMode
+}
+
+// Recall returns the recorded outcome of the (machine, key) unit when
+// the run need not execute it, with the event kind that announces it:
+// ExperimentReplayed for a resume-journal record, ExperimentCached for
+// a unit-cache hit. A hit is journaled before it is returned, so an
+// interrupted warm run resumes without consulting the cache again.
+// kind is empty when the unit must execute.
+func (l UnitLog) Recall(machine, key string) (rec JournalRecord, kind EventKind, err error) {
+	if l.Resume != nil {
+		if rec, ok := l.Resume.Lookup(machine, key); ok {
+			return rec, ExperimentReplayed, CheckReplayMode(rec, l.Mode)
+		}
+	}
+	if l.Cache != nil {
+		if rec, ok := l.Cache.Lookup(machine, key); ok {
+			return rec, ExperimentCached, l.journal(rec)
+		}
+	}
+	return JournalRecord{}, "", nil
+}
+
+// Commit persists a freshly executed unit: the journal first, so no
+// unit counts as done without its record, then the cache — a stored
+// but unjournaled unit is merely a warm entry for the re-run.
+func (l UnitLog) Commit(rec JournalRecord) error {
+	if err := l.journal(rec); err != nil {
+		return err
+	}
+	if l.Cache == nil {
+		return nil
+	}
+	return l.Cache.Store(rec)
+}
+
+func (l UnitLog) journal(rec JournalRecord) error {
+	if l.Journal == nil {
+		return nil
+	}
+	return l.Journal.Record(rec)
 }
 
 // UnitsFor enumerates the work units of running the given experiment

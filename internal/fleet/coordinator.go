@@ -47,21 +47,9 @@ func (noopObserver) UnitDispatched(time.Duration) {}
 func (noopObserver) UnitDone()                    {}
 func (noopObserver) UnitRetried()                 {}
 
-// Default and cap for the unit re-dispatch policy; the backoff
-// constants mirror the suite's PR-1 retry policy.
-const (
-	defaultUnitRetries = 3
-	defaultBackoff     = 100 * time.Millisecond
-	maxBackoff         = 30 * time.Second
-)
-
-// nextBackoff doubles d, saturating at maxBackoff.
-func nextBackoff(d time.Duration) time.Duration {
-	if d >= maxBackoff/2 {
-		return maxBackoff
-	}
-	return d * 2
-}
+// defaultUnitRetries is the re-dispatch budget of a unit orphaned by
+// a dead worker; re-dispatch pauses follow core.NextBackoff.
+const defaultUnitRetries = 3
 
 // Coordinator executes the evaluation across a pool of worker
 // processes. It is the fleet counterpart of core.Runner: machines (by
@@ -103,7 +91,7 @@ type Coordinator struct {
 	MaxRSD         float64
 	QualityRetries int
 	// UnitRetries is how many times a unit orphaned by a dead worker is
-	// re-dispatched (with doubling backoff, capped at 30s) before the
+	// re-dispatched (with core.NextBackoff pauses) before the
 	// run fails; 0 means the default of 3. This budget is consumed by
 	// worker deaths only — an error the experiment itself reports is
 	// already retried inside the worker under Retries and aborts the
@@ -160,6 +148,7 @@ type run struct {
 	cancel context.CancelFunc
 	sink   core.EventSink
 	obs    Observer
+	log    core.UnitLog
 	opts   core.Options
 	units  []core.WorkUnit
 	groups map[string]core.ExperimentGroup
@@ -248,7 +237,8 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	defer cancel()
 	r := &run{
 		c: c, ctx: runCtx, cancel: cancel,
-		sink: sinkOrDiscard(c.Events), obs: obsOrNoop(c.Obs),
+		sink: core.SinkOrDiscard(c.Events), obs: obsOrNoop(c.Obs),
+		log:  core.UnitLog{Resume: c.Resume, Cache: c.Cache, Journal: c.Journal, Mode: opts.SweepMode},
 		opts: opts, units: units, groups: byKey,
 		wireProfiles: wireProfiles,
 		// Buffered past the total attempt budget so a delayed
@@ -275,93 +265,32 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 		c.mu.Unlock()
 	}()
 
-	// Replay completed units from the resume journal, in unit order,
-	// before any dispatch — the fleet version of the suite's replay-at-
-	// iteration-point rule.
-	if c.Resume != nil {
-		for i, u := range units {
-			rec, ok := c.Resume.Lookup(u.Machine, u.Key)
-			if !ok {
-				continue
-			}
-			g := byKey[u.Key]
-			// Cross-mode journals must not seed the fleet, exactly as in
-			// the serial suite: adaptive and exhaustive sweep results can
-			// never mix in one database.
-			if err := core.CheckReplayMode(rec, opts.SweepMode); err != nil {
-				r.mu.Lock()
-				r.res[i] = unitResult{done: true, err: err}
-				r.mu.Unlock()
-				r.finishUnit(u, err.Error())
-				cancel()
-				break
-			}
-			r.beginMachine(u.Machine)
-			r.sink.Event(core.Event{
-				Kind: core.ExperimentReplayed, Time: time.Now(), Machine: u.Machine,
-				Experiment: g.Exp.ID, Title: g.Exp.Title, Entries: len(rec.Entries),
-			})
-			res := unitResult{done: true}
-			if rec.Skipped {
-				res.skipped = []string{g.Exp.ID}
-			} else {
-				res.entries = rec.Entries
-			}
-			r.mu.Lock()
-			r.res[i] = res
-			r.mu.Unlock()
-			r.obs.UnitDone()
-			r.finishUnit(u, "")
+	// Serve what the resume journal or the unit cache already holds, in
+	// unit order and before any dispatch — the fleet version of the
+	// suite's replay-at-iteration-point rule. A fully-warm run starts no
+	// worker. A refused replay or a failed journal write aborts the run
+	// exactly as it would in complete(); no workers exist yet, so
+	// failing the unit and cancelling is enough.
+	for i, u := range units {
+		rec, kind, err := r.log.Recall(u.Machine, u.Key)
+		if err != nil {
+			r.settle(i, unitResult{err: err}, false)
+			break
 		}
-	}
-
-	// Consult the unit cache for everything the journal did not cover,
-	// still before any dispatch. A hit is journaled like a completed
-	// unit (so an interrupted warm run resumes without re-reading the
-	// cache) and lands at its slot in merge order. Errors journaling or
-	// persisting here abort the run exactly as they would in
-	// complete(); no workers exist yet, so failing the unit and
-	// cancelling is enough.
-	if c.Cache != nil {
-		for i, u := range units {
-			r.mu.Lock()
-			done := r.res[i].done
-			r.mu.Unlock()
-			if done {
-				continue
-			}
-			rec, ok := c.Cache.Lookup(u.Machine, u.Key)
-			if !ok {
-				continue
-			}
-			g := byKey[u.Key]
-			r.beginMachine(u.Machine)
-			r.sink.Event(core.Event{
-				Kind: core.ExperimentCached, Time: time.Now(), Machine: u.Machine,
-				Experiment: g.Exp.ID, Title: g.Exp.Title, Entries: len(rec.Entries),
-			})
-			if c.Journal != nil {
-				if err := c.Journal.Record(rec); err != nil {
-					r.mu.Lock()
-					r.res[i] = unitResult{done: true, err: err}
-					r.mu.Unlock()
-					r.finishUnit(u, err.Error())
-					cancel()
-					break
-				}
-			}
-			res := unitResult{done: true}
-			if rec.Skipped {
-				res.skipped = []string{g.Exp.ID}
-			} else {
-				res.entries = rec.Entries
-			}
-			r.mu.Lock()
-			r.res[i] = res
-			r.mu.Unlock()
-			r.obs.UnitDone()
-			r.finishUnit(u, "")
+		if kind == "" {
+			continue
 		}
+		g := byKey[u.Key]
+		r.beginMachine(u.Machine)
+		r.sink.Event(core.Event{
+			Kind: kind, Time: time.Now(), Machine: u.Machine,
+			Experiment: g.Exp.ID, Title: g.Exp.Title, Entries: len(rec.Entries),
+		})
+		res := unitResult{entries: rec.Entries}
+		if rec.Skipped {
+			res = unitResult{skipped: []string{g.Exp.ID}}
+		}
+		r.settle(i, res, false)
 	}
 
 	// Queue the remainder and start the pool.
@@ -622,53 +551,46 @@ func (r *run) complete(i int, m *wireMsg, skipErr string) error {
 		r.fail(i, errors.New(m.Err))
 		return nil
 	}
-	// Journal before marking done, so a completed-but-unjournaled unit
-	// is impossible: a coordinator killed in between simply re-runs it.
-	// The unit cache persists at the same point: a stored-but-unmarked
-	// unit is merely a warm entry for the re-run.
-	if r.c.Journal != nil || r.c.Cache != nil {
-		rec := core.JournalRecord{Machine: u.Machine, Key: u.Key}
-		if len(m.Skipped) > 0 {
-			rec.Skipped, rec.Err = true, skipErr
-		} else {
-			rec.Entries = m.Entries
-		}
-		if r.c.Journal != nil {
-			if err := r.c.Journal.Record(rec); err != nil {
-				r.fail(i, err)
-				return nil
-			}
-		}
-		if r.c.Cache != nil {
-			if err := r.c.Cache.Store(rec); err != nil {
-				r.fail(i, err)
-				return nil
-			}
-		}
+	// Commit before marking done: a coordinator killed in between
+	// simply re-runs the unit.
+	rec := core.JournalRecord{Machine: u.Machine, Key: u.Key, Entries: m.Entries}
+	if len(m.Skipped) > 0 {
+		rec = core.JournalRecord{Machine: u.Machine, Key: u.Key, Skipped: true, Err: skipErr}
 	}
-	r.mu.Lock()
-	r.res[i] = unitResult{done: true, entries: m.Entries, skipped: m.Skipped}
-	r.inflight--
-	q, f := r.queued, r.inflight
-	r.mu.Unlock()
-	r.obs.QueueDepth(q, f)
-	r.obs.UnitDone()
-	r.finishUnit(u, "")
+	if err := r.log.Commit(rec); err != nil {
+		r.fail(i, err)
+		return nil
+	}
+	r.settle(i, unitResult{entries: m.Entries, skipped: m.Skipped}, true)
 	return nil
 }
 
-// fail marks unit i terminally failed and aborts the run, the fleet
-// version of the scheduler's cancel-the-pool-on-error rule.
-func (r *run) fail(i int, err error) {
-	u := r.units[i]
+// fail marks dispatched unit i terminally failed; see settle.
+func (r *run) fail(i int, err error) { r.settle(i, unitResult{err: err}, true) }
+
+// settle records unit i's terminal result and retires the unit;
+// dispatched says it was in flight (units served before dispatch never
+// were). A failed unit aborts the run, the fleet version of the
+// scheduler's cancel-the-pool-on-error rule.
+func (r *run) settle(i int, res unitResult, dispatched bool) {
+	res.done = true
 	r.mu.Lock()
-	r.res[i] = unitResult{done: true, err: err}
-	r.inflight--
+	r.res[i] = res
+	if dispatched {
+		r.inflight--
+	}
 	q, f := r.queued, r.inflight
 	r.mu.Unlock()
-	r.obs.QueueDepth(q, f)
-	r.finishUnit(u, err.Error())
-	r.cancel()
+	if dispatched {
+		r.obs.QueueDepth(q, f)
+	}
+	if res.err != nil {
+		r.finishUnit(r.units[i], res.err.Error())
+		r.cancel()
+		return
+	}
+	r.obs.UnitDone()
+	r.finishUnit(r.units[i], "")
 }
 
 // redispatch re-queues unit i after its worker died, with doubling
@@ -685,11 +607,8 @@ func (r *run) redispatch(i int, cause error, live int, local bool) {
 	}
 	r.attempts[i]++
 	attempts := r.attempts[i]
-	if r.backoff[i] == 0 {
-		r.backoff[i] = defaultBackoff
-	}
+	r.backoff[i] = core.NextBackoff(r.backoff[i])
 	delay := r.backoff[i]
-	r.backoff[i] = nextBackoff(delay)
 	r.mu.Unlock()
 	if attempts > r.c.unitRetries() {
 		r.fail(i, fmt.Errorf("fleet: unit %s/%s lost its worker %d times: %w",
@@ -790,18 +709,6 @@ func (r *run) merge(ctx context.Context, db *results.DB) (map[string][]string, e
 	}
 	return skipped, firstErr
 }
-
-// sinkOrDiscard mirrors core's nil-sink rule.
-func sinkOrDiscard(s core.EventSink) core.EventSink {
-	if s == nil {
-		return discardSink{}
-	}
-	return s
-}
-
-type discardSink struct{}
-
-func (discardSink) Event(core.Event) {}
 
 func obsOrNoop(o Observer) Observer {
 	if o == nil {

@@ -371,7 +371,26 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
-func TestMachineNames(t *testing.T) {
+// TestNextBackoff: the pause schedule DialWith and re-dispatch follow
+// starts at the DialOptions default, doubles, and saturates at 30s.
+func TestNextBackoff(t *testing.T) {
+	first := DialOptions{}.normalize().Backoff
+	if got := core.NextBackoff(0); got != first {
+		t.Errorf("first re-dispatch pause = %v, want the dial default %v", got, first)
+	}
+	d := first
+	for i := 0; i < 20; i++ {
+		d = core.NextBackoff(d)
+	}
+	if d != 30*time.Second {
+		t.Errorf("backoff did not saturate: %v", d)
+	}
+	if got := core.NextBackoff(first); got != 2*first {
+		t.Errorf("NextBackoff = %v, want %v", got, 2*first)
+	}
+}
+
+func TestMachineNamesIn(t *testing.T) {
 	var ms []core.Machine
 	for _, n := range testMachines {
 		p, _ := machines.ByName(n)
@@ -381,7 +400,7 @@ func TestMachineNames(t *testing.T) {
 		}
 		ms = append(ms, m)
 	}
-	names, err := MachineNames(ms)
+	names, err := MachineNamesIn(nil, ms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +409,18 @@ func TestMachineNames(t *testing.T) {
 			t.Errorf("names[%d] = %q, want %q", i, names[i], n)
 		}
 	}
-	if _, err := MachineNames([]core.Machine{renamed{ms[0]}}); err == nil {
+	if _, err := MachineNamesIn(nil, []core.Machine{renamed{ms[0]}}); err == nil {
 		t.Error("non-profile machine must be rejected")
+	}
+	// A catalog that knows the ad-hoc name makes it dispatchable.
+	cat := machines.Default()
+	p, _ := machines.ByName(testMachines[0])
+	p.Name = "ad-hoc"
+	if err := cat.Add(p, machines.SourceFile); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := MachineNamesIn(cat, []core.Machine{renamed{ms[0]}}); err != nil || got[0] != "ad-hoc" {
+		t.Errorf("catalog profile: names = %v, err = %v", got, err)
 	}
 }
 
@@ -413,18 +442,5 @@ func TestCoordinatorValidation(t *testing.T) {
 	skipped, err := (&Coordinator{Workers: 1}).Run(context.Background(), &results.DB{})
 	if err != nil || len(skipped) != 0 {
 		t.Errorf("empty machine list: %v, %v", skipped, err)
-	}
-}
-
-func TestNextBackoff(t *testing.T) {
-	d := defaultBackoff
-	for i := 0; i < 20; i++ {
-		d = nextBackoff(d)
-	}
-	if d != maxBackoff {
-		t.Errorf("backoff did not saturate: %v", d)
-	}
-	if got := nextBackoff(defaultBackoff); got != 2*defaultBackoff {
-		t.Errorf("nextBackoff = %v, want %v", got, 2*defaultBackoff)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/rpcx"
 )
 
@@ -155,7 +156,7 @@ func DialWith(ctx context.Context, addr string, o DialOptions) (*netWorker, erro
 				return nil, ctx.Err()
 			case <-time.After(backoff):
 			}
-			backoff = nextBackoff(backoff)
+			backoff = core.NextBackoff(backoff)
 		}
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {

@@ -222,28 +222,13 @@ func (f forwardSink) Event(e core.Event) {
 	_ = f.send(&wireMsg{Type: msgEvent, Seq: f.seq, Event: &ev})
 }
 
-// MachineNames maps benchmark targets to fleet-resolvable profile
-// names, in merge order. Fleet execution shards built-in simulated
-// machines only: a worker rebuilds the machine from its profile, which
-// has no meaning for the host backend (whose wall-clock serialization
-// is per-process) or for ad-hoc wrapped machines.
-func MachineNames(ms []core.Machine) ([]string, error) {
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		name := m.Name()
-		if _, ok := machines.ByName(name); !ok {
-			return nil, fmt.Errorf("fleet: machine %q is not a built-in simulated profile; fleet execution supports simulated machines only", name)
-		}
-		names[i] = name
-	}
-	return names, nil
-}
-
-// MachineNamesIn is MachineNames resolved against a catalog: any
-// profile the catalog knows (built-in, file-loaded or calibrated) is
-// fleet-dispatchable, because the coordinator ships non-compiled
-// profiles inline on the unit frame. A nil catalog means the shipped
-// default.
+// MachineNamesIn maps benchmark targets to fleet-resolvable profile
+// names, in merge order. A worker rebuilds each machine from its
+// profile, which has no meaning for the host backend (whose wall-clock
+// serialization is per-process) or for ad-hoc wrapped machines; any
+// profile cat knows (built-in, file-loaded or calibrated) qualifies,
+// because the coordinator ships non-compiled profiles inline on the
+// unit frame. A nil catalog means the shipped default.
 func MachineNamesIn(cat *machines.Catalog, ms []core.Machine) ([]string, error) {
 	if cat == nil {
 		cat = machines.Default()

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/rpcx"
@@ -347,9 +348,6 @@ func (o PublishOptions) normalize() PublishOptions {
 	return o
 }
 
-// maxPublishBackoff caps the doubling retry delay.
-const maxPublishBackoff = 30 * time.Second
-
 // publishRetryCount counts retried publish sessions process-wide, for
 // the lmbench_publish_retries_total metric.
 var publishRetryCount atomic.Int64
@@ -390,9 +388,7 @@ func PublishWith(ctx context.Context, addr string, m Manifest, db *results.DB, o
 				return Manifest{}, ctx.Err()
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > maxPublishBackoff {
-				backoff = maxPublishBackoff
-			}
+			backoff = core.NextBackoff(backoff)
 		}
 		got, err := publishOnce(ctx, addr, m, db, o)
 		if err == nil {

@@ -24,9 +24,8 @@
 //	_ = rep.Render(os.Stdout)
 //
 // New composes a run from options — machines, sinks, a resume
-// journal, a fleet of worker processes — and returns a Report; see
-// the examples. The positional Run/RunExtended remain as deprecated
-// wrappers.
+// journal, a fleet of worker processes, a unit cache, a results store
+// — validates the combination and returns a Report; see the examples.
 //
 // Binaries that run the process-creation benchmarks must call
 // MaybeChild first: the "fork & exit" rung re-executes the current
@@ -75,7 +74,7 @@ type Experiment = core.Experiment
 type DB = results.DB
 
 // Suite runs experiments on one machine with per-experiment timeout,
-// retries and a structured event stream; see Run for the common case.
+// retries and a structured event stream; New composes the common case.
 type Suite = core.Suite
 
 // Runner schedules suite runs across several machines with a worker
@@ -92,8 +91,8 @@ type EventSink = core.EventSink
 // Entry is one benchmark result (scalar or series).
 type Entry = results.Entry
 
-// ErrUnsupported marks primitives a backend cannot provide; Run skips
-// the corresponding experiments.
+// ErrUnsupported marks primitives a backend cannot provide; a run
+// skips the corresponding experiments.
 var ErrUnsupported = core.ErrUnsupported
 
 // MaybeChild must be the first call in main() of any binary using the
@@ -134,37 +133,6 @@ func (e *UnknownMachineError) Error() string {
 // 1-2) in presentation order.
 func Experiments() []Experiment { return core.Experiments() }
 
-// Run executes all experiments (or those selected in only) on m and
-// merges the entries into db, returning the IDs the backend skipped.
-// The context cancels or deadlines the run between measurement
-// batches; use context.Background() for an unbounded run.
-//
-// Deprecated: compose the run with New instead — Run is the fixed
-// single-machine arrangement of it and takes no sinks, journal or
-// fleet. It remains for compatibility and behaves identically.
-func Run(ctx context.Context, m Machine, opts Options, db *DB, only ...string) ([]string, error) {
-	return run(ctx, m, opts, db, false, only)
-}
-
-// RunExtended is Run plus the §7 future-work experiments (STREAM,
-// dirty/write latency, TLB, cache-to-cache); see Extensions.
-//
-// Deprecated: use New with WithExtended; see Run.
-func RunExtended(ctx context.Context, m Machine, opts Options, db *DB, only ...string) ([]string, error) {
-	return run(ctx, m, opts, db, true, only)
-}
-
-func run(ctx context.Context, m Machine, opts Options, db *DB, extended bool, only []string) ([]string, error) {
-	s := &core.Suite{M: m, Opts: opts, Extended: extended}
-	if len(only) > 0 {
-		s.Only = map[string]bool{}
-		for _, id := range only {
-			s.Only[id] = true
-		}
-	}
-	return s.Run(ctx, db)
-}
-
 // NewTextSink renders run events as human-readable progress lines.
 func NewTextSink(w io.Writer) EventSink { return core.NewTextSink(w) }
 
@@ -176,8 +144,8 @@ func NewJSONLSink(w io.Writer) EventSink { return core.NewJSONLSink(w) }
 // machine name — the readable choice for multi-machine runs.
 func NewPrefixedTextSink(w io.Writer) EventSink { return core.NewPrefixedTextSink(w) }
 
-// Extensions returns the §7 future-work experiments run by
-// RunExtended.
+// Extensions returns the §7 future-work experiments WithExtended
+// adds to a run.
 func Extensions() []Experiment { return core.Extensions() }
 
 // AutoSize probes m's memory hierarchy and grows base's region sizes

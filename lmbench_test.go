@@ -23,18 +23,18 @@ func TestFacadeSimRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := &DB{}
 	opts := Options{
 		Timing:  timing.Options{MinSampleTime: 100 * ptime.Microsecond, Samples: 2},
 		FSFiles: 50,
 	}
-	skipped, err := Run(context.Background(), m, opts, db, "table7", "table16")
+	rep, err := New(WithMachine(m), WithOptions(opts), WithOnly("table7", "table16")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(skipped) != 0 {
-		t.Errorf("skipped = %v", skipped)
+	if len(rep.Skipped) != 0 {
+		t.Errorf("skipped = %v", rep.Skipped)
 	}
+	db := rep.DB
 	if _, ok := db.Scalar("lat_syscall", "Linux/i686"); !ok {
 		t.Error("missing lat_syscall")
 	}
@@ -77,19 +77,18 @@ func TestFacadeExtendedAndAutoSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := &DB{}
 	opts := Options{
 		Timing:  timing.Options{MinSampleTime: 100 * ptime.Microsecond, Samples: 2},
 		MemSize: 1 << 20,
 	}
-	skipped, err := RunExtended(context.Background(), m, opts, db, "ext_stream")
+	rep, err := New(WithMachine(m), WithOptions(opts), WithExtended(), WithOnly("ext_stream")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(skipped) != 0 {
-		t.Errorf("skipped = %v", skipped)
+	if len(rep.Skipped) != 0 {
+		t.Errorf("skipped = %v", rep.Skipped)
 	}
-	if _, ok := db.Scalar("stream.triad", "SGI Challenge"); !ok {
+	if _, ok := rep.DB.Scalar("stream.triad", "SGI Challenge"); !ok {
 		t.Error("missing stream.triad")
 	}
 	if len(Extensions()) < 5 {

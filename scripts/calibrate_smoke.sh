@@ -7,7 +7,11 @@
 #      profile JSON is a complete definition of a simulated machine;
 #   2. calibration — perturb a profile parameter, fit it back against
 #      a measured target database, and prove the emitted profile
-#      reproduces the target within tolerance.
+#      reproduces the target within tolerance;
+#   3. cache isolation — a calibration's candidate units never serve a
+#      plain run: the candidates run under the fitter's quality gate,
+#      so a run sharing their unit cache must still match a cold run
+#      byte for byte.
 #
 # Driven by `make calibrate-smoke`.
 set -eu
@@ -71,4 +75,16 @@ if [ "$ok" != "yes" ]; then
     exit 1
 fi
 echo "calibration: recovered lat_syscall=$got (target $want)"
+
+# --- 3. calibration cache vs. plain runs ------------------------------
+# The identity candidate of a paper fit uses the plain run's fast
+# adaptive options; only the quality gate tells their units apart.
+"$bin" -calibrate -machine 'Linux/i686' -target paper -unit-cache "$dir/cache" -quiet > /dev/null
+"$bin" -machine 'Linux/i686' -fast -sweep adaptive -unit-cache "$dir/cache" -quiet -out "$dir/warm.db" > /dev/null
+"$bin" -machine 'Linux/i686' -fast -sweep adaptive -quiet -out "$dir/cold.db" > /dev/null
+if ! cmp -s "$dir/cold.db" "$dir/warm.db"; then
+    echo "calibrate-smoke: a run sharing the calibration's unit cache differs from a cold run" >&2
+    exit 1
+fi
+echo "cache isolation: run after calibration byte-identical to a cold run"
 echo "calibrate-smoke: OK"

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net"
 
-	"repro/internal/obs"
 	istore "repro/internal/store"
 )
 
@@ -75,10 +74,4 @@ func ServeStoreIngest(ctx context.Context, ln net.Listener, s *Store) error {
 // drain and metrics options.
 func ServeStoreIngestWith(ctx context.Context, ln net.Listener, s *Store, o IngestOptions) error {
 	return istore.ServeIngest(ctx, ln, s, o)
-}
-
-// RegisterPublishRetries exports this process's publish retry total
-// into reg as lmbench_publish_retries_total.
-func RegisterPublishRetries(reg *Registry) {
-	obs.RegisterPublishRetries(reg, istore.PublishRetries)
 }
