@@ -8,10 +8,11 @@ LMBENCH_CHAOS_SEED ?= 1
 
 # The Figure-1 sweep plus the memory-heavy tables (the simulator hot
 # paths), the sweep-planning and unit-cache evaluation benchmarks, and
-# the simmem micro-benchmarks underneath them. The repository's
-# end-to-end benchmark is perfbench/ (see BENCHMARK.json).
+# the simmem micro-benchmarks underneath them: per-access costs with
+# pass skipping off, and the skipped steady-state passes. The
+# repository's end-to-end benchmark is perfbench/ (see BENCHMARK.json).
 BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch|Figure1SweepPlanning|EvaluationUnitCache
-BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|StreamReadResident
+BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|StreamReadResident|StreamKernel|ChaseSteadyState|StreamCopySteadyState
 BENCH_COUNT   ?= 5
 
 all: verify

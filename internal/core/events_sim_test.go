@@ -43,7 +43,7 @@ func TestFinishedEventCarriesSimCounters(t *testing.T) {
 	}
 	for _, e := range db.Entries() {
 		for k := range e.Attrs {
-			if k == "mem_accesses" || k == "tlb_misses" || k == "mru_hits" || k == "index_hits" {
+			if k == "mem_accesses" || k == "tlb_misses" || k == "mru_hits" || k == "index_hits" || k == "passes_skipped" {
 				t.Errorf("sim counter %q leaked into result attrs of %s", k, e.Benchmark)
 			}
 		}
@@ -67,5 +67,37 @@ func TestStartedEventHasNoSimCounters(t *testing.T) {
 		if e.Sim != nil {
 			t.Errorf("started event carries sim counters: %v", e.Sim)
 		}
+	}
+}
+
+// TestFinishedEventCountsSkippedPasses checks that steady-state pass
+// skipping is visible on the event stream: Table 2 repeats each 1 MB
+// stream until its cache state is a fixed point, so its finished event
+// reports skipped passes; Table 7 makes no memory passes and reports
+// none.
+func TestFinishedEventCountsSkippedPasses(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		skip bool
+	}{{"table2", true}, {"table7", false}} {
+		t.Run(tc.id, func(t *testing.T) {
+			sink := &recorderSink{}
+			s := &core.Suite{
+				M:      simMachine(t, "Linux/i686"),
+				Opts:   smallOpts(),
+				Events: sink,
+				Only:   map[string]bool{tc.id: true},
+			}
+			if _, err := s.Run(context.Background(), &results.DB{}); err != nil {
+				t.Fatal(err)
+			}
+			fin := sink.byKind(core.ExperimentFinished)
+			if len(fin) != 1 {
+				t.Fatalf("got %d finished events, want 1", len(fin))
+			}
+			if got := fin[0].Sim["passes_skipped"]; (got > 0) != tc.skip {
+				t.Errorf("passes_skipped = %d, want skipped passes: %v (sim %v)", got, tc.skip, fin[0].Sim)
+			}
+		})
 	}
 }

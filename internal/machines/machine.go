@@ -101,11 +101,12 @@ func (m *Machine) Reset() {
 func (m *Machine) SimStats() map[string]int64 {
 	st := m.mem.Stats()
 	sim := map[string]int64{
-		"mem_accesses": st.MemAccesses,
-		"tlb_misses":   st.TLBMisses,
-		"writebacks":   st.Writebacks,
-		"mru_hits":     st.MRUHits,
-		"index_hits":   st.IndexHits,
+		"mem_accesses":   st.MemAccesses,
+		"tlb_misses":     st.TLBMisses,
+		"writebacks":     st.Writebacks,
+		"mru_hits":       st.MRUHits,
+		"index_hits":     st.IndexHits,
+		"passes_skipped": st.PassesSkipped,
 	}
 	for i, h := range st.Hits {
 		sim[fmt.Sprintf("l%d_hits", i+1)] = h

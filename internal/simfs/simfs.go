@@ -254,17 +254,7 @@ func (fs *FS) ReadCached(name string, userBuf uint64, off, n int64) error {
 	if off < 0 || n < 0 || off+n > f.size {
 		return fmt.Errorf("simfs: read [%d,%d) outside %q (size %d)", off, off+n, name, f.size)
 	}
-	mem := fs.os.Mem()
-	chunk := int64(fs.cfg.ReadChunk)
-	for p := off; p < off+n; p += chunk {
-		c := chunk
-		if rem := off + n - p; rem < c {
-			c = rem
-		}
-		fs.os.Syscall()
-		mem.StreamCopy(f.cache+uint64(p), userBuf, c)
-		mem.StreamRead(userBuf, c)
-	}
+	fs.os.Mem().ReadLoop(f.cache+uint64(off), userBuf, n, int64(fs.cfg.ReadChunk), fs.os.SyscallTime())
 	return nil
 }
 

@@ -62,9 +62,10 @@ func BenchmarkLoadFullyAssocHit(b *testing.B) {
 
 // BenchmarkChaseDRAM walks a memory-sized pointer chase — the Figure-1
 // plateau workload: every load misses all levels, evicts, and charges
-// DRAM latency.
+// DRAM latency. Pass skipping is off, so every load is simulated.
 func BenchmarkChaseDRAM(b *testing.B) {
 	h := benchHierarchy(b, nil)
+	h.noMemo = true
 	base := h.Alloc(4 << 20)
 	ch := h.NewChase(base, 4<<20, 128)
 	ch.Walk(ch.Length()) // warm: chase state past the caches
@@ -74,9 +75,11 @@ func BenchmarkChaseDRAM(b *testing.B) {
 }
 
 // BenchmarkStreamReadResident streams over an L2-resident region: the
-// page-hoisted TLB probe plus the L1/L2 hit paths.
+// page-hoisted TLB probe plus the L1/L2 hit paths. Pass skipping is
+// off, so every pass is simulated.
 func BenchmarkStreamReadResident(b *testing.B) {
 	h := benchHierarchy(b, nil)
+	h.noMemo = true
 	const bytes = 128 << 10
 	base := h.Alloc(bytes)
 	h.StreamRead(base, bytes) // warm into L2
@@ -85,5 +88,62 @@ func BenchmarkStreamReadResident(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.StreamRead(base, bytes)
+	}
+}
+
+// BenchmarkStreamKernel runs the STREAM Triad kernel (two sources) over
+// an L1-resident region — a pass too short to be memoized, so each call
+// is simulated. It pins the call at zero allocations.
+func BenchmarkStreamKernel(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	const bytes = 2 << 10
+	dst, src1, src2 := h.Alloc(bytes), h.Alloc(bytes), h.Alloc(bytes)
+	srcs := []uint64{src1, src2}
+	h.StreamKernel(dst, srcs, bytes, 5) // warm
+	b.ReportAllocs()
+	b.SetBytes(bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.StreamKernel(dst, srcs, bytes, 5)
+	}
+}
+
+// BenchmarkChaseSteadyState walks whole laps of the BenchmarkChaseDRAM
+// chase once its laps have reached their fixed point: each lap (one
+// op) is charged from the pass memo instead of being simulated.
+func BenchmarkChaseSteadyState(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	base := h.Alloc(4 << 20)
+	ch := h.NewChase(base, 4<<20, 128)
+	lap := ch.Length()
+	ch.Walk(4 * lap) // cold lap, confirming lap, then skipped laps
+	if h.Stats().PassesSkipped == 0 {
+		b.Fatal("chase laps did not reach a fixed point")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Walk(lap)
+	}
+}
+
+// BenchmarkStreamCopySteadyState repeats a Table-2-sized copy once its
+// passes have reached their fixed point: each call is charged from the
+// pass memo.
+func BenchmarkStreamCopySteadyState(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	const bytes = 8 << 20
+	src, dst := h.Alloc(bytes), h.Alloc(bytes)
+	for i := 0; i < 4; i++ {
+		h.StreamCopy(src, dst, bytes)
+	}
+	if h.Stats().PassesSkipped == 0 {
+		b.Fatal("copy passes did not reach a fixed point")
+	}
+	b.ReportAllocs()
+	b.SetBytes(bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.StreamCopy(src, dst, bytes)
 	}
 }

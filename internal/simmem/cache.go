@@ -552,6 +552,11 @@ type Stats struct {
 	// IndexHits counts probes answered by the tag→way index of a
 	// fully-associative level or the TLB.
 	IndexHits int64
+	// PassesSkipped counts passes (whole stream calls, chase laps,
+	// read() loops) charged from a proven steady state instead of being
+	// simulated — like MRUHits, a fast-path counter, not a cost-model
+	// quantity. The other counters include the skipped passes' shares.
+	PassesSkipped int64
 }
 
 // Hierarchy is the assembled memory system. All methods charge
@@ -587,6 +592,16 @@ type Hierarchy struct {
 	// streams for which probing the TLB once per page is provably
 	// identical to probing once per chunk; see hoistStreams.
 	tlbHoistStreams int
+
+	// Steady-state pass skipping (memo.go). epoch is bumped by every
+	// state change outside a memoized pass; lines (every cache level's
+	// and the TLB's line count) is the work a pass must reach before
+	// its state is digested. noMemo turns skipping off, for the
+	// in-package equivalence tests and the per-access benchmarks.
+	epoch  uint64
+	memo   passMemo
+	lines  int64
+	noMemo bool
 }
 
 // New assembles a Hierarchy charging time through cpu.
@@ -617,6 +632,13 @@ func New(cpu *sim.CPU, cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	h.tlb = t
+	for _, c := range h.caches {
+		h.lines += int64(len(c.lines))
+	}
+	if t != nil {
+		h.lines += int64(len(t.c.lines))
+	}
+	h.memo.delta.hits = make([]int64, len(h.caches))
 	h.stats.Hits = make([]int64, len(h.caches))
 	h.chunk = h.chunkSize()
 	h.chunkWords = h.chunk / int64(cfg.WordSize)
@@ -676,7 +698,7 @@ func (h *Hierarchy) CPU() *sim.CPU { return h.cpu }
 
 // Stats returns a copy of the accumulated counters. The fast-path
 // counters (MRUHits, IndexHits) are aggregated across every cache level
-// and the TLB at call time.
+// and the TLB at call time, on top of the skipped passes' shares.
 func (h *Hierarchy) Stats() Stats {
 	s := h.stats
 	s.Hits = append([]int64(nil), h.stats.Hits...)
@@ -776,6 +798,7 @@ func (h *Hierarchy) Reset(mark uint64) {
 // FlushAll empties every cache level and the TLB, simulating a cold
 // start.
 func (h *Hierarchy) FlushAll() {
+	h.epoch++
 	for _, c := range h.caches {
 		c.flush()
 	}
@@ -887,6 +910,7 @@ func (h *Hierarchy) loadCost(addr uint64) ptime.Duration {
 // servicing level's latency plus one cycle for the load instruction
 // (the paper's reported latencies exclude that cycle; see LoadReportNS).
 func (h *Hierarchy) Load(addr uint64) {
+	h.epoch++
 	h.clk.Advance(h.loadCost(addr))
 }
 
@@ -918,5 +942,6 @@ func (h *Hierarchy) storeCost(addr uint64) ptime.Duration {
 
 // Store performs one store with write-allocate semantics.
 func (h *Hierarchy) Store(addr uint64) {
+	h.epoch++
 	h.clk.Advance(h.storeCost(addr))
 }

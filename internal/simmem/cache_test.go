@@ -299,6 +299,18 @@ func TestStreamNoWriteAllocate(t *testing.T) {
 	}
 }
 
+// TestStreamKernelDoesNotAllocate pins the kernel's per-stream page
+// bookkeeping to fixed arrays: a call allocates nothing.
+func TestStreamKernelDoesNotAllocate(t *testing.T) {
+	h, _ := testHierarchy(t, nil)
+	const bytes = 2 << 10
+	dst, a, b := h.Alloc(bytes), h.Alloc(bytes), h.Alloc(bytes)
+	srcs := []uint64{a, b}
+	if n := testing.AllocsPerRun(100, func() { h.StreamKernel(dst, srcs, bytes, 5) }); n != 0 {
+		t.Errorf("StreamKernel allocates %v times per call, want 0", n)
+	}
+}
+
 func TestStreamZeroBytes(t *testing.T) {
 	h, clk := testHierarchy(t, nil)
 	base := h.Alloc(64)

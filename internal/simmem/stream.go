@@ -22,6 +22,11 @@ import (
 //     skipped. With several interleaved streams the skip is applied
 //     only when Hierarchy.tlbHoistStreams proves no stream's entry can
 //     be evicted mid-page (otherwise every chunk probes, as before).
+//
+//   - Steady-state pass skipping (memo.go): each exported stream call,
+//     the read() loop and each whole chase lap is a pass; a repeat that
+//     provably leaves the cache/TLB state where it found it is charged
+//     from the memo from then on instead of being simulated again.
 
 // chunkSize returns the streaming granularity: the first-level line
 // size, or one 64-byte pseudo-line when no caches are configured.
@@ -81,6 +86,16 @@ func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
+	if h.short(bytes) {
+		h.clk.Advance(h.streamRead(addr, bytes))
+		return
+	}
+	k := passKey{op: opRead, arg: [6]uint64{addr, uint64(bytes)}}
+	h.clk.Advance(h.pass(k, true, func() ptime.Duration { return h.streamRead(addr, bytes) }))
+}
+
+// streamRead simulates StreamRead and returns its cost.
+func (h *Hierarchy) streamRead(addr uint64, bytes int64) ptime.Duration {
 	end := addr + uint64(bytes)
 	page := uint64(h.PageSize())
 	var total ptime.Duration
@@ -95,7 +110,7 @@ func (h *Hierarchy) StreamRead(addr uint64, bytes int64) {
 		cost, memTime := h.sideReadCost(a)
 		total += cost + maxDur(h.readIssue, memTime)
 	}
-	h.clk.Advance(total)
+	return total
 }
 
 // StreamWrite models the unrolled store loop over [addr, addr+bytes).
@@ -108,6 +123,16 @@ func (h *Hierarchy) StreamWrite(addr uint64, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
+	if h.short(bytes) {
+		h.clk.Advance(h.streamWrite(addr, bytes))
+		return
+	}
+	k := passKey{op: opWrite, arg: [6]uint64{addr, uint64(bytes)}}
+	h.clk.Advance(h.pass(k, true, func() ptime.Duration { return h.streamWrite(addr, bytes) }))
+}
+
+// streamWrite simulates StreamWrite and returns its cost.
+func (h *Hierarchy) streamWrite(addr uint64, bytes int64) ptime.Duration {
 	end := addr + uint64(bytes)
 	page := uint64(h.PageSize())
 	bypass := h.cfg.NoWriteAllocate
@@ -131,7 +156,7 @@ func (h *Hierarchy) StreamWrite(addr uint64, bytes int64) {
 		}
 		total += maxDur(h.writeIssue, memTime)
 	}
-	h.clk.Advance(total)
+	return total
 }
 
 // StreamCopy models bcopy: read the source, write the destination.
@@ -151,6 +176,20 @@ func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
 	if bytes <= 0 {
 		return
 	}
+	if h.short(2 * bytes) {
+		h.clk.Advance(h.streamCopy(src, dst, bytes, hwCopy))
+		return
+	}
+	hw := uint64(0)
+	if hwCopy {
+		hw = 1
+	}
+	k := passKey{op: opCopy, arg: [6]uint64{src, dst, uint64(bytes), hw}}
+	h.clk.Advance(h.pass(k, true, func() ptime.Duration { return h.streamCopy(src, dst, bytes, hwCopy) }))
+}
+
+// streamCopy simulates StreamCopyMode and returns its cost.
+func (h *Hierarchy) streamCopy(src, dst uint64, bytes int64, hwCopy bool) ptime.Duration {
 	page := uint64(h.PageSize())
 	hoist := h.tlbHoistStreams >= 2
 	var total ptime.Duration
@@ -187,8 +226,45 @@ func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
 
 		total += cost + maxDur(h.copyIssue, memTime)
 	}
-	h.clk.Advance(total)
+	return total
 }
+
+// ReadLoop models read(2) of n bytes from the kernel buffer at src into
+// the user buffer at dst, in calls of at most call bytes: per call, the
+// syscall overhead perCall, a bcopy of the call's bytes into dst (with
+// the machine's HWCopy mode), then the user's streaming sum of dst
+// ("Each buffer is summed as a series of integers in the user
+// process"). The whole loop is one pass whose key carries perCall.
+func (h *Hierarchy) ReadLoop(src, dst uint64, n, call int64, perCall ptime.Duration) {
+	if n <= 0 {
+		return
+	}
+	if call <= 0 {
+		call = n
+	}
+	loop := func() ptime.Duration {
+		var total ptime.Duration
+		for p := int64(0); p < n; p += call {
+			c := min(call, n-p)
+			if perCall > 0 { // the clock ignores non-positive charges
+				total += perCall
+			}
+			total += h.streamCopy(src+uint64(p), dst, c, h.cfg.HWCopy)
+			total += h.streamRead(dst, c)
+		}
+		return total
+	}
+	if h.short(3 * n) {
+		h.clk.Advance(loop())
+		return
+	}
+	k := passKey{op: opReadLoop, arg: [6]uint64{src, dst, uint64(n), uint64(call), uint64(perCall)}}
+	h.clk.Advance(h.pass(k, true, loop))
+}
+
+// maxKernelSrcs is the most source streams a STREAM kernel reads (Add
+// and Triad read two).
+const maxKernelSrcs = 2
 
 // StreamKernel models one pass of a McCalpin STREAM kernel (§7: "We
 // will probably incorporate part or all of this benchmark into
@@ -196,19 +272,34 @@ func (h *Hierarchy) StreamCopyMode(src, dst uint64, bytes int64, hwCopy bool) {
 // written with write-allocate semantics, and opsPerWord arithmetic
 // operations issue per destination word. Copy has one source and 0
 // extra ops, Scale one source and a multiply, Add two sources and an
-// add, Triad two sources and a fused multiply-add.
+// add, Triad two sources and a fused multiply-add. At most two sources
+// are accepted.
 func (h *Hierarchy) StreamKernel(dst uint64, srcs []uint64, bytes int64, opsPerWord int) {
+	if len(srcs) > maxKernelSrcs {
+		panic("simmem: StreamKernel reads at most two source streams")
+	}
 	if bytes <= 0 {
 		return
 	}
 	if opsPerWord < 1 {
 		opsPerWord = 1
 	}
+	if h.short(int64(len(srcs)+1) * bytes) {
+		h.clk.Advance(h.streamKernel(dst, srcs, bytes, opsPerWord))
+		return
+	}
+	k := passKey{op: opKernel, arg: [6]uint64{dst, uint64(len(srcs)), 0, 0, uint64(bytes), uint64(opsPerWord)}}
+	copy(k.arg[2:], srcs)
+	h.clk.Advance(h.pass(k, true, func() ptime.Duration { return h.streamKernel(dst, srcs, bytes, opsPerWord) }))
+}
+
+// streamKernel simulates StreamKernel and returns its cost.
+func (h *Hierarchy) streamKernel(dst uint64, srcs []uint64, bytes int64, opsPerWord int) ptime.Duration {
 	issue := h.cpu.OpTime(h.chunkWords * int64(opsPerWord))
 	page := uint64(h.PageSize())
 	hoist := h.tlbHoistStreams >= len(srcs)+1
-	lastPage := make([]uint64, len(srcs)+1)
-	havePage := make([]bool, len(srcs)+1)
+	var lastPage [maxKernelSrcs + 1]uint64
+	var havePage [maxKernelSrcs + 1]bool
 	var total ptime.Duration
 	for off := int64(0); off < bytes; off += h.chunk {
 		var cost, memTime ptime.Duration
@@ -233,7 +324,7 @@ func (h *Hierarchy) StreamKernel(dst uint64, srcs []uint64, bytes int64, opsPerW
 		memTime += dmem
 		total += cost + maxDur(issue, memTime)
 	}
-	h.clk.Advance(total)
+	return total
 }
 
 func maxDur(a, b ptime.Duration) ptime.Duration {
@@ -270,18 +361,7 @@ func (h *Hierarchy) NewChase(base uint64, size, stride int64) *Chase {
 // Walk performs n dependent loads, continuing from where the previous
 // call stopped (the list wraps). The per-load costs accumulate locally
 // and charge the clock once.
-func (c *Chase) Walk(n int64) {
-	h := c.h
-	var total ptime.Duration
-	for i := int64(0); i < n; i++ {
-		total += h.loadCost(c.base + uint64(c.off))
-		c.off += c.stride
-		if c.off >= c.size {
-			c.off -= c.size
-		}
-	}
-	h.clk.Advance(total)
-}
+func (c *Chase) Walk(n int64) { c.walk(opWalk, n) }
 
 // Length returns the number of elements in the circular list.
 func (c *Chase) Length() int64 { return (c.size + c.stride - 1) / c.stride }
@@ -290,35 +370,63 @@ func (c *Chase) Length() int64 { return (c.size + c.stride - 1) / c.stride }
 // after loading it, so every line the walk evicts is modified. This is
 // the §7 "dirty-read latency" workload: reads whose victims carry
 // write-back costs.
-func (c *Chase) WalkDirty(n int64) {
-	h := c.h
-	var total ptime.Duration
-	for i := int64(0); i < n; i++ {
-		addr := c.base + uint64(c.off)
-		total += h.loadCost(addr)
-		total += h.storeCost(addr)
-		c.off += c.stride
-		if c.off >= c.size {
-			c.off -= c.size
-		}
-	}
-	h.clk.Advance(total)
-}
+func (c *Chase) WalkDirty(n int64) { c.walk(opWalkDirty, n) }
 
 // WalkWrite performs n strided stores (the §7 "write latency"
 // workload); addresses come from arithmetic, not loaded pointers, as a
 // store chain cannot be made dependent.
-func (c *Chase) WalkWrite(n int64) {
+func (c *Chase) WalkWrite(n int64) { c.walk(opWalkWrite, n) }
+
+// walk performs n steps of the op variant. When the list is a whole
+// number of strides, a lap of Length() steps returns to its start
+// offset, so every whole lap is a pass keyed by that offset; its digest
+// is amortised over the loads left in the walk. A trailing partial lap
+// (and any walk over a ragged list) is simulated plainly.
+func (c *Chase) walk(op passOp, n int64) {
+	h := c.h
+	var total ptime.Duration
+	if lap := c.size / c.stride; c.size%c.stride == 0 && !h.noMemo {
+		for n >= lap {
+			k := passKey{op: op, arg: [6]uint64{c.base, uint64(c.size), uint64(c.stride), uint64(c.off)}}
+			if h.replays(k) {
+				laps := n / lap
+				total += h.skipPasses(laps)
+				n -= laps * lap
+				break
+			}
+			total += h.pass(k, n >= h.lines, func() ptime.Duration { return c.steps(op, lap) })
+			n -= lap
+		}
+	}
+	if n > 0 {
+		total += c.steps(op, n)
+		h.epoch++
+	}
+	h.clk.Advance(total)
+}
+
+// steps simulates n steps of the op variant from the current offset
+// and returns their cost.
+func (c *Chase) steps(op passOp, n int64) ptime.Duration {
 	h := c.h
 	var total ptime.Duration
 	for i := int64(0); i < n; i++ {
-		total += h.storeCost(c.base + uint64(c.off))
+		addr := c.base + uint64(c.off)
+		switch op {
+		case opWalk:
+			total += h.loadCost(addr)
+		case opWalkDirty:
+			total += h.loadCost(addr)
+			total += h.storeCost(addr)
+		default:
+			total += h.storeCost(addr)
+		}
 		c.off += c.stride
 		if c.off >= c.size {
 			c.off -= c.size
 		}
 	}
-	h.clk.Advance(total)
+	return total
 }
 
 // PageChase walks the first word of each page in a scattered page
@@ -341,6 +449,7 @@ func (p *PageChase) Walk(n int64) {
 		return
 	}
 	h := p.h
+	h.epoch++
 	var total ptime.Duration
 	for i := int64(0); i < n; i++ {
 		total += h.loadCost(p.pages[p.idx])

@@ -128,6 +128,10 @@ func (o *OS) Mem() *simmem.Hierarchy { return o.mem }
 // write function, and then return").
 func (o *OS) Syscall() { o.clk.Advance(o.syscall) }
 
+// SyscallTime returns what one Syscall charges, for loops that fold
+// their per-call entry cost into one memory-hierarchy pass.
+func (o *OS) SyscallTime() ptime.Duration { return o.syscall }
+
 // SignalInstall charges one sigaction call.
 func (o *OS) SignalInstall() {
 	o.clk.Advance(o.sigInstall)
