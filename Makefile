@@ -4,7 +4,7 @@ GO ?= go
 #   make chaos LMBENCH_CHAOS_SEED=99
 LMBENCH_CHAOS_SEED ?= 1
 
-.PHONY: all build vet test race chaos chaos-net verify bench bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke profile
+.PHONY: all build vet test golden-serial race chaos chaos-net verify bench bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke profile
 
 # The Figure-1 sweep plus the memory-heavy tables (the simulator hot
 # paths), the sweep-planning and unit-cache evaluation benchmarks, and
@@ -26,14 +26,21 @@ vet:
 test:
 	$(GO) test ./...
 
+# golden-serial pins the serial path: the suite runs its experiment
+# groups and sweep points GOMAXPROCS-wide on simulated machines, so
+# `make test` hashes the parallel path and this target the serial one.
+golden-serial:
+	GOMAXPROCS=1 $(GO) test -run '^TestGoldenDatabaseByteIdentical$$' -count=1 .
+
 # The scheduler, timing harness, fault-injection wrapper, wire-chaos
 # injector, fleet coordinator, observability layer and results store
 # are the concurrency-sensitive packages; run them (including the
 # journal, resume, chaos, worker-kill, metrics-scrape, ingest,
 # HTTP-cache, drain and chaos-transport suites) under the race
-# detector.
+# detector, and the suite's worker-pool tests ten times over.
 race:
 	$(GO) test -race ./internal/core/... ./internal/timing/... ./internal/faults/... ./internal/netfaults/... ./internal/obs/... ./internal/fleet/... ./internal/store/... ./internal/unitcache/... ./internal/calibrate/...
+	$(GO) test -race -count=10 -run '^TestPool' ./internal/core/
 
 # chaos runs the fault-injection scheduler suite on its own, race-
 # enabled and verbose, with a fixed seed for reproducible streams.
@@ -94,8 +101,8 @@ cache-smoke:
 	GO="$(GO)" ./scripts/cache_smoke.sh
 
 # sweep-smoke proves adaptive sweep planning through the CLI: real
-# point savings on the memory sweeps, byte-identical results across
-# shard counts, and refusal of the compositions that would corrupt
+# point savings on the memory sweeps, byte-identical results at
+# GOMAXPROCS 1 and 4, and refusal of the compositions that would corrupt
 # planning (chaos faults, cross-mode journal resume); part of verify
 # so the planner's wiring cannot silently rot.
 sweep-smoke:
@@ -130,7 +137,8 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof"
 
 # verify is the tier-1 gate: everything must build, vet clean, pass
-# tests, the concurrent scheduler, wire-chaos injector, fleet
+# tests, the golden database must hash the same on the serial path,
+# the concurrent scheduler, wire-chaos injector, fleet
 # coordinator, observability layer, results store and unit cache must
 # be race-clean, the bench harness must run, the -serve endpoints must
 # answer during a live run, a worker fleet must produce
@@ -141,4 +149,4 @@ profile:
 # catalog and calibrator must round-trip and converge, the codecs, scrub
 # and cache fragments must survive a fuzz smoke, and the distributed
 # layer must converge through wire chaos and a mid-ingest kill.
-verify: build vet test race bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke chaos-net
+verify: build vet test golden-serial race bench-smoke serve-smoke fleet-smoke store-smoke cache-smoke sweep-smoke calibrate-smoke fuzz-smoke chaos-net

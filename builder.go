@@ -110,8 +110,9 @@ func WithExtended() Option {
 
 // WithParallel sets the in-process worker-pool size for multi-machine
 // runs (simulated machines run concurrently; wall-clock machines stay
-// serialized). Ignored under WithFleet, where parallelism comes from
-// the worker processes.
+// serialized). Each simulated machine also runs its own experiment
+// groups GOMAXPROCS-wide, so the two multiply. Ignored under
+// WithFleet, where parallelism comes from the worker processes.
 func WithParallel(n int) Option {
 	return func(b *Bench) { b.parallel = n }
 }

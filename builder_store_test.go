@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -64,6 +65,34 @@ func TestWithStorePersistsRun(t *testing.T) {
 	}
 	if len(runs) != 1 {
 		t.Errorf("store holds %d runs after idempotent re-run, want 1", len(runs))
+	}
+}
+
+// TestRunIDIgnoresGOMAXPROCS: the run ID keys what a run produced, not
+// how wide it ran. The same run stored at GOMAXPROCS 1 and 2 gets one
+// run ID and one stored run. (cmd/lmbench's test of the same name adds
+// the CLI path to this.)
+func TestRunIDIgnoresGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	var ids []string
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		rep, err := New(storeRunOpts(t, WithOnly("table7", "figure1"), WithStore(dir))...).Run(context.Background())
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		ids = append(ids, rep.RunID)
+	}
+	if ids[0] != ids[1] {
+		t.Errorf("run IDs %v differ across GOMAXPROCS", ids)
+	}
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs, err := s.Runs(); err != nil || len(runs) != 1 {
+		t.Errorf("store holds %d runs (err %v), want 1", len(runs), err)
 	}
 }
 

@@ -95,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quietFlag   = fs.Bool("quiet", false, "suppress progress output")
 		extFlag     = fs.Bool("extensions", false, "include the paper's section-7 future-work experiments")
 		summaryFlag = fs.Bool("summary", false, "print per-machine summary blocks instead of the paper tables")
-		parFlag     = fs.Int("parallel", 1, "machines run at once (simulated machines only; host runs are serialized)")
+		parFlag     = fs.Int("parallel", 1, "machines run at once; each simulated machine also runs its experiments GOMAXPROCS-wide (host runs are serialized)")
 		traceFlag   = fs.String("trace", "", "write a JSON-lines event trace to this file")
 		spansFlag   = fs.String("spans", "", "write a JSON-lines span trace (flamegraph-convertible) to this file")
 		serveFlag   = fs.String("serve", "", "serve /metrics, /progress and /healthz on this address for the run's duration")
@@ -106,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chaosFlag   = fs.String("chaos", "", "fault-injection plan, e.g. 'seed=1,err=0.3,stall=0.05' (see internal/faults)")
 		rsdFlag     = fs.Float64("max-rsd", 0, "re-measure experiments whose relative sample spread exceeds this (0 = off)")
 		qretryFlag  = fs.Int("quality-retries", 0, "re-measurements for a noisy experiment (default 2 when -max-rsd is set)")
-		shardsFlag  = fs.Int("shards", 1, "workers for independent-point sweeps on cloneable (simulated) machines; results are byte-identical at any value")
 		sweepFlag   = fs.String("sweep", "exhaustive", "sweep coverage: exhaustive (every grid point, byte-stable) or adaptive (measure transitions, interpolate plateaus)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -202,7 +201,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *fastFlag {
 			opts = core.FastOptions()
 		}
-		opts.SweepShards = *shardsFlag
 		options = append(options, lmbench.WithOptions(opts), lmbench.WithStore(*storeFlag))
 	}
 	targets, closeTargets, err := buildTargets(catalog, *machineFlag)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -96,9 +97,7 @@ func TestFlagsTranslateToBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.FastOptions()
-	opts.SweepShards = 1
-	rep, err := lmbench.New(lmbench.WithMachine(m), lmbench.WithOptions(opts), lmbench.WithOnly("table7")).Run(context.Background())
+	rep, err := lmbench.New(lmbench.WithMachine(m), lmbench.WithOptions(core.FastOptions()), lmbench.WithOnly("table7")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,5 +157,45 @@ func TestMergePersistsOnlyTheRun(t *testing.T) {
 	}
 	if _, ok := stored.Get("lat_syscall", "Linux/i686"); !ok || len(m.Machines) != 1 {
 		t.Errorf("the stored run lacks its own entry or names %v", m.Machines)
+	}
+}
+
+// TestRunIDIgnoresGOMAXPROCS: byte-identical runs share one run ID
+// whatever width they ran at. The same Figure-1 run is stored through
+// the CLI and through lmbench.New at GOMAXPROCS 1 and 2, and the store
+// ends up holding one run.
+func TestRunIDIgnoresGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	storeDir := filepath.Join(t.TempDir(), "store")
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var stdout, stderr bytes.Buffer
+		args := []string{"-machine", "Linux/i686", "-fast", "-only", "figure1", "-quiet", "-store", storeDir}
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v\n%s", procs, err, stderr.String())
+		}
+		m, err := lmbench.NewSimMachine("Linux/i686")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lmbench.New(lmbench.WithMachine(m), lmbench.WithOptions(core.FastOptions()),
+			lmbench.WithOnly("figure1"), lmbench.WithStore(storeDir)).Run(context.Background()); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+	}
+	s, err := lmbench.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := s.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 {
+		ids := make([]string, len(runs))
+		for i, r := range runs {
+			ids[i] = r.RunID
+		}
+		t.Errorf("store holds %d runs %v, want the one run", len(runs), ids)
 	}
 }

@@ -3,6 +3,7 @@ package lmbench_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -26,8 +27,8 @@ import (
 //     own plateau tolerance (25%);
 //   - the planner pays for its exemption: at most half the grid is
 //     measured (the >=2x point reduction recorded in BENCH_pr9.json);
-//   - results are byte-identical at every worker count, so the
-//     accuracy gate transfers to sharded and fleet runs.
+//   - results are byte-identical at every GOMAXPROCS, so the accuracy
+//     gate transfers to parallel and fleet runs.
 //
 // Exhaustive mode needs no gate here: goldenOpts' zero SweepMode
 // normalizes to SweepExhaustive, so TestGoldenDatabaseByteIdentical
@@ -87,12 +88,15 @@ func TestAdaptiveSweepAccuracyGate(t *testing.T) {
 			opts.SweepMode = core.SweepAdaptive
 			adaptive := sweepOn(t, name, opts)
 
-			// Worker-count invariance on the adaptive path.
+			// Worker-count invariance on the adaptive path: the runs
+			// above used the default GOMAXPROCS.
 			want := encodeDB(t, adaptive)
-			for _, shards := range []int{2, 4} {
-				opts.SweepShards = shards
-				if got := encodeDB(t, sweepOn(t, name, opts)); !bytes.Equal(got, want) {
-					t.Errorf("shards=%d: adaptive sweep not byte-identical to serial", shards)
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := encodeDB(t, sweepOn(t, name, opts))
+				runtime.GOMAXPROCS(prev)
+				if !bytes.Equal(got, want) {
+					t.Errorf("GOMAXPROCS=%d: adaptive sweep not byte-identical to the GOMAXPROCS=%d run", procs, prev)
 				}
 			}
 

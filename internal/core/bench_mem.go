@@ -19,9 +19,9 @@ var ChaseStrides = []int64{8, 16, 32, 64, 128, 256, 512}
 // (one load-instruction cycle subtracted).
 //
 // Every point starts from cold caches, so points are independent and
-// the sweep shards across cloned machines when Options.SweepShards and
-// the backend allow (see runSweep); results land in sweep order either
-// way, so the output is byte-identical to a serial run.
+// the sweep fans out across cloned machines when the backend allows
+// (see runSweep); results land in sweep order either way, so the
+// output is byte-identical to a serial run.
 func MemLatencySweep(ctx context.Context, m Machine, opts Options) ([]results.Entry, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -92,7 +92,7 @@ func MemLatencySweep(ctx context.Context, m Machine, opts Options) ([]results.En
 		if err != nil {
 			return nil, err
 		}
-	} else if err := runSweep(ctx, m, opts.SweepShards, len(pts), setup); err != nil {
+	} else if err := runSweep(ctx, m, len(pts), setup); err != nil {
 		return nil, err
 	}
 	return []results.Entry{{

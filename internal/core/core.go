@@ -199,15 +199,17 @@ type SimStatser interface {
 }
 
 // Cloner is an optional Machine capability: backends that can stamp
-// out an independent copy of themselves implement it so point sweeps
-// (the Figure-1 size × stride grid, the §7 memory-variant sweep) can
-// fan points across workers. A clone must be indistinguishable from its
-// original at the observation points the sweeps use: same simulated
-// addresses from the same allocation sequence, same cost model, same
-// deterministic behavior — for the simulated machines, Clone simply
-// rebuilds the profile. Backends measuring real hardware cannot clone
-// the hardware and do not implement the interface, so their sweeps
-// always run serially.
+// out an independent copy of themselves implement it so a suite run
+// can fan its experiment groups, and the point sweeps (the Figure-1
+// size × stride grid, the §7 memory-variant sweep) their points,
+// across GOMAXPROCS workers (see pool). A clone must be
+// indistinguishable from its original at the observation points the
+// pool uses — a freshly Reset machine and a freshly flushed sweep
+// point: same simulated addresses from the same allocation sequence,
+// same cost model, same deterministic behavior. For the simulated
+// machines, Clone simply rebuilds the profile. Backends measuring real
+// hardware cannot clone the hardware and do not implement the
+// interface, so they always run serially.
 type Cloner interface {
 	Clone() (Machine, error)
 }
@@ -271,43 +273,11 @@ type Options struct {
 	CtxProcs []int
 	// CtxSizes are the footprints for Figure 2; default 0,4K,16K,32K,64K.
 	CtxSizes []int64
-	// SweepShards is how many workers the independent-point sweeps may
-	// fan out across on machines implementing Cloner. Every sweep point
-	// starts from FlushCaches on its machine, so a point's value is a
-	// function of the machine and the point alone; workers evaluate
-	// disjoint point subsets on clones and the results assemble in
-	// sweep order, making any shard count byte-identical to a serial
-	// run. 0 or 1 means serial; machines without Clone always run
-	// serially.
-	SweepShards int
 	// SweepMode selects exhaustive (default) or adaptive point-sweep
 	// coverage. The mode is part of the options fingerprint, so
 	// adaptive and exhaustive results live under distinct run IDs and
 	// unit-cache keys by construction and can never poison each other.
 	SweepMode SweepMode
-}
-
-// SweepWorkers decides how many workers an independent-point sweep of
-// n points uses on machine m under o.SweepShards. This is the single
-// place the shard request is clamped: zero, one or negative requests
-// mean serial, machines that cannot Clone always run serially (there is
-// no second machine to shard onto), and the worker count never exceeds
-// the point count. Normalize rejects negative SweepShards up front, but
-// the clamp here is defensive too — a caller that skipped Normalize
-// (or a worker interacting with a Cloner-less machine) still degrades
-// to a correct serial sweep instead of panicking in the fan-out.
-func (o Options) SweepWorkers(m Machine, n int) int {
-	shards := o.SweepShards
-	if shards <= 1 || n <= 1 {
-		return 1
-	}
-	if _, ok := m.(Cloner); !ok {
-		return 1
-	}
-	if shards > n {
-		shards = n
-	}
-	return shards
 }
 
 // FastOptions shrinks the workloads for a quick pass — small regions,
@@ -356,9 +326,6 @@ func (o Options) Normalize() (Options, error) {
 		if s < 0 {
 			return o, fmt.Errorf("core: negative CtxSizes entry %d", s)
 		}
-	}
-	if o.SweepShards < 0 {
-		return o, fmt.Errorf("core: negative SweepShards %d", o.SweepShards)
 	}
 	switch o.SweepMode {
 	case "":

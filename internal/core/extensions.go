@@ -233,7 +233,7 @@ func ExtStream(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 // ExtMemVariants measures dirty-read and write latency next to the
 // clean read chase, at a line-defeating stride across sizes, and
 // reports the memory-plateau values. Like MemLatencySweep, every point
-// starts from cold caches, so the (variant × size) grid shards across
+// starts from cold caches, so the (variant × size) grid fans out across
 // cloned machines byte-identically.
 func ExtMemVariants(ctx context.Context, m Machine, opts Options) ([]results.Entry, error) {
 	opts, err := opts.Normalize()
@@ -314,7 +314,7 @@ func ExtMemVariants(ctx context.Context, m Machine, opts Options) ([]results.Ent
 		if err != nil {
 			return nil, err
 		}
-	} else if err := runSweep(ctx, m, opts.SweepShards, len(pts), setup); err != nil {
+	} else if err := runSweep(ctx, m, len(pts), setup); err != nil {
 		return nil, err
 	}
 	var out []results.Entry

@@ -199,8 +199,13 @@ func resumeSubset() map[string]bool {
 // journaled run mid-suite, resume from the journal, and the resulting
 // database encodes byte-for-byte the same as a run that was never
 // interrupted. Exercised serially, in parallel, and with the journal's
-// final line torn as a crash would leave it.
+// final line torn as a crash would leave it. The kill point is the
+// first finished experiment, which must also be the first unit in unit
+// order for the journal to hold it, so the test pins GOMAXPROCS to 1:
+// at higher widths a later, quicker unit can finish first, and the
+// kill then cancels every unit before anything is journaled.
 func TestKillAndResumeByteIdentical(t *testing.T) {
+	setProcs(t, 1)
 	names := []string{"Linux/i686", "Linux/i586"}
 	targets := func() []core.Machine {
 		ms := make([]core.Machine, len(names))
@@ -380,8 +385,9 @@ func (c *mapCache) Store(rec core.JournalRecord) error {
 }
 
 // TestUnitLog pins the one unit pipeline both executors share: resume
-// wins over the cache (and is mode-checked), a cache hit is journaled,
-// a miss recalls nothing, and Commit journals before it caches.
+// wins over the cache (and is mode-checked), a settled cache hit is
+// journaled, a miss recalls nothing, and Commit journals before it
+// caches.
 func TestUnitLog(t *testing.T) {
 	entry := func(machine string, attrs map[string]string) []results.Entry {
 		return []results.Entry{{Benchmark: "lat_syscall", Machine: machine, Unit: "microseconds", Scalar: 1, Attrs: attrs}}
@@ -414,17 +420,24 @@ func TestUnitLog(t *testing.T) {
 	}
 	log := core.UnitLog{Resume: replay, Cache: cache, Journal: journal, Mode: core.SweepExhaustive}
 
-	rec, kind, err := log.Recall("m", "table7")
+	rec, kind, err := log.Lookup("m", "table7")
 	if err != nil || kind != core.ExperimentReplayed || rec.Entries[0].Attrs["from"] == "cache" {
 		t.Errorf("table7: kind %q, err %v — the resume journal must win over the cache", kind, err)
 	}
-	if _, _, err := log.Recall("m", "mem_hier"); err == nil || !strings.Contains(err.Error(), "adaptive-sweep results") {
+	if err := log.Settle(rec, kind); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := log.Lookup("m", "mem_hier"); err == nil || !strings.Contains(err.Error(), "adaptive-sweep results") {
 		t.Errorf("cross-mode replay: err = %v", err)
 	}
-	if rec, kind, err := log.Recall("m", "table8"); err != nil || kind != core.ExperimentCached || rec.Key != "table8" {
+	rec, kind, err = log.Lookup("m", "table8")
+	if err != nil || kind != core.ExperimentCached || rec.Key != "table8" {
 		t.Errorf("table8: kind %q, err %v, want a cache hit", kind, err)
 	}
-	if _, kind, err := log.Recall("m", "table9"); err != nil || kind != "" {
+	if err := log.Settle(rec, kind); err != nil {
+		t.Fatal(err)
+	}
+	if _, kind, err := log.Lookup("m", "table9"); err != nil || kind != "" {
 		t.Errorf("table9: kind %q, err %v, want a miss", kind, err)
 	}
 	fresh := core.JournalRecord{Machine: "m", Key: "table9", Entries: entry("m", nil)}
@@ -446,7 +459,7 @@ func TestUnitLog(t *testing.T) {
 			t.Errorf("journal lacks %s", key)
 		}
 	}
-	if _, _, err := (core.UnitLog{}).Recall("m", "table7"); err != nil {
+	if _, _, err := (core.UnitLog{}).Lookup("m", "table7"); err != nil {
 		t.Errorf("zero UnitLog: %v", err)
 	}
 	if err := (core.UnitLog{}).Commit(fresh); err != nil {

@@ -27,11 +27,11 @@ import (
 //
 // Determinism: every planning decision is a pure function of measured
 // point values, and each point value is a function of (machine, point)
-// alone — the same independence that makes sharded sweeps
+// alone — the same independence that makes parallel sweeps
 // byte-identical to serial ones. Refinement batches are dispatched in
-// sorted index order through the same sweepPool the exhaustive path
-// uses, so an adaptive sweep produces identical results at every
-// worker count; TestAdaptiveSweepMatchesSerial asserts it under the
+// sorted index order through the same pool the exhaustive path uses,
+// so an adaptive sweep produces identical results at every worker
+// count; TestAdaptiveSweepMatchesSerial asserts it under the
 // race detector.
 
 // Planner tuning. The segmentation tolerances deliberately match the
@@ -163,10 +163,7 @@ func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepCol
 			n = c.End
 		}
 	}
-	pool, err := newSweepPool(m, opts.SweepWorkers(m, n), setup)
-	if err != nil {
-		return nil, err
-	}
+	pool := newPool(m, setup)
 	measured := make([]bool, n)
 	var batch []int
 	request := func(i int) {
@@ -179,7 +176,7 @@ func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepCol
 	refine := func(plan []sweepColumn) error {
 		for len(batch) > 0 && rounds < plannerMaxRounds {
 			sort.Ints(batch)
-			if err := pool.run(ctx, batch); err != nil {
+			if err := pool.run(ctx, batch, nil, nil); err != nil {
 				return err
 			}
 			batch = batch[:0]

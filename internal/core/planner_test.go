@@ -14,7 +14,7 @@ import (
 // TestAdaptiveSweepMatchesSerial is the adaptive determinism contract:
 // planning decisions depend only on measured point values, never on
 // execution order, so an adaptive sweep must encode byte-identically
-// at every shard count. Run with -race (make race covers this package)
+// at every GOMAXPROCS. Run with -race (make race covers this package)
 // it also proves the planner's refinement batches stay disjoint.
 func TestAdaptiveSweepMatchesSerial(t *testing.T) {
 	sweeps := []struct {
@@ -28,19 +28,20 @@ func TestAdaptiveSweepMatchesSerial(t *testing.T) {
 		t.Run(sweep.name, func(t *testing.T) {
 			opts := smallOpts()
 			opts.SweepMode = core.SweepAdaptive
+			setProcs(t, 1)
 			serial, err := sweep.run(context.Background(), simMachine(t, "Linux/i686"), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := encodeEntries(t, serial)
-			for _, shards := range []int{2, 4, 16} {
-				opts.SweepShards = shards
+			for _, procs := range []int{2, 4, 16} {
+				setProcs(t, procs)
 				got, err := sweep.run(context.Background(), simMachine(t, "Linux/i686"), opts)
 				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				if enc := encodeEntries(t, got); !bytes.Equal(enc, want) {
-					t.Errorf("shards=%d: encoded adaptive sweep differs from serial run", shards)
+					t.Errorf("GOMAXPROCS=%d: encoded adaptive sweep differs from serial run", procs)
 				}
 			}
 		})

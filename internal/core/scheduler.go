@@ -31,7 +31,9 @@ type Runner struct {
 	Opts Options
 	// Parallel is the worker-pool size; values below 1 mean serial.
 	// Wall-clock machines are additionally serialized against each
-	// other regardless of pool size.
+	// other regardless of pool size. Each machine's Suite runs its
+	// experiment groups on a pool of its own (see Suite.Run), so on
+	// simulated machines the two widths multiply.
 	Parallel int
 	// Events receives the combined event stream of all machines; nil
 	// discards it. Sinks must be concurrency-safe (the provided ones

@@ -189,8 +189,9 @@ type Suite struct {
 	// noisy result is accepted but flagged (quality.flagged attr).
 	QualityRetries int
 	// Journal, when non-nil, receives one checksummed record per
-	// completed experiment group as it finishes, making the run
-	// resumable after a crash (see JournalWriter).
+	// completed experiment group, in unit order, as soon as the group
+	// and every earlier one are done, making the run resumable after a
+	// crash (see JournalWriter).
 	Journal *JournalWriter
 	// Resume, when non-nil, replays completed work from a previous
 	// run's journal instead of re-executing it; only the remainder
@@ -212,6 +213,15 @@ type Suite struct {
 // skipped and reported in the returned skip list; duplicate Run
 // functions (Figure 2 / Table 10 share one) execute once. A cancelled
 // or deadlined ctx stops the run at the next measurement boundary.
+//
+// The experiment groups are the units of a pool (see pool): on a
+// simulated machine they run GOMAXPROCS-wide, on s.M and on lazily
+// made clones, and every other machine runs them one at a time. Either
+// way units are recalled from the resume journal and the unit cache in
+// unit order, and each unit merges into db, the journal and the cache
+// in unit order, so the database, the journal and the cache see
+// exactly what a serial run gives them. A failure returns the error and
+// partial database of a serial run.
 func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err error) {
 	if s.M == nil {
 		return nil, errors.New("core: suite needs a machine")
@@ -228,32 +238,41 @@ func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err 
 			exps = append(exps, Extensions()...)
 		}
 	}
+	groups := GroupExperiments(exps, s.Only)
+	name := s.M.Name()
 	log := UnitLog{Resume: s.Resume, Cache: s.Cache, Journal: s.Journal, Mode: opts.SweepMode}
-	for _, group := range GroupExperiments(exps, s.Only) {
-		exp, key := group.Exp, group.Key
-		if err := ctx.Err(); err != nil {
-			return skipped, err
-		}
-		rec, kind, err := log.Recall(s.M.Name(), key)
-		if err != nil {
-			return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-		}
-		fresh := kind == ""
-		if fresh {
-			entries, runErr := s.runExperiment(ctx, sink, exp, opts)
+	recs := make([]JournalRecord, len(groups))
+	kinds := make([]EventKind, len(groups))
+	units := newPool(s.M, func(m Machine) (func(context.Context, int) error, error) {
+		return func(ctx context.Context, i int) error {
+			exp, key := groups[i].Exp, groups[i].Key
+			entries, err := s.runExperiment(ctx, m, sink, exp, opts)
 			switch {
-			case IsUnsupported(runErr):
-				rec = JournalRecord{Machine: s.M.Name(), Key: key, Skipped: true, Err: runErr.Error()}
-			case runErr != nil:
-				return skipped, fmt.Errorf("%s: %w", exp.ID, runErr)
+			case IsUnsupported(err):
+				recs[i] = JournalRecord{Machine: name, Key: key, Skipped: true, Err: err.Error()}
+			case err != nil:
+				return fmt.Errorf("%s: %w", exp.ID, err)
 			default:
-				rec = JournalRecord{Machine: s.M.Name(), Key: key, Entries: entries}
+				recs[i] = JournalRecord{Machine: name, Key: key, Entries: entries}
 			}
-		} else {
+			return nil
+		}, nil
+	})
+	recall := func(i int) (bool, error) {
+		rec, kind, err := log.Lookup(name, groups[i].Key)
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", groups[i].Exp.ID, err)
+		}
+		recs[i], kinds[i] = rec, kind
+		return kind == "", nil
+	}
+	merge := func(i int) error {
+		exp, rec, kind := groups[i].Exp, recs[i], kinds[i]
+		if kind != "" {
 			// Replayed and cached units merge at the same point in the
-			// iteration order as live execution.
+			// unit order as live execution.
 			sink.Event(Event{
-				Kind: kind, Time: time.Now(), Machine: s.M.Name(),
+				Kind: kind, Time: time.Now(), Machine: name,
 				Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
 			})
 		}
@@ -264,16 +283,21 @@ func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err 
 			if err := db.Add(e); err != nil {
 				// Entries already merged stay in db; the error names the
 				// experiment so a mid-run failure is attributable.
-				return skipped, fmt.Errorf("%s: add %q: %w", exp.ID, e.Benchmark, err)
+				return fmt.Errorf("%s: add %q: %w", exp.ID, e.Benchmark, err)
 			}
 		}
-		if fresh {
-			if err := log.Commit(rec); err != nil {
-				return skipped, fmt.Errorf("%s: %w", exp.ID, err)
-			}
+		// A cache hit is journaled here, not at lookup, so the journal
+		// follows unit order too.
+		if err := log.Settle(rec, kind); err != nil {
+			return fmt.Errorf("%s: %w", exp.ID, err)
 		}
+		return nil
 	}
-	return skipped, nil
+	idx := make([]int, len(groups))
+	for i := range idx {
+		idx[i] = i
+	}
+	return skipped, units.run(ctx, idx, recall, merge)
 }
 
 // Retry pauses: the first defaults to defaultRetryBackoff and each
@@ -300,7 +324,7 @@ func NextBackoff(d time.Duration) time.Duration {
 // runExperiment drives one experiment through the attempt/retry loop
 // and the measurement quality gate, emitting lifecycle events along
 // the way.
-func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experiment, opts Options) ([]results.Entry, error) {
+func (s *Suite) runExperiment(ctx context.Context, m Machine, sink EventSink, exp Experiment, opts Options) ([]results.Entry, error) {
 	maxAttempts := 1 + s.Retries
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -323,7 +347,7 @@ func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experimen
 	}
 	ev := func(kind EventKind, attempt int, dur time.Duration, entries int, err error, q qualitySummary, sim, sweep map[string]int64) {
 		e := Event{
-			Kind: kind, Time: time.Now(), Machine: s.M.Name(),
+			Kind: kind, Time: time.Now(), Machine: m.Name(),
 			Experiment: exp.ID, Title: exp.Title,
 			Attempt: attempt, Duration: dur, Entries: entries,
 			Sim: sim, Sweep: sweep,
@@ -340,7 +364,7 @@ func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experimen
 	for attempt := 1; ; attempt++ {
 		ev(ExperimentStarted, attempt, 0, 0, nil, qualitySummary{}, nil, nil)
 		start := time.Now()
-		entries, q, sim, sweep, err := s.attempt(ctx, sink, exp, opts, rec, attempt)
+		entries, q, sim, sweep, err := s.attempt(ctx, m, sink, exp, opts, rec, attempt)
 		dur := time.Since(start)
 		switch {
 		case err == nil:
@@ -385,19 +409,20 @@ func (s *Suite) runExperiment(ctx context.Context, sink EventSink, exp Experimen
 // context, so observability can see individual harness batches — out
 // of band, never inside a timed interval. On simulated machines the
 // first returned map carries the experiment's activity-counter delta
-// (SimStatser) for the event stream; the second carries the adaptive
+// (SimStatser) for the event stream, summed over m and the clones its
+// sweeps ran on; the second carries the adaptive
 // sweep planner's decision counters, collected via the attempt context
 // exactly like the recorder, and stays nil for exhaustive sweeps and
 // non-sweep experiments.
-func (s *Suite) attempt(ctx context.Context, sink EventSink, exp Experiment, opts Options, rec *timing.Recorder, attempt int) ([]results.Entry, qualitySummary, map[string]int64, map[string]int64, error) {
-	if timing.IsRealTime(s.M.Clock()) {
+func (s *Suite) attempt(ctx context.Context, m Machine, sink EventSink, exp Experiment, opts Options, rec *timing.Recorder, attempt int) ([]results.Entry, qualitySummary, map[string]int64, map[string]int64, error) {
+	if timing.IsRealTime(m.Clock()) {
 		wallMu.Lock()
 		defer wallMu.Unlock()
 	}
 	// Every attempt starts from pristine machine state (see Resetter):
 	// results must not depend on earlier experiments, failed attempts,
 	// or quality-gate re-measurements.
-	if r, ok := s.M.(Resetter); ok {
+	if r, ok := m.(Resetter); ok {
 		r.Reset()
 	}
 	// Always derive a per-attempt context: backends that bind it may
@@ -416,11 +441,11 @@ func (s *Suite) attempt(ctx context.Context, sink EventSink, exp Experiment, opt
 		runCtx = timing.WithRecorder(runCtx, rec)
 	}
 	if ap, ok := sink.(AttemptProber); ok {
-		if p := ap.AttemptProbe(s.M.Name(), exp.ID, attempt); p != nil {
+		if p := ap.AttemptProbe(m.Name(), exp.ID, attempt); p != nil {
 			runCtx = timing.WithProbe(runCtx, p)
 		}
 	}
-	if cb, ok := s.M.(ContextBinder); ok {
+	if cb, ok := m.(ContextBinder); ok {
 		cb.BindContext(runCtx)
 		defer cb.BindContext(context.Background())
 	}
@@ -430,27 +455,22 @@ func (s *Suite) attempt(ctx context.Context, sink EventSink, exp Experiment, opt
 		runCtx = withSweepCollector(runCtx, sw)
 	}
 	var simBefore map[string]int64
-	ss, hasSim := s.M.(SimStatser)
+	var sims *simCollector
+	ss, hasSim := m.(SimStatser)
 	if hasSim {
+		sims = &simCollector{}
+		runCtx = withSimCollector(runCtx, sims)
 		simBefore = ss.SimStats()
 	}
-	entries, err := exp.Run(runCtx, s.M, opts)
+	entries, err := exp.Run(runCtx, m, opts)
 	var q qualitySummary
 	if rec != nil && err == nil {
 		q = summarizeQuality(rec)
 	}
 	var sim map[string]int64
 	if hasSim && err == nil {
-		after := ss.SimStats()
-		sim = make(map[string]int64, len(after))
-		for k, v := range after {
-			if d := v - simBefore[k]; d != 0 {
-				sim[k] = d
-			}
-		}
-		if len(sim) == 0 {
-			sim = nil
-		}
+		sims.add(simDelta(ss.SimStats(), simBefore))
+		sim = sims.sum
 	}
 	var sweep map[string]int64
 	if sw != nil && err == nil {

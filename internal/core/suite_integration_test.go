@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,6 +41,14 @@ func simMachine(t *testing.T, name string) core.Machine {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// setProcs sets GOMAXPROCS — the width of the suite's worker pool on a
+// simulated machine — for the rest of the test.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestSuiteRunsEverythingOnSim is the whole-system integration test:

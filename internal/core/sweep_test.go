@@ -30,9 +30,9 @@ func encodeEntries(t *testing.T, entries []results.Entry) []byte {
 
 // TestShardedSweepMatchesSerial is the sharding correctness contract:
 // the Figure-1 sweep and the §7 memory-variant sweep must encode
-// byte-identically at every shard count. Run with -race (make race
-// covers this package) it also proves the workers' writes are properly
-// disjoint.
+// byte-identically at every GOMAXPROCS, the pool's width on a
+// simulated machine. Run with -race (make race covers this package) it
+// also proves the workers' writes are properly disjoint.
 func TestShardedSweepMatchesSerial(t *testing.T) {
 	sweeps := []struct {
 		name string
@@ -44,19 +44,20 @@ func TestShardedSweepMatchesSerial(t *testing.T) {
 	for _, sweep := range sweeps {
 		t.Run(sweep.name, func(t *testing.T) {
 			opts := smallOpts()
+			setProcs(t, 1)
 			serial, err := sweep.run(context.Background(), simMachine(t, "Linux/i686"), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := encodeEntries(t, serial)
-			for _, shards := range []int{2, 4, 16} {
-				opts.SweepShards = shards
+			for _, procs := range []int{2, 4, 16} {
+				setProcs(t, procs)
 				got, err := sweep.run(context.Background(), simMachine(t, "Linux/i686"), opts)
 				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 				}
 				if enc := encodeEntries(t, got); !bytes.Equal(enc, want) {
-					t.Errorf("shards=%d: encoded sweep differs from serial run", shards)
+					t.Errorf("GOMAXPROCS=%d: encoded sweep differs from serial run", procs)
 				}
 			}
 		})
@@ -73,62 +74,22 @@ func TestSweepWithoutClonerRunsSerially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.SweepShards = 8
+	setProcs(t, 8)
 	got, err := core.MemLatencySweep(context.Background(), uncloneable{simMachine(t, "Linux/i686")}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeEntries(t, got), encodeEntries(t, serial)) {
-		t.Error("non-Cloner sharded run differs from serial run")
+		t.Error("non-Cloner run at GOMAXPROCS=8 differs from serial run")
 	}
 }
 
 func TestShardedSweepHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts := smallOpts()
-	opts.SweepShards = 4
-	if _, err := core.MemLatencySweep(ctx, simMachine(t, "Linux/i686"), opts); err == nil {
+	setProcs(t, 4)
+	if _, err := core.MemLatencySweep(ctx, simMachine(t, "Linux/i686"), smallOpts()); err == nil {
 		t.Fatal("cancelled sharded sweep returned nil error")
-	}
-}
-
-// TestSweepWorkersClamp pins the centralized shard clamp: zero and
-// negative requests (a caller that skipped Normalize), Cloner-less
-// machines, and requests beyond the point count must all degrade to a
-// correct worker count in the one place every sweep consults.
-func TestSweepWorkersClamp(t *testing.T) {
-	cloneable := simMachine(t, "Linux/i686")
-	plain := uncloneable{cloneable}
-	cases := []struct {
-		name   string
-		shards int
-		m      core.Machine
-		points int
-		want   int
-	}{
-		{"zero", 0, cloneable, 10, 1},
-		{"negative", -3, cloneable, 10, 1},
-		{"one", 1, cloneable, 10, 1},
-		{"non-cloner", 8, plain, 10, 1},
-		{"non-cloner-negative", -8, plain, 10, 1},
-		{"more-shards-than-points", 8, cloneable, 3, 3},
-		{"single-point", 8, cloneable, 1, 1},
-		{"normal", 4, cloneable, 10, 4},
-	}
-	for _, c := range cases {
-		opts := core.Options{SweepShards: c.shards}
-		if got := opts.SweepWorkers(c.m, c.points); got != c.want {
-			t.Errorf("%s: SweepWorkers(shards=%d, points=%d) = %d, want %d",
-				c.name, c.shards, c.points, got, c.want)
-		}
-	}
-}
-
-func TestNegativeSweepShardsRejected(t *testing.T) {
-	opts := core.Options{SweepShards: -1}
-	if _, err := opts.Normalize(); err == nil {
-		t.Fatal("Normalize accepted negative SweepShards")
 	}
 }
 

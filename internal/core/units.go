@@ -104,13 +104,12 @@ type UnitLog struct {
 	Mode SweepMode
 }
 
-// Recall returns the recorded outcome of the (machine, key) unit when
+// Lookup returns the recorded outcome of the (machine, key) unit when
 // the run need not execute it, with the event kind that announces it:
 // ExperimentReplayed for a resume-journal record, ExperimentCached for
-// a unit-cache hit. A hit is journaled before it is returned, so an
-// interrupted warm run resumes without consulting the cache again.
-// kind is empty when the unit must execute.
-func (l UnitLog) Recall(machine, key string) (rec JournalRecord, kind EventKind, err error) {
+// a unit-cache hit. kind is empty when the unit must execute. Lookup
+// records nothing; Settle persists the unit at its merge point.
+func (l UnitLog) Lookup(machine, key string) (rec JournalRecord, kind EventKind, err error) {
 	if l.Resume != nil {
 		if rec, ok := l.Resume.Lookup(machine, key); ok {
 			return rec, ExperimentReplayed, CheckReplayMode(rec, l.Mode)
@@ -118,10 +117,24 @@ func (l UnitLog) Recall(machine, key string) (rec JournalRecord, kind EventKind,
 	}
 	if l.Cache != nil {
 		if rec, ok := l.Cache.Lookup(machine, key); ok {
-			return rec, ExperimentCached, l.journal(rec)
+			return rec, ExperimentCached, nil
 		}
 	}
 	return JournalRecord{}, "", nil
+}
+
+// Settle persists a unit that Lookup announced as kind at its merge
+// point: a cache hit is journaled, so an interrupted warm run resumes
+// without consulting the cache again; a replayed unit is already in the
+// journal; and a freshly executed one (kind "") is committed.
+func (l UnitLog) Settle(rec JournalRecord, kind EventKind) error {
+	switch kind {
+	case ExperimentCached:
+		return l.journal(rec)
+	case ExperimentReplayed:
+		return nil
+	}
+	return l.Commit(rec)
 }
 
 // Commit persists a freshly executed unit: the journal first, so no

@@ -66,8 +66,8 @@ type Coordinator struct {
 	// calibration-candidate machines.
 	Catalog *machines.Catalog
 	// Opts applies to every unit, exactly as a serial Suite would see
-	// it (SweepShards included — sweep-heavy units additionally shard
-	// their point range across goroutines inside the worker).
+	// it (sweep-heavy units additionally fan their points across
+	// GOMAXPROCS goroutines inside the worker).
 	Opts core.Options
 	// Only restricts the run to these experiment IDs (nil = all);
 	// Extended adds the §7 experiments.
@@ -272,7 +272,10 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	// exactly as it would in complete(); no workers exist yet, so
 	// failing the unit and cancelling is enough.
 	for i, u := range units {
-		rec, kind, err := r.log.Recall(u.Machine, u.Key)
+		rec, kind, err := r.log.Lookup(u.Machine, u.Key)
+		if err == nil && kind != "" {
+			err = r.log.Settle(rec, kind)
+		}
 		if err != nil {
 			r.settle(i, unitResult{err: err}, false)
 			break

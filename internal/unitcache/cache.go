@@ -14,14 +14,14 @@
 //     units recompute;
 //   - the experiment group key (core.ExperimentGroup.Key), the unit of
 //     execution, journaling and replay;
-//   - the normalized-options fingerprint (store.Fingerprint), with
-//     SweepShards neutralized first — sharding a sweep is proven
-//     byte-identical at any shard count, so it must not split the key
-//     space. SweepMode is deliberately NOT neutralized: adaptive
-//     sweeps produce different bytes (synthetic interpolated points,
-//     sweep.* attrs) than exhaustive ones, so the two modes get
-//     disjoint key spaces and a warm cache from one mode can never
-//     poison a run in the other;
+//   - the normalized-options fingerprint (store.Fingerprint). Nothing
+//     in it says how wide a run executes — the suite's worker count is
+//     GOMAXPROCS, proven byte-identical at any value — so every width
+//     shares keys. SweepMode is part of it: adaptive sweeps produce
+//     different bytes (synthetic interpolated points, sweep.* attrs)
+//     than exhaustive ones, so the two modes get disjoint key spaces
+//     and a warm cache from one mode can never poison a run in the
+//     other;
 //   - the quality-gate parameters (MaxRSD, QualityRetries): the gate
 //     stamps quality.* attrs into accepted entries, so enabling it
 //     changes result bytes;
@@ -174,9 +174,6 @@ type Cache struct {
 // fingerprinted once here — every Lookup and Store against this handle
 // shares them — so one Cache serves exactly one run configuration.
 func Open(dir string, opts core.Options, cfg Config) (*Cache, error) {
-	// Sharding a sweep across goroutines is proven byte-identical at
-	// any shard count; zero it so every shard setting shares keys.
-	opts.SweepShards = 0
 	fp, err := store.Fingerprint(opts)
 	if err != nil {
 		return nil, fmt.Errorf("unitcache: %w", err)

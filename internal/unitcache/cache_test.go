@@ -1,9 +1,12 @@
 package unitcache
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -104,8 +107,8 @@ func TestUncacheableMachine(t *testing.T) {
 
 // TestKeyInvalidation pins the tentpole's invalidation contract: each
 // key input — profile, group, options, code version, quality gate —
-// moves the key on its own; the member-ID list and SweepShards do not
-// exist in the key at all.
+// moves the key on its own; the member-ID list does not exist in the
+// key at all.
 func TestKeyInvalidation(t *testing.T) {
 	p0, _ := machines.ByName(simName(t, 0))
 	p1, _ := machines.ByName(simName(t, 1))
@@ -165,28 +168,67 @@ func TestOptionsChangeMisses(t *testing.T) {
 	}
 }
 
-// TestSweepShardsNeutralized proves shard count shares keys: sharding
-// is byte-identical at any value, so a -shards 4 run warms a -shards 1
-// run and vice versa.
-func TestSweepShardsNeutralized(t *testing.T) {
+// TestCacheKeysIgnoreGOMAXPROCS proves the width a run executes at
+// shares keys: a suite runs its units and sweep points GOMAXPROCS-wide
+// byte-identically at any value, so a cache warmed at one width serves
+// a run at another — both a stored record and a whole suite run, whose
+// warm re-run at a different width misses nothing and encodes the
+// same database.
+func TestCacheKeysIgnoreGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dir := t.TempDir()
 	m := simName(t, 0)
-	c1 := mustOpen(t, dir, core.Options{SweepShards: 1}, Config{})
+	c1 := mustOpen(t, dir, core.Options{}, Config{})
 	if err := c1.Store(testRecord(m, "mem_hier")); err != nil {
 		t.Fatal(err)
 	}
-	c4 := mustOpen(t, dir, core.Options{SweepShards: 4}, Config{})
+	runtime.GOMAXPROCS(4)
+	c4 := mustOpen(t, dir, core.Options{}, Config{})
 	if _, ok := c4.Lookup(m, "mem_hier"); !ok {
-		t.Fatal("sweep shard count split the key space")
+		t.Fatal("GOMAXPROCS split the key space")
+	}
+
+	opts := core.FastOptions()
+	opts.MaxChaseSize = 256 << 10
+	only := map[string]bool{"table6": true, "table7": true, "table11": true}
+	run := func(procs int) ([]byte, Stats) {
+		runtime.GOMAXPROCS(procs)
+		p, _ := machines.ByName(m)
+		mach, err := machines.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mustOpen(t, filepath.Join(dir, "suite"), opts, Config{})
+		db := &results.DB{}
+		s := &core.Suite{M: mach, Opts: opts, Only: only, Cache: c}
+		if _, err := s.Run(context.Background(), db); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := db.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), c.Stats()
+	}
+	cold, st := run(1)
+	if st.Stored != 3 {
+		t.Fatalf("cold run at GOMAXPROCS=1 stored %d units, want 3", st.Stored)
+	}
+	warm, st := run(2)
+	if st.Misses != 0 || st.Hits != 3 {
+		t.Errorf("warm run at GOMAXPROCS=2: %s, want 3 hits and no miss", st)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Error("warm run at GOMAXPROCS=2 differs from the cold run at GOMAXPROCS=1")
 	}
 }
 
-// TestSweepModeSplitsKeys proves the opposite of shard neutrality for
+// TestSweepModeSplitsKeys proves the opposite of width neutrality for
 // the sweep mode: adaptive results carry synthetic points and sweep.*
 // attrs an exhaustive database never contains, so entries warmed in
 // one mode must never serve the other. The mode rides the options
 // fingerprint, giving the two modes disjoint key spaces by
-// construction — in both directions, at any shard count.
+// construction — in both directions.
 func TestSweepModeSplitsKeys(t *testing.T) {
 	dir := t.TempDir()
 	m := simName(t, 0)
@@ -211,10 +253,10 @@ func TestSweepModeSplitsKeys(t *testing.T) {
 	if _, ok := exExplicit.Lookup(m, "mem_hier"); !ok {
 		t.Fatal("explicit exhaustive mode split the key space from the default")
 	}
-	// Shard count still shares keys within the adaptive mode.
-	ad4 := mustOpen(t, dir, core.Options{SweepMode: core.SweepAdaptive, SweepShards: 4}, Config{})
-	if _, ok := ad4.Lookup(m, "ext_memvar"); !ok {
-		t.Fatal("sweep shard count split the adaptive key space")
+	// Reopening in the adaptive mode shares its keys.
+	ad2 := mustOpen(t, dir, core.Options{SweepMode: core.SweepAdaptive}, Config{})
+	if _, ok := ad2.Lookup(m, "ext_memvar"); !ok {
+		t.Fatal("the adaptive key space did not survive a reopen")
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # sweep_smoke.sh proves adaptive sweep planning end to end through the
 # CLI: an adaptive run reports real point savings on the memory-sweep
-# experiments, is byte-identical across shard counts, and the modes
+# experiments, is byte-identical at GOMAXPROCS 1 and 4, and the modes
 # that must not compose (adaptive+chaos, adaptive resume of an
 # exhaustive journal) are refused. Driven by `make sweep-smoke`.
 set -eu
@@ -34,7 +34,7 @@ sum() {
 
 # Adaptive run: the planner must skip at least as many grid points as
 # it measures on the memory-hierarchy sweep (the >=2x reduction gate).
-"$bin" -machine 'Linux/i686' -only figure1,table6 -sweep adaptive -out "$adp1" > /dev/null 2> "$log"
+GOMAXPROCS=1 "$bin" -machine 'Linux/i686' -only figure1,table6 -sweep adaptive -out "$adp1" > /dev/null 2> "$log"
 measured=$(stats measured)
 skipped=$(stats skipped)
 if [ -z "$measured" ] || [ "$measured" -eq 0 ]; then
@@ -46,13 +46,13 @@ if [ "$skipped" -lt "$measured" ]; then
     exit 1
 fi
 
-# Sharded adaptive run is byte-identical: planning decisions depend
+# A 4-wide adaptive run is byte-identical: planning decisions depend
 # only on measured values, never on execution order.
-"$bin" -machine 'Linux/i686' -only figure1,table6 -sweep adaptive -shards 4 -out "$adp4" > /dev/null 2> "$log"
+GOMAXPROCS=4 "$bin" -machine 'Linux/i686' -only figure1,table6 -sweep adaptive -out "$adp4" > /dev/null 2> "$log"
 a1=$(sum "$adp1")
 a4=$(sum "$adp4")
 if [ "$a1" != "$a4" ]; then
-    echo "sweep-smoke: SHARDED ADAPTIVE DIVERGED: shards=1 $a1 != shards=4 $a4" >&2
+    echo "sweep-smoke: PARALLEL ADAPTIVE DIVERGED: GOMAXPROCS=1 $a1 != GOMAXPROCS=4 $a4" >&2
     exit 1
 fi
 
@@ -81,4 +81,4 @@ if ! grep -q 'exhaustive-sweep results' "$log"; then
     exit 1
 fi
 
-echo "sweep-smoke: ok (measured=$measured skipped=$skipped, shards byte-identical $a1, chaos and cross-mode resume refused)"
+echo "sweep-smoke: ok (measured=$measured skipped=$skipped, GOMAXPROCS 1 and 4 byte-identical $a1, chaos and cross-mode resume refused)"
