@@ -9,10 +9,13 @@ LMBENCH_CHAOS_SEED ?= 1
 # The Figure-1 sweep plus the memory-heavy tables (the simulator hot
 # paths), the sweep-planning and unit-cache evaluation benchmarks, and
 # the simmem micro-benchmarks underneath them: per-access costs with
-# pass skipping off, and the skipped steady-state passes. The
-# repository's end-to-end benchmark is perfbench/ (see BENCHMARK.json).
+# pass skipping off, and the skipped steady-state passes. BENCH_BUILD
+# times machines.Build's DRAM inversion (with its stream measurements
+# per op). The repository's end-to-end benchmark is perfbench/ (see
+# BENCHMARK.json).
 BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch|Figure1SweepPlanning|EvaluationUnitCache
 BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|StreamReadResident|StreamKernel|ChaseSteadyState|StreamCopySteadyState
+BENCH_BUILD   ?= InvertDRAM
 BENCH_COUNT   ?= 5
 
 all: verify
@@ -62,6 +65,7 @@ chaos-net:
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -count $(BENCH_COUNT) .
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchmem -count $(BENCH_COUNT) ./internal/simmem/
+	$(GO) test -run '^$$' -bench '$(BENCH_BUILD)' -count $(BENCH_COUNT) ./internal/machines/
 
 # bench-smoke proves every sub-benchmark of the recorded benchmarks
 # still runs (one iteration each); part of verify so a refactor cannot
@@ -69,6 +73,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Figure1MemoryLatency|Figure1SweepPlanning|EvaluationUnitCache' -benchtime 1x . > /dev/null
 	$(GO) test -run '^$$' -bench '$(BENCH_MICRO)' -benchtime 1x ./internal/simmem/ > /dev/null
+	$(GO) test -run '^$$' -bench '$(BENCH_BUILD)' -benchtime 1x ./internal/machines/ > /dev/null
 
 # serve-smoke boots a short real run with `-serve` and proves all
 # three HTTP endpoints answer while the run is live; part of verify so

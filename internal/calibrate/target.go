@@ -7,8 +7,10 @@
 //
 // The fitter is coordinate descent over the profile's observable
 // fields. Monotone continuous parameters (syscall/FS costs, cache and
-// DRAM latencies, bandwidths) descend with the same bisection pattern
-// machines.Build already uses for its inversions; discrete geometry
+// DRAM latencies, bandwidths) descend by bracketed bisection, which
+// rests on the same monotone response as machines.Build's inversions
+// (Build's DRAM inversion is a threshold search that returns what a
+// plain bisection would); discrete geometry
 // (cache sizes, line size) walks a log grid. Every candidate
 // evaluation is a normal suite run — adaptive sweeps, the quality
 // gate, the unit cache keyed by the candidate's own fingerprint — so

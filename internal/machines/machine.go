@@ -118,8 +118,9 @@ func (m *Machine) SimStats() map[string]int64 {
 // Build is deterministic, so the clone allocates the same simulated
 // addresses in the same order and charges the same costs as the
 // original would from its pristine state — exactly the state the suite
-// establishes (via Reset) before every experiment. Sharded sweeps rely
-// on this to produce results byte-identical to a serial run.
+// establishes (via Reset) before every experiment. The suite's unit
+// pool (DESIGN.md §6d) runs experiment groups and sweep points on such
+// clones and relies on this for results byte-identical to a serial run.
 func (m *Machine) Clone() (core.Machine, error) {
 	return Build(m.profile)
 }

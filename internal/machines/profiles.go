@@ -3,10 +3,12 @@ package machines
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
 
+	"repro/internal/ptime"
 	"repro/internal/sim"
 	"repro/internal/simdisk"
 	"repro/internal/simfs"
@@ -192,29 +194,38 @@ func Build(p Profile) (*Machine, error) {
 // Because streaming cost depends on the whole hierarchy (larger
 // lower-level lines convert some chunk misses into lower-level hits),
 // the inversion runs the actual streaming workload on scratch
-// hierarchies and bisects FillNS (for the read target) and then
-// WritebackNS (for the write target). Measured bandwidth is monotone
-// in both parameters, so bisection converges.
+// hierarchies and inverts FillNS (for the read target) and then
+// WritebackNS (for the write target). Each inversion is a threshold
+// search (bisect) that returns, bit for bit, what a 26-halving
+// bisection of the measured bandwidth returns, from a handful of
+// stream measurements instead of 28 (DESIGN.md §6e). Results are
+// memoized per process on exactly the inputs calibrateDRAM reads, so
+// renamed twins of one machine share an inversion.
 func invertDRAM(p Profile, line int) simmem.DRAMConfig {
-	key := fmt.Sprintf("%s|%g|%g|%g|%g|%d|%v", p.Name, p.MHz, p.MemLatNS, p.ReadBW, p.WriteBW, p.IssueWidth, p.Caches)
+	key := fmt.Sprintf("%g|%g|%g|%g|%d|%v", p.MHz, p.MemLatNS, p.ReadBW, p.WriteBW, p.IssueWidth, p.Caches)
 	if v, ok := dramCache.Load(key); ok {
 		return v.(simmem.DRAMConfig)
 	}
-	cfg := calibrateDRAM(p, line)
+	cfg := calibrateDRAM(p, line, bisect)
 	dramCache.Store(key, cfg)
 	return cfg
 }
 
 var dramCache sync.Map
 
-func calibrateDRAM(p Profile, line int) simmem.DRAMConfig {
+// searcher inverts a nondecreasing f to target over [lo, hi]; see
+// bisect. calibrateDRAM takes one so that tests can run it with the
+// plain bisection bisect reproduces and count its measurements.
+type searcher func(lo, hi float64, f func(float64) float64, target float64) float64
+
+func calibrateDRAM(p Profile, line int, search searcher) simmem.DRAMConfig {
 	cfg := simmem.DRAMConfig{LatencyNS: p.MemLatNS}
 	if cfg.LatencyNS <= 0 {
 		cfg.LatencyNS = 300
 	}
 	naive := float64(line) / (1 << 20) * 1e9 // ns per line at 1 MB/s
 	if p.ReadBW > 0 {
-		cfg.FillNS = bisect(1e-3, 4*naive/p.ReadBW+200, func(f float64) float64 {
+		cfg.FillNS = search(1e-3, 4*naive/p.ReadBW+200, func(f float64) float64 {
 			c := cfg
 			c.FillNS = f
 			c.WritebackNS = 1
@@ -223,7 +234,7 @@ func calibrateDRAM(p Profile, line int) simmem.DRAMConfig {
 	}
 	cfg.WritebackNS = 1
 	if p.WriteBW > 0 {
-		cfg.WritebackNS = bisect(1e-3, 8*naive/p.WriteBW+200, func(w float64) float64 {
+		cfg.WritebackNS = search(1e-3, 8*naive/p.WriteBW+200, func(w float64) float64 {
 			c := cfg
 			c.WritebackNS = w
 			return -measureStreamBW(p, c, true)
@@ -270,23 +281,111 @@ func measureStreamBW(p Profile, dram simmem.DRAMConfig, write bool) float64 {
 	return float64(span) / (1 << 20) / (clk.Now() - start).Seconds()
 }
 
-// bisect finds x in [lo, hi] where f(x) = target, assuming f increasing.
+const (
+	// halvings is the number of bisection steps bisect reproduces.
+	halvings = 26
+	// secantGuesses caps bisect's secant phase. It measures the upper
+	// end's neighbour and at most two points per guess, so a call
+	// measures at most 2 + 1 + 2*secantGuesses + halvings = 33 times,
+	// against the plain bisection's 28.
+	secantGuesses = 2
+)
+
+// bisect returns, bit for bit, what this plain bisection returns:
+//
+//	if f(lo) >= target { return lo }
+//	if f(hi) <= target { return hi }
+//	26 times: mid := (lo+hi)/2; if f(mid) < target { lo = mid } else { hi = mid }
+//	return (lo+hi)/2
+//
+// provided f is nondecreasing and depends on x only through
+// ptime.FromNS(x), as every simulated measurement does: a candidate
+// timing reaches simmem only as whole picoseconds. Then each halving's
+// test f(mid) < target is FromNS(mid) < q*, where q* is the least
+// picosecond count at which f reaches target, so bisect first closes
+// in on q* with secant guesses and then replays the halvings,
+// measuring only the tests that the picosecond counts measured so far
+// leave undecided (DESIGN.md §6e).
 func bisect(lo, hi float64, f func(float64) float64, target float64) float64 {
 	if f(lo) >= target {
 		return lo
 	}
-	if f(hi) <= target {
+	fhi := f(hi)
+	if fhi <= target {
 		return hi
 	}
-	for i := 0; i < 26; i++ {
+	t := threshold{f: f, target: target, below: ptime.FromNS(lo), above: ptime.FromNS(hi), fAbove: fhi}
+	// The upper end's neighbouring picosecond gives the first secant
+	// its second point. Each guess is checked against its neighbour
+	// too, so an exact guess closes the bracket to (q*-1, q*].
+	t.less((t.above - 1).Nanoseconds())
+	for i := 0; i < secantGuesses && t.above-t.below > 1; i++ {
+		g := t.guess()
+		if t.less(g.Nanoseconds()) {
+			t.less((g + 1).Nanoseconds())
+		} else {
+			t.less((g - 1).Nanoseconds())
+		}
+	}
+	for i := 0; i < halvings; i++ {
 		mid := (lo + hi) / 2
-		if f(mid) < target {
+		if t.less(mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2
+}
+
+// threshold brackets q*, the least picosecond count at which f reaches
+// target: below < q* <= above. It keeps f at the two lowest points
+// measured on the upper side, above and next.
+type threshold struct {
+	f             func(float64) float64
+	target        float64
+	below, above  ptime.Duration
+	next          ptime.Duration
+	fAbove, fNext float64
+}
+
+// less reports f(x) < target. It measures f only when FromNS(x) lies
+// strictly inside the bracket, and then narrows the bracket to it.
+func (t *threshold) less(x float64) bool {
+	q := ptime.FromNS(x)
+	if q <= t.below {
+		return true
+	}
+	if q >= t.above {
+		return false
+	}
+	y := t.f(x)
+	if y < t.target {
+		t.below = q
+		return true
+	}
+	t.next, t.fNext = t.above, t.fAbove
+	t.above, t.fAbove = q, y
+	return false
+}
+
+// guess estimates q* by the secant on 1/f through the two lowest points
+// measured on the upper side, as a picosecond count strictly inside the
+// bracket (which must be at least 2 wide). For a stream measurement 1/f
+// is affine in the picoseconds there (the stream's duration is: a read
+// stream's fills hide behind instruction issue only below q*), so the
+// guess is q* up to float rounding; a secant that rounds to the upper
+// end itself guesses its neighbour. For any other f it is only a guess,
+// and one that misses the bracket below, or has no root, falls back to
+// the bracket's middle.
+func (t *threshold) guess() ptime.Duration {
+	a, n := float64(t.above), float64(t.next)
+	ya, yn := 1/t.fAbove, 1/t.fNext
+	r := a + (1/t.target-ya)*(n-a)/(yn-ya)
+	if !(r > float64(t.below)) || math.IsInf(r, 1) {
+		return t.below + (t.above-t.below)/2
+	}
+	return min(ptime.Duration(math.Ceil(min(r, a))), t.above-1)
 }
 
 // invertOS derives kernel cost parameters from the Table 7-10 targets.
