@@ -40,10 +40,11 @@ golden-serial:
 # are the concurrency-sensitive packages; run them (including the
 # journal, resume, chaos, worker-kill, metrics-scrape, ingest,
 # HTTP-cache, drain and chaos-transport suites) under the race
-# detector, and the suite's worker-pool tests ten times over.
+# detector, and the executor's tests — in process and through the
+# fleet — ten times over.
 race:
 	$(GO) test -race ./internal/core/... ./internal/timing/... ./internal/faults/... ./internal/netfaults/... ./internal/obs/... ./internal/fleet/... ./internal/store/... ./internal/unitcache/... ./internal/calibrate/...
-	$(GO) test -race -count=10 -run '^TestPool' ./internal/core/
+	$(GO) test -race -count=10 -run '^TestPool|^TestFleet(RefusedResume|JournalSequence|FailureMatches|IdlePeer)' ./internal/core/ ./internal/fleet/
 
 # chaos runs the fault-injection scheduler suite on its own, race-
 # enabled and verbose, with a fixed seed for reproducible streams.

@@ -28,7 +28,6 @@ type Bench struct {
 	sinks          core.MultiSink
 	only           []string
 	extended       bool
-	parallel       int
 	timeout        time.Duration
 	retries        int
 	maxRSD         float64
@@ -108,15 +107,6 @@ func WithExtended() Option {
 	return func(b *Bench) { b.extended = true }
 }
 
-// WithParallel sets the in-process worker-pool size for multi-machine
-// runs (simulated machines run concurrently; wall-clock machines stay
-// serialized). Each simulated machine also runs its own experiment
-// groups GOMAXPROCS-wide, so the two multiply. Ignored under
-// WithFleet, where parallelism comes from the worker processes.
-func WithParallel(n int) Option {
-	return func(b *Bench) { b.parallel = n }
-}
-
 // WithTimeout bounds each experiment attempt.
 func WithTimeout(d time.Duration) Option {
 	return func(b *Bench) { b.timeout = d }
@@ -140,9 +130,9 @@ func WithMaxRSD(frac float64, retries int) Option {
 // written. If the file already holds records from an interrupted run,
 // they are replayed instead of re-executed (a torn final record is
 // truncated), and the run keeps journaling to the same file — so a
-// resumed run that crashes again is itself resumable. Serial,
-// parallel and fleet runs write the identical format and can resume
-// one another's journals.
+// resumed run that crashes again is itself resumable. In-process and
+// fleet runs write the identical record sequence and can resume one
+// another's journals.
 func WithJournal(path string) Option {
 	return func(b *Bench) { b.journalPath = path }
 }
@@ -464,8 +454,13 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 		}
 	}
 
-	// The suite runner and the fleet coordinator are the in-process and
-	// the cross-process executor of the same unit pipeline.
+	// The runner and the fleet coordinator run one executor, in process
+	// and across worker processes. A nil *unitcache.Cache must not
+	// reach their UnitCache fields, where it would be non-nil.
+	var uc core.UnitCache
+	if cache != nil {
+		uc = cache
+	}
 	var exec interface {
 		Run(context.Context, *DB) (map[string][]string, error)
 	}
@@ -474,7 +469,7 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		coord := &fleet.Coordinator{
+		exec = &fleet.Coordinator{
 			Machines: names,
 			Catalog:  b.catalog,
 			Opts:     b.opts,
@@ -486,30 +481,21 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 			Timeout:  b.timeout, Retries: b.retries,
 			MaxRSD: b.maxRSD, QualityRetries: b.qualityRetries,
 			Journal: journal, Resume: replay,
-			Obs: fleetObs,
+			Cache: uc,
+			Obs:   fleetObs,
 		}
-		if cache != nil {
-			// Guarded assignment: a nil *unitcache.Cache in the
-			// interface field would be non-nil to == checks.
-			coord.Cache = cache
-		}
-		exec = coord
 	} else {
-		runner := &core.Runner{
+		exec = &core.Runner{
 			Machines: b.machines,
 			Opts:     b.opts,
-			Parallel: b.parallel,
 			Events:   b.sinks,
 			Only:     only,
 			Extended: b.extended,
 			Timeout:  b.timeout, Retries: b.retries,
 			MaxRSD: b.maxRSD, QualityRetries: b.qualityRetries,
 			Journal: journal, Resume: replay,
+			Cache: uc,
 		}
-		if cache != nil {
-			runner.Cache = cache
-		}
-		exec = runner
 	}
 	db := &DB{}
 	skipped, err := exec.Run(ctx, db)

@@ -16,7 +16,6 @@
 //	                                 # fit the profile to target measurements
 //	                                 # (-target paper | run:<ref> | results-db file)
 //	lmbench -only table2,table7      # restrict the experiments
-//	lmbench -parallel 4              # run simulated machines concurrently
 //	lmbench -trace run.jsonl         # structured JSON-lines event trace
 //	lmbench -spans run.spans.jsonl   # span trace (flamegraph-convertible)
 //	lmbench -serve 127.0.0.1:9090    # live /metrics, /progress, /healthz
@@ -95,7 +94,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quietFlag   = fs.Bool("quiet", false, "suppress progress output")
 		extFlag     = fs.Bool("extensions", false, "include the paper's section-7 future-work experiments")
 		summaryFlag = fs.Bool("summary", false, "print per-machine summary blocks instead of the paper tables")
-		parFlag     = fs.Int("parallel", 1, "machines run at once; each simulated machine also runs its experiments GOMAXPROCS-wide (host runs are serialized)")
 		traceFlag   = fs.String("trace", "", "write a JSON-lines event trace to this file")
 		spansFlag   = fs.String("spans", "", "write a JSON-lines span trace (flamegraph-convertible) to this file")
 		serveFlag   = fs.String("serve", "", "serve /metrics, /progress and /healthz on this address for the run's duration")
@@ -239,7 +237,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		options = append(options, lmbench.WithExtended())
 	}
 	options = append(options,
-		lmbench.WithParallel(*parFlag), lmbench.WithTimeout(*timeoutFlag), lmbench.WithRetries(*retryFlag),
+		lmbench.WithTimeout(*timeoutFlag), lmbench.WithRetries(*retryFlag),
 		lmbench.WithMaxRSD(*rsdFlag, *qretryFlag), lmbench.WithSweepMode(lmbench.SweepMode(*sweepFlag)),
 		lmbench.WithFleet(*fleetFlag), lmbench.WithFleetConnect(fleetConnect...),
 		lmbench.WithUnitCache(*cacheFlag), lmbench.WithUnitCacheLimit(*cacheMaxFlag),
@@ -253,7 +251,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if !*quietFlag {
-		if (*parFlag > 1 || *fleetFlag > 0 || len(fleetConnect) > 0) && len(targets) > 1 {
+		// Several targets' units overlap (at GOMAXPROCS ≥ 2, or across
+		// fleet workers), so their lines carry the machine name.
+		if len(targets) > 1 {
 			options = append(options, lmbench.WithSink(lmbench.NewPrefixedTextSink(stderr)))
 		} else {
 			options = append(options, lmbench.WithSink(lmbench.NewTextSink(stderr)))

@@ -9,11 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	lmbench "repro"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/ptime"
-	"repro/internal/results"
 	"repro/internal/timing"
 )
 
@@ -51,9 +51,12 @@ func goldenOpts() core.Options {
 }
 
 // TestGoldenDatabaseByteIdentical regenerates the entire evaluation
-// in-process and compares the encoded database hash against the pinned
-// golden value. It takes ~8s of real time on a 2-vCPU Xeon VM (the
-// whole paper on the 15 compiled virtual machines), so -short skips it.
+// in-process through lmbench.New(...).Run — the path cmd/lmreport
+// takes, one executor run over all 15 compiled machines — and compares
+// the encoded database hash against the pinned golden value. It takes
+// ~8s of real time on a 2-vCPU Xeon VM, so -short skips it; at the
+// default GOMAXPROCS units of neighbouring machines overlap, and
+// `make golden-serial` pins GOMAXPROCS=1.
 //
 // The run executes with the full observability stack attached —
 // metrics, per-sample span tracing, and live progress — which doubles
@@ -63,24 +66,25 @@ func TestGoldenDatabaseByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite regeneration is slow; skipped with -short")
 	}
-	reg := obs.NewRegistry()
-	obs.RegisterHarness(reg)
+	reg := lmbench.NewRegistry()
 	progress := obs.NewProgress()
 	tracer := obs.NewTraceSink(io.Discard).WithSamples()
-	sink := core.MultiSink{obs.NewMetricsSink(reg), tracer, progress}
-
-	db := &results.DB{}
+	options := []lmbench.Option{
+		lmbench.WithOptions(goldenOpts()), lmbench.WithMetrics(reg),
+		lmbench.WithSink(tracer), lmbench.WithSink(progress),
+	}
 	for _, n := range machines.Names() {
-		p, _ := machines.ByName(n)
-		m, err := machines.Build(p)
+		m, err := lmbench.NewSimMachine(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &core.Suite{M: m, Opts: goldenOpts(), Events: sink}
-		if _, err := s.Run(context.Background(), db); err != nil {
-			t.Fatalf("%s: %v", n, err)
-		}
+		options = append(options, lmbench.WithMachine(m))
 	}
+	rep, err := lmbench.New(options...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := rep.DB
 	var buf bytes.Buffer
 	if err := db.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ type EventKind string
 // produces one ExperimentStarted per attempt and exactly one terminal
 // event (Finished, Skipped or Failed); each abandoned attempt in
 // between produces an ExperimentRetried. Machine events bracket one
-// machine's whole run when the scheduler drives several machines.
+// machine's whole run when a Runner or the fleet drives several machines.
 const (
 	MachineStarted    EventKind = "machine_started"
 	MachineFinished   EventKind = "machine_finished"
@@ -116,8 +116,8 @@ type Event struct {
 }
 
 // EventSink receives suite-lifecycle events. Implementations must be
-// safe for concurrent use: the scheduler delivers events from several
-// machine goroutines at once.
+// safe for concurrent use: the executor delivers events from several
+// unit goroutines at once.
 type EventSink interface {
 	Event(Event)
 }

@@ -1,9 +1,9 @@
 package core
 
 // This file implements the crash-safe run journal behind
-// `lmbench -journal` / `lmbench -resume`. The scheduler appends one
+// `lmbench -journal` / `lmbench -resume`. The executor appends one
 // checksummed JSON line per completed (machine, experiment-group)
-// unit as it finishes, so a run killed mid-suite — ^C, kill -9, OOM —
+// unit, in unit order, so a run killed mid-suite — ^C, kill -9, OOM —
 // loses only the experiment that was in flight. Resuming replays the
 // journaled results into the database and re-runs the remainder; the
 // resumed database encodes byte-identically to an uninterrupted run

@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -163,24 +162,25 @@ func TestJournalCorruptionDetected(t *testing.T) {
 	}
 }
 
-// cancelSink kills the run after the first completed experiment,
-// standing in for a crash at a deterministic point: the cancellation
-// happens synchronously inside the event callback, before the suite
-// loop reaches its next iteration.
+// cancelSink kills the run once its first unit has finished, standing
+// in for a crash at a deterministic point. The cancellation happens
+// synchronously inside the event callback, and every other unit's
+// attempt waits at its start until then, so at any GOMAXPROCS the first
+// unit is the only one done: the journal holds exactly it.
 type cancelSink struct {
-	cancel context.CancelFunc
-	mu     sync.Mutex
-	fired  bool
+	cancel              context.CancelFunc
+	machine, experiment string
+	done                chan struct{}
 }
 
 func (c *cancelSink) Event(e core.Event) {
-	if e.Kind == core.ExperimentFinished {
-		c.mu.Lock()
-		if !c.fired {
-			c.fired = true
-			c.cancel()
-		}
-		c.mu.Unlock()
+	first := e.Machine == c.machine && e.Experiment == c.experiment
+	switch {
+	case e.Kind == core.ExperimentFinished && first:
+		c.cancel()
+		close(c.done)
+	case e.Kind == core.ExperimentStarted && !first:
+		<-c.done
 	}
 }
 
@@ -198,14 +198,11 @@ func resumeSubset() map[string]bool {
 // TestKillAndResumeByteIdentical is the tentpole guarantee: kill a
 // journaled run mid-suite, resume from the journal, and the resulting
 // database encodes byte-for-byte the same as a run that was never
-// interrupted. Exercised serially, in parallel, and with the journal's
-// final line torn as a crash would leave it. The kill point is the
-// first finished experiment, which must also be the first unit in unit
-// order for the journal to hold it, so the test pins GOMAXPROCS to 1:
-// at higher widths a later, quicker unit can finish first, and the
-// kill then cancels every unit before anything is journaled.
+// interrupted. Exercised serially, at GOMAXPROCS=2 (units of both
+// machines in flight at once), and with the journal's final line torn
+// as a crash would leave it. The kill point is the first unit's
+// finished event.
 func TestKillAndResumeByteIdentical(t *testing.T) {
-	setProcs(t, 1)
 	names := []string{"Linux/i686", "Linux/i586"}
 	targets := func() []core.Machine {
 		ms := make([]core.Machine, len(names))
@@ -216,7 +213,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	}
 	const totalUnits = 8 // {table2, table7, ctx, ipc} x two machines
 
-	// The reference: one uninterrupted serial run.
+	// The reference: one uninterrupted run.
 	want := &results.DB{}
 	r := &core.Runner{Machines: targets(), Opts: smallOpts(), Only: resumeSubset()}
 	if _, err := r.Run(context.Background(), want); err != nil {
@@ -225,15 +222,16 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 	wantBytes := encodeDB(t, want)
 
 	for _, tc := range []struct {
-		name     string
-		parallel int
-		tear     bool
+		name  string
+		procs int
+		tear  bool
 	}{
 		{"serial", 1, false},
 		{"parallel", 2, false},
 		{"serial_torn_tail", 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			setProcs(t, tc.procs)
 			path := filepath.Join(t.TempDir(), "run.jsonl")
 
 			// Phase 1: journaled run, killed after the first completed
@@ -250,8 +248,8 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			defer cancel()
 			ir := &core.Runner{
 				Machines: targets(), Opts: smallOpts(), Only: resumeSubset(),
-				Parallel: tc.parallel, Journal: jw,
-				Events: &cancelSink{cancel: cancel},
+				Journal: jw,
+				Events:  &cancelSink{cancel: cancel, machine: names[0], experiment: "table2", done: make(chan struct{})},
 			}
 			if _, err := ir.Run(ctx, &results.DB{}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
@@ -277,8 +275,8 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if replay.Len() == 0 || replay.Len() >= totalUnits {
-				t.Fatalf("interrupted journal has %d records, want a strict mid-run subset of %d", replay.Len(), totalUnits)
+			if replay.Len() != 1 {
+				t.Fatalf("interrupted journal has %d records, want the first of %d", replay.Len(), totalUnits)
 			}
 			if err := f.Truncate(replay.ValidBytes); err != nil {
 				t.Fatal(err)
@@ -289,8 +287,7 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			rec := &recorderSink{}
 			rr := &core.Runner{
 				Machines: targets(), Opts: smallOpts(), Only: resumeSubset(),
-				Parallel: tc.parallel,
-				Journal:  core.AppendJournalWriter(f), Resume: replay,
+				Journal: core.AppendJournalWriter(f), Resume: replay,
 				Events: rec,
 			}
 			got := &results.DB{}
@@ -363,106 +360,5 @@ func TestResumeReplaysSkips(t *testing.T) {
 	}
 	if _, ok := db.Get("lat_syscall", "Linux/i686"); ok {
 		t.Error("replayed skip produced entries")
-	}
-}
-
-// mapCache is an in-memory core.UnitCache that counts its traffic.
-type mapCache struct {
-	recs          map[string]core.JournalRecord
-	lookups, puts int
-}
-
-func (c *mapCache) Lookup(machine, key string) (core.JournalRecord, bool) {
-	c.lookups++
-	rec, ok := c.recs[machine+"/"+key]
-	return rec, ok
-}
-
-func (c *mapCache) Store(rec core.JournalRecord) error {
-	c.puts++
-	c.recs[rec.Machine+"/"+rec.Key] = rec
-	return nil
-}
-
-// TestUnitLog pins the one unit pipeline both executors share: resume
-// wins over the cache (and is mode-checked), a settled cache hit is
-// journaled, a miss recalls nothing, and Commit journals before it
-// caches.
-func TestUnitLog(t *testing.T) {
-	entry := func(machine string, attrs map[string]string) []results.Entry {
-		return []results.Entry{{Benchmark: "lat_syscall", Machine: machine, Unit: "microseconds", Scalar: 1, Attrs: attrs}}
-	}
-	var prev bytes.Buffer
-	jw, err := core.NewJournalWriter(&prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []core.JournalRecord{
-		{Machine: "m", Key: "table7", Entries: entry("m", nil)},
-		{Machine: "m", Key: "mem_hier", Entries: entry("m", map[string]string{"sweep.mode": "adaptive"})},
-	} {
-		if err := jw.Record(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replay, err := core.ReadJournal(&prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := &mapCache{recs: map[string]core.JournalRecord{
-		"m/table7": {Machine: "m", Key: "table7", Entries: entry("m", map[string]string{"from": "cache"})},
-		"m/table8": {Machine: "m", Key: "table8", Entries: entry("m", nil)},
-	}}
-	var out bytes.Buffer
-	journal, err := core.NewJournalWriter(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := core.UnitLog{Resume: replay, Cache: cache, Journal: journal, Mode: core.SweepExhaustive}
-
-	rec, kind, err := log.Lookup("m", "table7")
-	if err != nil || kind != core.ExperimentReplayed || rec.Entries[0].Attrs["from"] == "cache" {
-		t.Errorf("table7: kind %q, err %v — the resume journal must win over the cache", kind, err)
-	}
-	if err := log.Settle(rec, kind); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := log.Lookup("m", "mem_hier"); err == nil || !strings.Contains(err.Error(), "adaptive-sweep results") {
-		t.Errorf("cross-mode replay: err = %v", err)
-	}
-	rec, kind, err = log.Lookup("m", "table8")
-	if err != nil || kind != core.ExperimentCached || rec.Key != "table8" {
-		t.Errorf("table8: kind %q, err %v, want a cache hit", kind, err)
-	}
-	if err := log.Settle(rec, kind); err != nil {
-		t.Fatal(err)
-	}
-	if _, kind, err := log.Lookup("m", "table9"); err != nil || kind != "" {
-		t.Errorf("table9: kind %q, err %v, want a miss", kind, err)
-	}
-	fresh := core.JournalRecord{Machine: "m", Key: "table9", Entries: entry("m", nil)}
-	if err := log.Commit(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cache.recs["m/table9"]; !ok || cache.puts != 1 {
-		t.Errorf("Commit stored %d records in the cache, want the fresh one", cache.puts)
-	}
-	written, err := core.ReadJournal(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written.Len() != 2 {
-		t.Fatalf("journal holds %d records, want the cache hit and the commit", written.Len())
-	}
-	for _, key := range []string{"table8", "table9"} {
-		if _, ok := written.Lookup("m", key); !ok {
-			t.Errorf("journal lacks %s", key)
-		}
-	}
-	if _, _, err := (core.UnitLog{}).Lookup("m", "table7"); err != nil {
-		t.Errorf("zero UnitLog: %v", err)
-	}
-	if err := (core.UnitLog{}).Commit(fresh); err != nil {
-		t.Errorf("zero UnitLog Commit: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,14 +157,14 @@ func (r *sweepReport) syntheticRanges(start, end int) string {
 // index (valid once its batch completed) and setY stores a synthetic
 // value for a skipped index. Every planning decision happens between
 // batches, on completed measurements only.
-func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepColumn, setup func(Machine) (func(context.Context, int) error, error), yAt func(int) float64, setY func(int, float64)) (*sweepReport, error) {
+func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepColumn, setup func(Machine) (evalFunc, error), yAt func(int) float64, setY func(int, float64)) (*sweepReport, error) {
 	n := 0
 	for _, c := range cols {
 		if c.End > n {
 			n = c.End
 		}
 	}
-	pool := newPool(m, setup)
+	l := machineLane(m, setup)
 	measured := make([]bool, n)
 	var batch []int
 	request := func(i int) {
@@ -176,7 +177,7 @@ func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepCol
 	refine := func(plan []sweepColumn) error {
 		for len(batch) > 0 && rounds < plannerMaxRounds {
 			sort.Ints(batch)
-			if err := pool.run(ctx, batch, nil, nil); err != nil {
+			if _, err := (positions{idx: batch, lane: func(int) *lane { return l }}).run(ctx, runtime.GOMAXPROCS(0)); err != nil {
 				return err
 			}
 			batch = batch[:0]

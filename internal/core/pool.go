@@ -9,21 +9,23 @@ import (
 	"repro/internal/timing"
 )
 
-// This file is the suite's one worker pool. Two levels of a run
-// evaluate independent work on one machine: Suite.Run's experiment
-// groups (units), and the points of the Figure-1 (size × stride) and
-// §7 memory-variant sweeps inside one group. Both are independent for
-// the same reason. A simulated machine reads a virtual clock and is
-// Reset to its post-build state before every experiment attempt, so a
-// unit's entries depend only on the profile, the group and the
-// options; a sweep point starts from FlushCaches, so its value depends
-// only on the machine and the point. Build is deterministic, so a
-// clone is indistinguishable from the original at both observation
-// points. The pool therefore runs positions concurrently on the machine
-// and on lazily made clones, and the results assemble in position
-// order, byte-identical to a serial run (DESIGN.md §6d).
+// This file is the suite's one executor. Three kinds of position run
+// through it: the work units of a run — one experiment group on one
+// machine, in unit order, for Suite.Run, Runner.Run and the fleet
+// coordinator alike (see unitExec) — and the points of the Figure-1
+// (size × stride) and §7 memory-variant sweeps inside one unit. All are
+// independent for the same reason. A simulated machine reads a virtual
+// clock and is Reset to its post-build state before every experiment
+// attempt, so a unit's entries depend only on the profile, the group
+// and the options; a sweep point starts from FlushCaches, so its value
+// depends only on the machine and the point. Build is deterministic,
+// so a clone is indistinguishable from the original at both
+// observation points. The executor therefore runs positions
+// concurrently on each machine and on lazily made clones of it, and
+// the results assemble in position order, byte-identical to a serial
+// run (DESIGN.md §6d).
 
-// poolWidth is how many machines a pool may run on m at once:
+// poolWidth is how many instances of m a run may use at once:
 // GOMAXPROCS for a machine that can clone itself and reads a virtual
 // clock, 1 for everything else. A real-time machine (the host) stays
 // serial because concurrent load perturbs a wall-clock measurement
@@ -37,96 +39,133 @@ func poolWidth(m Machine) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// pool runs positions on up to width workers. Worker 0 runs on the
-// pool's machine; each further worker runs on a clone, made the first
-// time a position is ready while every existing worker is busy and a
-// slot is free (see run). setup prepares a worker's machine once
-// (allocations, probes) and returns its evaluator. Evaluators outlive
-// a run call, so the adaptive planner's refinement rounds reuse the
-// machines of the earlier ones.
-type pool struct {
-	width   int
-	m       Machine
-	setup   func(Machine) (func(context.Context, int) error, error)
-	workers []poolWorker // prepared workers, by index
+// evalFunc evaluates one position's argument on a prepared instance.
+type evalFunc = func(context.Context, int) error
+
+// lane runs one machine's positions: it makes up to width instances —
+// the machine itself, then clones made only when a position is ready,
+// every instance is busy and a slot is free — and prepares each once.
+// An exclusive lane (a real-time machine) runs a position only while
+// nothing else of the run happens. A fleet run's lanes hand their
+// positions to worker processes instead (see Suite.RunRemote).
+type lane struct {
+	width     int
+	exclusive bool
+	prepare   func(w int) (Machine, evalFunc, error)
+	made      int         // instances made so far
+	idle      []*instance // made instances not running a position
+	// passed marks a lane no later position of the run uses: its
+	// instances are dropped as they finish.
+	passed bool
 }
 
-// poolWorker is one prepared machine and its evaluator.
-type poolWorker struct {
+// instance is one machine of a lane and its evaluator; w is its index
+// (0 is the lane's own machine).
+type instance struct {
+	w   int
 	m   Machine
-	run func(context.Context, int) error
+	run evalFunc
 }
 
-func newPool(m Machine, setup func(Machine) (func(context.Context, int) error, error)) *pool {
-	return &pool{width: poolWidth(m), m: m, setup: setup}
+// machineLane is m's lane. setup prepares one instance (allocations,
+// probes) and returns its evaluator; evaluators outlive a run call, so
+// the adaptive planner's refinement rounds reuse the instances of the
+// earlier ones.
+func machineLane(m Machine, setup func(Machine) (evalFunc, error)) *lane {
+	return &lane{
+		width:     poolWidth(m),
+		exclusive: timing.IsRealTime(m.Clock()),
+		prepare: func(w int) (Machine, evalFunc, error) {
+			inst := m
+			if w > 0 {
+				c, err := m.(Cloner).Clone()
+				if err != nil {
+					return nil, nil, fmt.Errorf("core: clone: %w", err)
+				}
+				inst = c
+			}
+			run, err := setup(inst)
+			return inst, run, err
+		},
+	}
 }
 
-// prepare builds worker w: the pool's machine for worker 0, a fresh
-// clone for the others.
-func (p *pool) prepare(w int) (poolWorker, error) {
-	m := p.m
-	if w > 0 {
-		c, err := p.m.(Cloner).Clone()
+// eval prepares the instance if it is new and runs argument i on it.
+// A clone's simulator activity inside an attempt belongs to the
+// attempt, which counts only its own machine's (see simCollector).
+func (in *instance) eval(ctx context.Context, l *lane, i int, sims *simCollector) error {
+	if in.run == nil {
+		m, run, err := l.prepare(in.w)
 		if err != nil {
-			return poolWorker{}, fmt.Errorf("core: clone: %w", err)
+			return err
 		}
-		m = c
+		in.m, in.run = m, run
 	}
-	run, err := p.setup(m)
-	return poolWorker{m, run}, err
+	ss, ok := in.m.(SimStatser)
+	if !ok || sims == nil || in.w == 0 {
+		return in.run(ctx, i)
+	}
+	before := ss.SimStats()
+	err := in.run(ctx, i)
+	sims.add(simDelta(ss.SimStats(), before))
+	return err
 }
 
-// run evaluates idx[pos] for every position pos, in position order.
-// need, when non-nil, is asked in position order whether a position
-// must run at all (Suite.Run's resume and cache recall); a position
-// that need not run occupies no worker and makes no clone. merge, when
-// non-nil, is called on the calling goroutine for every done position,
-// in position order, as soon as it and every earlier position are
-// done. The returned error is the one a serial run returns: the lowest
-// position's. A failure cancels the later positions in flight and
+// positions is one executor run: position pos evaluates idx[pos] on an
+// instance of lane(pos). The hooks are optional and all run on the
+// calling goroutine: need asks, in position order, whether a position
+// must run at all (a unit the resume journal or the cache serves takes
+// no slot and makes no instance); start announces a position just
+// before it is dispatched; merge takes every done position in position
+// order, as soon as it and every earlier position are done.
+type positions struct {
+	idx   []int
+	lane  func(pos int) *lane
+	need  func(pos int) (bool, error)
+	start func(pos int)
+	merge func(pos int) error
+}
+
+// run evaluates every position on at most width slots and returns the
+// error a serial run returns, the lowest failing position's, with that
+// position (len(ps.idx) when nothing failed). Positions are
+// dispatched in position order; one waits for an instance of its lane
+// and a slot, so a lane that cannot clone runs its positions one at a
+// time, in order. A failure cancels the later positions in flight and
 // stops dispatch; earlier positions still finish and merge, and run
-// returns only after every worker has exited.
+// returns only after every position it started has finished. Merges
+// run after the next dispatch, so they never hold a free slot idle —
+// except around an exclusive lane's position, which is a barrier:
+// every earlier position finishes and merges before it is dispatched,
+// and no later position is looked up or merged until it is done.
 //
-// Positions compute on slots. The caller brings one; every further
-// position in flight holds one of width-1 more, which a pool nested in
-// a position (a sweep inside a Suite.Run unit) draws from the set its
-// parent passes down. So a machine's units and their sweeps together
-// compute at most width positions at once, and a sweep widens only
-// into slots no unit is using.
-func (p *pool) run(ctx context.Context, idx []int, need func(pos int) (bool, error), merge func(pos int) error) error {
-	if p.width == 1 || len(idx) <= 1 {
-		return p.runSerial(ctx, idx, need, merge)
-	}
-	type job struct {
-		ctx context.Context
-		pos int
-	}
+// The caller brings one slot; every further position in flight holds
+// one of width-1 more, which a run nested in a position (a sweep inside
+// a unit) draws from the set its parent passes down. So a run and its
+// sweeps together compute at most width positions at once, and a sweep
+// widens only into slots no unit is using.
+func (ps positions) run(ctx context.Context, width int) (int, error) {
 	type result struct {
 		pos int
+		in  *instance
 		err error
 	}
-	n := len(idx)
-	ws := make([]poolWorker, max(p.width, len(p.workers)))
-	copy(ws, p.workers)
+	n := len(ps.idx)
 	sims := simCollectorFrom(ctx)
-	deltas := make([]map[string]int64, len(ws))
 	slots := slotsFrom(ctx)
 	if slots == nil {
-		slots = make(chan struct{}, p.width-1)
+		slots = make(chan struct{}, max(width, 1)-1)
+		ctx = withSlots(ctx, slots)
 	}
-	ctx = withSlots(ctx, slots)
-	jobs := make(chan job)
-	done := make(chan result, n) // workers never block reporting
+	done := make(chan result, n) // positions never block reporting
 	cancels := make([]context.CancelFunc, n)
 	finished := make([]bool, n)
 	var (
-		wg       sync.WaitGroup
 		firstErr error
-		// busy counts dispatched positions whose result is not yet
-		// settled, so busy < started means a worker is idle; held
+		// busy counts dispatched positions not yet settled; held
 		// counts the slots taken beyond the caller's.
-		started, busy, held, merged int
-		failAt                      = n
+		busy, held, merged int
+		failAt             = n
 	)
 	fail := func(pos int, err error) {
 		if pos >= failAt {
@@ -147,6 +186,9 @@ func (p *pool) run(ctx context.Context, idx []int, need func(pos int) (bool, err
 		}
 		cancels[r.pos]()
 		cancels[r.pos] = nil
+		if l := ps.lane(r.pos); !l.passed {
+			l.idle = append(l.idle, r.in)
+		}
 		finished[r.pos] = true
 		if r.err != nil {
 			fail(r.pos, r.err)
@@ -154,8 +196,8 @@ func (p *pool) run(ctx context.Context, idx []int, need func(pos int) (bool, err
 	}
 	advance := func() {
 		for merged < failAt && finished[merged] {
-			if merge != nil {
-				if err := merge(merged); err != nil {
+			if ps.merge != nil {
+				if err := ps.merge(merged); err != nil {
 					fail(merged, err)
 					return
 				}
@@ -163,35 +205,9 @@ func (p *pool) run(ctx context.Context, idx []int, need func(pos int) (bool, err
 			merged++
 		}
 	}
-	work := func(w int, j job) {
-		defer wg.Done()
-		wk, err := ws[w], error(nil)
-		if wk.run == nil {
-			wk, err = p.prepare(w)
-			ws[w] = wk
-		}
-		// A clone's simulator activity belongs to the attempt running
-		// the pool, which counts only its own machine's (see attempt).
-		ss, count := wk.m.(SimStatser)
-		count = count && w > 0 && sims != nil && err == nil
-		var before map[string]int64
-		if count {
-			before = ss.SimStats()
-		}
-		for ok := true; ok; j, ok = <-jobs {
-			e := err
-			if e == nil {
-				e = wk.run(j.ctx, idx[j.pos])
-			}
-			done <- result{j.pos, e}
-		}
-		if count {
-			deltas[w] = simDelta(ss.SimStats(), before)
-		}
-	}
 
-	for pos := 0; pos < n; pos++ {
-		// Settle what has finished first, so a worker that is done
+	for pos := 0; pos < n && failAt == n; pos++ {
+		// Settle what has finished first, so an instance that is done
 		// counts as idle and no clone is made for nothing.
 		for drained := false; !drained; {
 			select {
@@ -201,16 +217,14 @@ func (p *pool) run(ctx context.Context, idx []int, need func(pos int) (bool, err
 				drained = true
 			}
 		}
-		advance()
+		if err := ctx.Err(); err != nil {
+			fail(pos, err)
+		}
 		if failAt < n {
 			break
 		}
-		if err := ctx.Err(); err != nil {
-			fail(pos, err)
-			break
-		}
-		if need != nil {
-			run, err := need(pos)
+		if ps.need != nil {
+			run, err := ps.need(pos)
 			if err != nil {
 				fail(pos, err)
 				break
@@ -221,9 +235,27 @@ func (p *pool) run(ctx context.Context, idx []int, need func(pos int) (bool, err
 				continue
 			}
 		}
-		for busy == 1+held {
+		l := ps.lane(pos)
+		if l.exclusive {
+			// A real-time position runs alone: every earlier position
+			// finishes and merges first.
+			for busy > 0 {
+				settle(<-done)
+			}
+			if advance(); failAt < n {
+				break
+			}
+		}
+		for failAt == n {
+			free := len(l.idle) > 0 || l.made < l.width
+			if free && busy < 1+held {
+				break
+			}
+			if advance(); failAt < n {
+				break
+			}
 			var grow chan<- struct{}
-			if busy < p.width {
+			if free {
 				grow = slots
 			}
 			select {
@@ -231,84 +263,60 @@ func (p *pool) run(ctx context.Context, idx []int, need func(pos int) (bool, err
 				held++
 			case r := <-done:
 				settle(r)
-				advance()
 			}
 		}
 		if failAt < n {
 			break
 		}
+		in := &instance{w: l.made}
+		if k := len(l.idle); k > 0 {
+			in, l.idle = l.idle[k-1], l.idle[:k-1]
+		} else {
+			l.made++
+		}
 		jctx, cancel := context.WithCancel(ctx)
 		cancels[pos] = cancel
-		if busy < started {
-			jobs <- job{jctx, pos}
-		} else {
-			wg.Add(1)
-			go work(started, job{jctx, pos})
-			started++
-		}
 		busy++
-	}
-	for busy > 0 {
-		settle(<-done)
+		if ps.start != nil {
+			ps.start(pos)
+		}
+		if l.exclusive || (busy == 1 && pos == n-1) {
+			// Nothing else may, or is left to, run beside it: run it on
+			// the calling goroutine.
+			settle(result{pos, in, in.eval(jctx, l, ps.idx[pos], sims)})
+		} else {
+			go func() { done <- result{pos, in, in.eval(jctx, l, ps.idx[pos], sims)} }()
+		}
 		advance()
 	}
-	close(jobs)
-	wg.Wait()
-	for _, d := range deltas {
-		sims.add(d)
+	for busy > 0 {
+		advance()
+		settle(<-done)
 	}
-	p.workers = ws[:max(started, len(p.workers))]
-	return firstErr
-}
-
-// runSerial is run at width 1, and for a single position: one position
-// at a time on the pool's machine, in the calling goroutine.
-func (p *pool) runSerial(ctx context.Context, idx []int, need func(pos int) (bool, error), merge func(pos int) error) error {
-	for pos, i := range idx {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		run := true
-		if need != nil {
-			var err error
-			if run, err = need(pos); err != nil {
-				return err
-			}
-		}
-		if run {
-			if len(p.workers) == 0 {
-				wk, err := p.prepare(0)
-				if err != nil {
-					return err
-				}
-				p.workers = append(p.workers, wk)
-			}
-			if err := p.workers[0].run(ctx, i); err != nil {
-				return err
-			}
-		}
-		if merge != nil {
-			if err := merge(pos); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	advance()
+	return failAt, firstErr
 }
 
 // runSweep evaluates points 0..n-1 exhaustively. setup prepares one
 // machine for the sweep (allocations, probes) and returns the point
 // evaluator; the evaluator must make each point self-contained (the
-// sweeps do so by flushing caches first). See pool.
-func runSweep(ctx context.Context, m Machine, n int, setup func(Machine) (func(context.Context, int) error, error)) error {
+// sweeps do so by flushing caches first). See positions.run.
+func runSweep(ctx context.Context, m Machine, n int, setup func(Machine) (evalFunc, error)) error {
+	l := machineLane(m, setup)
+	_, err := positions{idx: seq(n), lane: func(int) *lane { return l }}.run(ctx, runtime.GOMAXPROCS(0))
+	return err
+}
+
+// seq is 0..n-1.
+func seq(n int) []int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	return newPool(m, setup).run(ctx, idx, nil, nil)
+	return idx
 }
 
-// slotsKey carries a pool run's slot set to the pools nested in its
+// slotsKey carries a run's slot set to the runs nested in its
 // positions.
 type slotsKey struct{}
 
@@ -321,7 +329,7 @@ func slotsFrom(ctx context.Context) chan struct{} {
 	return c
 }
 
-// simCollector sums the simulator activity of the clones the pools
+// simCollector sums the simulator activity of the clones the sweeps
 // inside one attempt ran; the attempt adds its own machine's activity
 // and reports the sum as the finished event's Sim counters, so they do
 // not depend on how many clones shared the work.

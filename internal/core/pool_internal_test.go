@@ -69,25 +69,19 @@ func TestPoolNestedSlots(t *testing.T) {
 		running.Add(-1)
 	}
 	m := cloneableMachine{clk: virtualClock{}}
-	seq := func(n int) []int {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
+	run := func(ctx context.Context, n int, eval evalFunc) error {
+		l := machineLane(m, func(Machine) (evalFunc, error) { return eval, nil })
+		_, err := positions{idx: seq(n), lane: func(int) *lane { return l }}.run(ctx, 3)
+		return err
 	}
 	sweep := func(ctx context.Context) error {
-		return newPool(m, func(Machine) (func(context.Context, int) error, error) {
-			return func(context.Context, int) error { compute(); return nil }, nil
-		}).run(ctx, seq(12), nil, nil)
+		return run(ctx, 12, func(context.Context, int) error { compute(); return nil })
 	}
-	units := newPool(m, func(Machine) (func(context.Context, int) error, error) {
-		return func(ctx context.Context, i int) error {
-			compute()
-			return sweep(ctx)
-		}, nil
-	})
-	if err := units.run(context.Background(), seq(6), nil, nil); err != nil {
+	units := func(ctx context.Context, i int) error {
+		compute()
+		return sweep(ctx)
+	}
+	if err := run(context.Background(), 6, units); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 3 {

@@ -1,11 +1,12 @@
 package core_test
 
-// Tests for the suite's worker pool: a run at any GOMAXPROCS must give
+// Tests for the suite's one executor: a run at any GOMAXPROCS — one
+// machine's Suite.Run or one Runner over several machines — must give
 // the database, the journal and the unit cache exactly what a serial
 // run gives them, fail the way a serial run fails, clone only when two
-// units are ready at once, and keep every machine that cannot clone —
-// or measures real time — on the serial path. make race runs the
-// TestPool* tests repeatedly under the race detector.
+// units of a machine are ready at once, run a machine that cannot clone
+// one unit at a time and a real-time machine's units alone. make race
+// runs the TestPool* tests repeatedly under the race detector.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,9 +90,10 @@ type poolOutcome struct {
 	cache *orderCache
 }
 
-// runPool runs the subset on each named machine in turn, with a
-// journal and a unit cache seeded from seed.
-func runPool(t *testing.T, names []string, seed map[string]core.JournalRecord) poolOutcome {
+// runPool runs the subset on the named machines, with a journal and a
+// unit cache seeded from seed: one Suite.Run per machine in turn, or
+// all of them through one Runner.
+func runPool(t *testing.T, names []string, seed map[string]core.JournalRecord, runner bool) poolOutcome {
 	t.Helper()
 	var journal bytes.Buffer
 	jw, err := core.NewJournalWriter(&journal)
@@ -100,13 +103,27 @@ func runPool(t *testing.T, names []string, seed map[string]core.JournalRecord) p
 	cache := newOrderCache(seed)
 	events := &recorderSink{}
 	db := &results.DB{}
-	for _, name := range names {
-		s := &core.Suite{
-			M: simMachine(t, name), Opts: poolOpts(), Only: poolSubset(),
+	ms := make([]core.Machine, len(names))
+	for i, name := range names {
+		ms[i] = simMachine(t, name)
+	}
+	if runner {
+		r := &core.Runner{
+			Machines: ms, Opts: poolOpts(), Only: poolSubset(),
 			Journal: jw, Cache: cache, Events: events,
 		}
-		if _, err := s.Run(context.Background(), db); err != nil {
-			t.Fatalf("%s at GOMAXPROCS=%d: %v", name, runtime.GOMAXPROCS(0), err)
+		if _, err := r.Run(context.Background(), db); err != nil {
+			t.Fatalf("runner at GOMAXPROCS=%d: %v", runtime.GOMAXPROCS(0), err)
+		}
+	} else {
+		for _, m := range ms {
+			s := &core.Suite{
+				M: m, Opts: poolOpts(), Only: poolSubset(),
+				Journal: jw, Cache: cache, Events: events,
+			}
+			if _, err := s.Run(context.Background(), db); err != nil {
+				t.Fatalf("%s at GOMAXPROCS=%d: %v", m.Name(), runtime.GOMAXPROCS(0), err)
+			}
 		}
 	}
 	out := poolOutcome{
@@ -119,51 +136,57 @@ func runPool(t *testing.T, names []string, seed map[string]core.JournalRecord) p
 	return out
 }
 
-// TestPoolEquivalence is the pool's byte-identity contract on three
-// compiled machines: at GOMAXPROCS 1, 2 and 4 a cold run and a mixed
-// run (every other unit a cache hit) give identical database bytes,
-// journal record sequences and unit-cache store sequences, and every
+// TestPoolEquivalence is the executor's byte-identity contract on
+// three compiled machines, run one Suite.Run at a time and through one
+// Runner: at GOMAXPROCS 1, 2 and 4 a cold run and a mixed run (every
+// other unit a cache hit) give the serial run's database bytes,
+// journal record sequence and unit-cache store sequence, and every
 // executed experiment reports identical simulator counters.
 func TestPoolEquivalence(t *testing.T) {
 	names := []string{"Linux/i686", "DEC Alpha@150", "HP K210"}
 	var cold, mixed poolOutcome
 	for _, procs := range []int{1, 2, 4} {
 		setProcs(t, procs)
-		gotCold := runPool(t, names, nil)
-		if procs == 1 {
-			cold = gotCold
-		}
-		// Seed the mixed run with every other unit the serial cold
-		// run stored, so hits and fresh units alternate.
-		seed := map[string]core.JournalRecord{}
-		for i, k := range cold.stores {
-			if i%2 == 0 {
-				seed[k] = cold.cache.recs[k]
+		for _, runner := range []bool{false, true} {
+			gotCold := runPool(t, names, nil, runner)
+			if cold.db == nil {
+				cold = gotCold
 			}
-		}
-		gotMixed := runPool(t, names, seed)
-		if procs == 1 {
-			mixed = gotMixed
-			if len(seed) == 0 || len(mixed.stores) == 0 {
-				t.Fatalf("mixed run is not mixed: %d seeded, %d stored", len(seed), len(mixed.stores))
+			// Seed the mixed run with every other unit the serial cold
+			// run stored, so hits and fresh units alternate.
+			seed := map[string]core.JournalRecord{}
+			for i, k := range cold.stores {
+				if i%2 == 0 {
+					seed[k] = cold.cache.recs[k]
+				}
 			}
-			continue
-		}
-		for _, c := range []struct {
-			run       string
-			got, want poolOutcome
-		}{{"cold", gotCold, cold}, {"mixed", gotMixed, mixed}} {
-			if !bytes.Equal(c.got.db, c.want.db) {
-				t.Errorf("GOMAXPROCS=%d %s: database differs from the serial run", procs, c.run)
+			gotMixed := runPool(t, names, seed, runner)
+			if mixed.db == nil {
+				mixed = gotMixed
+				if len(seed) == 0 || len(mixed.stores) == 0 {
+					t.Fatalf("mixed run is not mixed: %d seeded, %d stored", len(seed), len(mixed.stores))
+				}
+				continue
 			}
-			if !bytes.Equal(c.got.journal, c.want.journal) {
-				t.Errorf("GOMAXPROCS=%d %s: journal differs from the serial run", procs, c.run)
-			}
-			if !reflect.DeepEqual(c.got.stores, c.want.stores) {
-				t.Errorf("GOMAXPROCS=%d %s: cache stores %v, serial stored %v", procs, c.run, c.got.stores, c.want.stores)
-			}
-			if !reflect.DeepEqual(c.got.sim, c.want.sim) {
-				t.Errorf("GOMAXPROCS=%d %s: finished events' Sim counters differ from the serial run", procs, c.run)
+			for _, c := range []struct {
+				run       string
+				got, want poolOutcome
+			}{{"cold", gotCold, cold}, {"mixed", gotMixed, mixed}} {
+				if runner {
+					c.run += " runner"
+				}
+				if !bytes.Equal(c.got.db, c.want.db) {
+					t.Errorf("GOMAXPROCS=%d %s: database differs from the serial run", procs, c.run)
+				}
+				if !bytes.Equal(c.got.journal, c.want.journal) {
+					t.Errorf("GOMAXPROCS=%d %s: journal differs from the serial run", procs, c.run)
+				}
+				if !reflect.DeepEqual(c.got.stores, c.want.stores) {
+					t.Errorf("GOMAXPROCS=%d %s: cache stores %v, serial stored %v", procs, c.run, c.got.stores, c.want.stores)
+				}
+				if !reflect.DeepEqual(c.got.sim, c.want.sim) {
+					t.Errorf("GOMAXPROCS=%d %s: finished events' Sim counters differ from the serial run", procs, c.run)
+				}
 			}
 		}
 	}
@@ -280,6 +303,136 @@ func TestPoolFailureMatchesSerial(t *testing.T) {
 	}
 }
 
+// failingMachineGroups are four synthetic groups e0..e3. On machine
+// bad, e0 fails and e1..e3 block until they are cancelled; everywhere
+// else every group succeeds at once. So in a run over several machines
+// the first failure is bad's first unit, and its later units hold every
+// slot a machine after it could take until the failure lands. Without
+// next, bad's e0 fails at once: GOMAXPROCS ≤ 4 cannot reach the
+// machines after bad. With next, it fails only once a unit of machine
+// next has started, so a wider run reaches that machine first.
+func failingMachineGroups(bad, next string, active *atomic.Int64) []core.Experiment {
+	reached := make(chan struct{})
+	var once sync.Once
+	var exps []core.Experiment
+	for _, id := range []string{"e0", "e1", "e2", "e3"} {
+		exps = append(exps, core.Experiment{
+			ID: id, Title: id, Benchmarks: []string{id},
+			Run: func(ctx context.Context, m core.Machine, opts core.Options) ([]results.Entry, error) {
+				active.Add(1)
+				defer active.Add(-1)
+				switch {
+				case m.Name() == next:
+					once.Do(func() { close(reached) })
+				case m.Name() != bad:
+				case id == "e0":
+					if next != "" {
+						select {
+						case <-reached:
+						case <-time.After(10 * time.Second):
+							return nil, errors.New("next machine never reached")
+						}
+					}
+					return nil, errors.New("boom")
+				default:
+					select {
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					case <-time.After(10 * time.Second):
+						return nil, errors.New("never cancelled")
+					}
+				}
+				if err := m.OS().NullWrite(); err != nil {
+					return nil, err
+				}
+				return []results.Entry{{Benchmark: id, Machine: m.Name(), Unit: "ns", Scalar: 1}}, nil
+			},
+		})
+	}
+	return exps
+}
+
+// TestPoolRunnerFailureMatchesSerial is the failure contract of a run
+// over several machines. At GOMAXPROCS 1, 2 and 4 it returns the lowest
+// failing unit's error, named by its machine; every MachineStarted has
+// exactly one MachineFinished, carrying Err on the failing machine; the
+// machine after the failure emits no event; and the database and the
+// journal hold exactly the units before the failure. At GOMAXPROCS 8
+// the run reaches the machine after the failure before the failure
+// lands: that machine is bracketed too, its MachineFinished carrying a
+// cancellation rather than the failing machine's error, and it still
+// merges and journals nothing.
+func TestPoolRunnerFailureMatchesSerial(t *testing.T) {
+	names := []string{"Linux/i686", "Linux/i586", "HP K210"}
+	var wantDB, wantJournal []byte
+	for _, procs := range []int{1, 2, 4, 8} {
+		setProcs(t, procs)
+		reach := procs == 8
+		next := ""
+		if reach {
+			next = names[2]
+		}
+		var active atomic.Int64
+		var journal bytes.Buffer
+		jw, err := core.NewJournalWriter(&journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recorderSink{}
+		r := &core.Runner{
+			Opts: smallOpts(), Experiments: failingMachineGroups(names[1], next, &active),
+			Journal: jw, Events: rec,
+		}
+		for _, n := range names {
+			r.Machines = append(r.Machines, simMachine(t, n))
+		}
+		db := &results.DB{}
+		_, err = r.Run(context.Background(), db)
+		if want := names[1] + ": e0: boom"; err == nil || err.Error() != want {
+			t.Fatalf("GOMAXPROCS=%d: error %v, want %q", procs, err, want)
+		}
+		if n := active.Load(); n != 0 {
+			t.Errorf("GOMAXPROCS=%d: Run returned with %d experiments still running", procs, n)
+		}
+		started, finished := map[string]int{}, map[string][]string{}
+		for _, e := range rec.events {
+			switch {
+			case e.Machine == names[2] && !reach:
+				t.Errorf("GOMAXPROCS=%d: %s event for %s, the machine after the failure", procs, e.Kind, e.Machine)
+			case e.Kind == core.MachineStarted:
+				started[e.Machine]++
+			case e.Kind == core.MachineFinished:
+				finished[e.Machine] = append(finished[e.Machine], e.Err)
+			}
+		}
+		wantErrs := []string{"", "e0: boom"}
+		if reach {
+			wantErrs = append(wantErrs, context.Canceled.Error())
+		}
+		for i, wantErr := range wantErrs {
+			n := names[i]
+			if started[n] != 1 || len(finished[n]) != 1 || finished[n][0] != wantErr {
+				t.Errorf("GOMAXPROCS=%d: %s started %d times, finished with errors %q; want once each, finished with %q",
+					procs, n, started[n], finished[n], wantErr)
+			}
+		}
+		got := encodeDB(t, db)
+		if procs == 1 {
+			wantDB, wantJournal = got, journal.Bytes()
+			if ms := db.Machines(); len(ms) != 1 || ms[0] != names[0] || db.Len() != 4 {
+				t.Fatalf("serial run merged %d entries of %v, want the 4 of %s", db.Len(), ms, names[0])
+			}
+			continue
+		}
+		if !bytes.Equal(got, wantDB) {
+			t.Errorf("GOMAXPROCS=%d: partial database differs from the serial run", procs)
+		}
+		if !bytes.Equal(journal.Bytes(), wantJournal) {
+			t.Errorf("GOMAXPROCS=%d: journal differs from the serial run:\n%s\nserial:\n%s", procs, journal.Bytes(), wantJournal)
+		}
+	}
+}
+
 // countingMachine counts the clones made of it and of its clones.
 type countingMachine struct {
 	*machines.Machine
@@ -300,11 +453,12 @@ func countingSim(t *testing.T, name string) countingMachine {
 	return countingMachine{simMachine(t, name).(*machines.Machine), &atomic.Int64{}}
 }
 
-// TestPoolCloneAccounting: the pool clones only when a second fresh
-// unit is ready while every machine is busy. A fully warm run and a run
-// with one fresh unit make no clone; a run with several fresh units
-// makes at most GOMAXPROCS-1. The groups are sweep-free, so every clone
-// counted is a unit clone.
+// TestPoolCloneAccounting: the executor clones a machine only when a
+// second fresh unit of it is ready while every instance is busy. A
+// fully warm run and a run with one fresh unit make no clone; a run
+// with several fresh units makes at most GOMAXPROCS-1 per machine,
+// alone or in one Runner with two more machines. The groups are
+// sweep-free, so every clone counted is a unit clone.
 func TestPoolCloneAccounting(t *testing.T) {
 	only := map[string]bool{"table7": true, "table8": true, "table9": true, "table11": true, "table15": true, "table16": true}
 	for _, procs := range []int{2, 4} {
@@ -327,6 +481,35 @@ func TestPoolCloneAccounting(t *testing.T) {
 		delete(cache.recs, "Linux/i686/table8")
 		if n := run(cache); n != 0 {
 			t.Errorf("GOMAXPROCS=%d: run with one fresh unit made %d clones, want 0", procs, n)
+		}
+
+		// One Runner over three machines: each machine's units run on
+		// it and at most GOMAXPROCS-1 clones of it.
+		runAll := func(cache core.UnitCache) []int64 {
+			ms := []countingMachine{countingSim(t, "Linux/i686"), countingSim(t, "Linux/i586"), countingSim(t, "HP K210")}
+			r := &core.Runner{Opts: smallOpts(), Only: only, Cache: cache}
+			for _, m := range ms {
+				r.Machines = append(r.Machines, m)
+			}
+			if _, err := r.Run(context.Background(), &results.DB{}); err != nil {
+				t.Fatal(err)
+			}
+			clones := make([]int64, len(ms))
+			for i, m := range ms {
+				clones[i] = m.clones.Load()
+			}
+			return clones
+		}
+		cache = newOrderCache(nil)
+		for i, n := range runAll(cache) {
+			if n > int64(procs-1) {
+				t.Errorf("GOMAXPROCS=%d: runner's machine %d made %d clones, want at most %d", procs, i, n, procs-1)
+			}
+		}
+		for i, n := range runAll(cache) {
+			if n != 0 {
+				t.Errorf("GOMAXPROCS=%d: fully warm runner's machine %d made %d clones, want 0", procs, i, n)
+			}
 		}
 	}
 }
@@ -351,20 +534,107 @@ type eventStep struct {
 	Err        string
 }
 
-func eventSteps(rec *recorderSink) []eventStep {
+// eventSteps is the recorded event sequence of the named machines (all
+// of them when none are named).
+func eventSteps(rec *recorderSink, machines ...string) []eventStep {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	steps := make([]eventStep, len(rec.events))
-	for i, e := range rec.events {
-		steps[i] = eventStep{e.Kind, e.Experiment, e.Attempt, e.Err}
+	var steps []eventStep
+	for _, e := range rec.events {
+		if len(machines) == 0 || slices.Contains(machines, e.Machine) {
+			steps = append(steps, eventStep{e.Kind, e.Experiment, e.Attempt, e.Err})
+		}
 	}
 	return steps
+}
+
+// overlapSink records events and counts those that show an experiment
+// attempt of machine rt running beside another machine's.
+type overlapSink struct {
+	recorderSink
+	rt       string
+	omu      sync.Mutex
+	open     map[string]int // attempts in flight, by machine
+	rtStarts int            // attempts of rt started so far
+	overlaps int
+}
+
+func (o *overlapSink) Event(e core.Event) {
+	o.recorderSink.Event(e)
+	o.omu.Lock()
+	defer o.omu.Unlock()
+	switch e.Kind {
+	case core.ExperimentStarted:
+		o.open[e.Machine]++
+		if e.Machine == o.rt {
+			o.rtStarts++
+		}
+	case core.ExperimentFinished, core.ExperimentRetried, core.ExperimentSkipped, core.ExperimentFailed, core.ExperimentQuality:
+		defer func() { o.open[e.Machine]-- }()
+	default:
+		return
+	}
+	others := 0
+	for m, n := range o.open {
+		if m != o.rt {
+			others += n
+		}
+	}
+	if o.open[o.rt] > 0 && others > 0 {
+		o.overlaps++
+	}
+}
+
+// rtState is how many attempts of rt are open and have started.
+func (o *overlapSink) rtState() (open, starts int) {
+	o.omu.Lock()
+	defer o.omu.Unlock()
+	return o.open[o.rt], o.rtStarts
+}
+
+// rtProbe is a run's journal writer and wraps its unit cache. It counts
+// the writes, lookups and stores that ran while an attempt of the
+// real-time machine was open or started; each takes a millisecond, so
+// one issued just after a real-time unit's dispatch sees its attempt
+// start.
+type rtProbe struct {
+	core.UnitCache
+	o      *overlapSink
+	during atomic.Int64
+}
+
+func (p *rtProbe) probe(f func()) {
+	open, starts := p.o.rtState()
+	time.Sleep(time.Millisecond)
+	f()
+	openAfter, startsAfter := p.o.rtState()
+	if open > 0 || openAfter > 0 || starts != startsAfter {
+		p.during.Add(1)
+	}
+}
+
+func (p *rtProbe) Write(b []byte) (int, error) {
+	p.probe(func() {})
+	return len(b), nil
+}
+
+func (p *rtProbe) Lookup(machine, key string) (rec core.JournalRecord, ok bool) {
+	p.probe(func() { rec, ok = p.UnitCache.Lookup(machine, key) })
+	return rec, ok
+}
+
+func (p *rtProbe) Store(rec core.JournalRecord) (err error) {
+	p.probe(func() { err = p.UnitCache.Store(rec) })
+	return err
 }
 
 // TestPoolSerialFallbacks: a fault-wrapped machine (no Clone) and a
 // cloneable machine that measures real time stay on the serial path —
 // at GOMAXPROCS=4 they emit exactly the event sequence of GOMAXPROCS=1
-// and make no clone.
+// and make no clone. In one Runner beside a simulated machine, the
+// real-time machine's units run with nothing else of the run in flight
+// — no other unit, no journal write, no cache lookup or store — and the
+// fault-wrapped machine's event sequence is still its serial one.
 func TestPoolSerialFallbacks(t *testing.T) {
 	only := map[string]bool{"table7": true, "table8": true, "table11": true, "table16": true}
 	plan := faults.Plan{Seed: 3, FailFirstN: 1, SpikeRate: 0.01, SpikeFor: time.Microsecond, Budget: 12}
@@ -415,4 +685,49 @@ func TestPoolSerialFallbacks(t *testing.T) {
 			}
 		})
 	}
+	t.Run("mixed", func(t *testing.T) {
+		var want []eventStep
+		var wantDB []byte
+		for _, procs := range []int{1, 4} {
+			setProcs(t, procs)
+			sim, rt, fm := countingSim(t, "Linux/i686"), countingSim(t, "Linux/i586"), countingSim(t, "HP K210")
+			rec := &overlapSink{rt: rt.Name(), open: map[string]int{}}
+			probe := &rtProbe{UnitCache: newOrderCache(nil), o: rec}
+			jw, err := core.NewJournalWriter(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &core.Runner{
+				Machines: []core.Machine{sim, realTimeMachine{rt}, faults.Wrap(fm, plan)},
+				Opts:     smallOpts(), Only: only, Events: rec,
+				Retries: 10, RetryBackoff: time.Millisecond,
+				Journal: jw, Cache: probe,
+			}
+			db := &results.DB{}
+			if _, err := r.Run(context.Background(), db); err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+			}
+			if n := probe.during.Load(); n != 0 {
+				t.Errorf("GOMAXPROCS=%d: %d journal writes or cache calls ran during a real-time attempt", procs, n)
+			}
+			if n := rt.clones.Load() + fm.clones.Load(); n != 0 {
+				t.Errorf("GOMAXPROCS=%d: serial machines were cloned %d times", procs, n)
+			}
+			if rec.overlaps != 0 {
+				t.Errorf("GOMAXPROCS=%d: %d events show a unit running beside the real-time machine's", procs, rec.overlaps)
+			}
+			got := eventSteps(&rec.recorderSink, fm.Name())
+			if procs == 1 {
+				want, wantDB = got, encodeDB(t, db)
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("GOMAXPROCS=%d: the fault-wrapped machine's events differ from the serial run:\n%s\nserial:\n%s",
+					procs, fmt.Sprint(got), fmt.Sprint(want))
+			}
+			if !bytes.Equal(encodeDB(t, db), wantDB) {
+				t.Errorf("GOMAXPROCS=%d: database differs from the serial run", procs)
+			}
+		}
+	})
 }

@@ -38,7 +38,7 @@ func (r *recorderSink) byKind(k core.EventKind) []core.Event {
 	return out
 }
 
-// fastSubset keeps the scheduler tests quick: three experiments that
+// fastSubset keeps the runner tests quick: three experiments that
 // exercise memory, OS and IPC paths on the virtual clock.
 func fastSubset() map[string]bool {
 	return map[string]bool{"table2": true, "table7": true, "table11": true}
@@ -53,35 +53,33 @@ func encodeDB(t *testing.T, db *results.DB) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelMatchesSerial is the scheduler's core guarantee: a
-// parallel run over several simulated machines encodes a database
-// byte-identical to the serial run.
+// TestParallelMatchesSerial is the runner's core guarantee: one run
+// over several simulated machines, whose units share the executor's
+// GOMAXPROCS slots, encodes a database byte-identical to the serial
+// run at every GOMAXPROCS.
 func TestParallelMatchesSerial(t *testing.T) {
-	targets := func() []core.Machine {
-		return []core.Machine{
-			simMachine(t, "Linux/i686"),
-			simMachine(t, "Linux/i586"),
+	var want []byte
+	for _, procs := range []int{1, 2, 4} {
+		setProcs(t, procs)
+		db := &results.DB{}
+		r := &core.Runner{
+			Machines: []core.Machine{simMachine(t, "Linux/i686"), simMachine(t, "Linux/i586")},
+			Opts:     smallOpts(), Only: fastSubset(),
 		}
-	}
-
-	serial := &results.DB{}
-	r1 := &core.Runner{Machines: targets(), Opts: smallOpts(), Parallel: 1, Only: fastSubset()}
-	if _, err := r1.Run(context.Background(), serial); err != nil {
-		t.Fatal(err)
-	}
-
-	parallel := &results.DB{}
-	r2 := &core.Runner{Machines: targets(), Opts: smallOpts(), Parallel: 4, Only: fastSubset()}
-	if _, err := r2.Run(context.Background(), parallel); err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := encodeDB(t, parallel), encodeDB(t, serial)
-	if !bytes.Equal(got, want) {
-		t.Errorf("parallel run encoded differently from serial run\nserial:  %d bytes\nparallel: %d bytes", len(want), len(got))
-	}
-	if len(parallel.Machines()) != 2 {
-		t.Errorf("machines = %v, want 2", parallel.Machines())
+		if _, err := r.Run(context.Background(), db); err != nil {
+			t.Fatal(err)
+		}
+		if len(db.Machines()) != 2 {
+			t.Errorf("GOMAXPROCS=%d: machines = %v, want 2", procs, db.Machines())
+		}
+		got := encodeDB(t, db)
+		if procs == 1 {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: run encoded differently from the serial run (%d vs %d bytes)", procs, len(got), len(want))
+		}
 	}
 }
 

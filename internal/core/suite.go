@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -161,7 +160,7 @@ type Suite struct {
 	// write latency, TLB, cache-to-cache).
 	Extended bool
 	// Experiments overrides the experiment list (nil = the registry,
-	// plus Extensions when Extended is set). Used by schedulers and
+	// plus Extensions when Extended is set). Used by the runner and
 	// tests that inject synthetic experiments.
 	Experiments []Experiment
 	// Timeout bounds each experiment attempt in wall time; 0 means no
@@ -214,90 +213,21 @@ type Suite struct {
 // functions (Figure 2 / Table 10 share one) execute once. A cancelled
 // or deadlined ctx stops the run at the next measurement boundary.
 //
-// The experiment groups are the units of a pool (see pool): on a
-// simulated machine they run GOMAXPROCS-wide, on s.M and on lazily
-// made clones, and every other machine runs them one at a time. Either
-// way units are recalled from the resume journal and the unit cache in
-// unit order, and each unit merges into db, the journal and the cache
-// in unit order, so the database, the journal and the cache see
-// exactly what a serial run gives them. A failure returns the error and
-// partial database of a serial run.
+// The experiment groups are the units of one executor run (see
+// unitExec): on a simulated machine they run GOMAXPROCS-wide, on s.M
+// and on lazily made clones, and every other machine runs them one at
+// a time. Either way units are recalled from the resume journal and the
+// unit cache in unit order, and each unit merges into db, the journal
+// and the cache in unit order, so the database, the journal and the
+// cache see exactly what a serial run gives them. A failure returns the
+// error and partial database of a serial run. Run emits no machine
+// events.
 func (s *Suite) Run(ctx context.Context, db *results.DB) (skipped []string, err error) {
 	if s.M == nil {
 		return nil, errors.New("core: suite needs a machine")
 	}
-	opts, err := s.Opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	sink := SinkOrDiscard(s.Events)
-	exps := s.Experiments
-	if exps == nil {
-		exps = Experiments()
-		if s.Extended {
-			exps = append(exps, Extensions()...)
-		}
-	}
-	groups := GroupExperiments(exps, s.Only)
-	name := s.M.Name()
-	log := UnitLog{Resume: s.Resume, Cache: s.Cache, Journal: s.Journal, Mode: opts.SweepMode}
-	recs := make([]JournalRecord, len(groups))
-	kinds := make([]EventKind, len(groups))
-	units := newPool(s.M, func(m Machine) (func(context.Context, int) error, error) {
-		return func(ctx context.Context, i int) error {
-			exp, key := groups[i].Exp, groups[i].Key
-			entries, err := s.runExperiment(ctx, m, sink, exp, opts)
-			switch {
-			case IsUnsupported(err):
-				recs[i] = JournalRecord{Machine: name, Key: key, Skipped: true, Err: err.Error()}
-			case err != nil:
-				return fmt.Errorf("%s: %w", exp.ID, err)
-			default:
-				recs[i] = JournalRecord{Machine: name, Key: key, Entries: entries}
-			}
-			return nil
-		}, nil
-	})
-	recall := func(i int) (bool, error) {
-		rec, kind, err := log.Lookup(name, groups[i].Key)
-		if err != nil {
-			return false, fmt.Errorf("%s: %w", groups[i].Exp.ID, err)
-		}
-		recs[i], kinds[i] = rec, kind
-		return kind == "", nil
-	}
-	merge := func(i int) error {
-		exp, rec, kind := groups[i].Exp, recs[i], kinds[i]
-		if kind != "" {
-			// Replayed and cached units merge at the same point in the
-			// unit order as live execution.
-			sink.Event(Event{
-				Kind: kind, Time: time.Now(), Machine: name,
-				Experiment: exp.ID, Title: exp.Title, Entries: len(rec.Entries),
-			})
-		}
-		if rec.Skipped {
-			skipped = append(skipped, exp.ID)
-		}
-		for _, e := range rec.Entries {
-			if err := db.Add(e); err != nil {
-				// Entries already merged stay in db; the error names the
-				// experiment so a mid-run failure is attributable.
-				return fmt.Errorf("%s: add %q: %w", exp.ID, e.Benchmark, err)
-			}
-		}
-		// A cache hit is journaled here, not at lookup, so the journal
-		// follows unit order too.
-		if err := log.Settle(rec, kind); err != nil {
-			return fmt.Errorf("%s: %w", exp.ID, err)
-		}
-		return nil
-	}
-	idx := make([]int, len(groups))
-	for i := range idx {
-		idx[i] = i
-	}
-	return skipped, units.run(ctx, idx, recall, merge)
+	byMachine, err := s.run(ctx, db, []Machine{s.M}, false)
+	return byMachine[s.M.Name()], err
 }
 
 // Retry pauses: the first defaults to defaultRetryBackoff and each

@@ -23,14 +23,15 @@ type Observer interface {
 	// pool; err carries the transport failure that killed it.
 	WorkerUp(id string)
 	WorkerDown(id string, err error)
-	// QueueDepth reports the current number of units awaiting dispatch
-	// and in flight, whenever either changes.
+	// QueueDepth reports the current number of units awaiting a worker
+	// and in flight on one, whenever either changes.
 	QueueDepth(queued, inflight int)
-	// UnitDispatched reports how long a unit waited in the queue
-	// before being sent to a worker.
+	// UnitDispatched reports how long a unit waited before being sent
+	// to a worker: from its lookup miss, or from its re-enqueue after a
+	// worker death.
 	UnitDispatched(wait time.Duration)
 	// UnitDone reports one unit completing (run, skipped, replayed or
-	// served from the unit cache).
+	// served from the unit cache), after its journal record is written.
 	UnitDone()
 	// UnitRetried reports one unit being re-queued after its worker
 	// died mid-flight.
@@ -52,10 +53,12 @@ func (noopObserver) UnitRetried()                 {}
 const defaultUnitRetries = 3
 
 // Coordinator executes the evaluation across a pool of worker
-// processes. It is the fleet counterpart of core.Runner: machines (by
-// simulated-profile name) × experiment groups become work units,
-// workers execute them in any order, and results merge in unit order so
-// the database encodes byte-identically to a serial run.
+// processes. It is the fleet counterpart of core.Runner and runs the
+// same executor (core.Suite.RunRemote): machines (by simulated-profile
+// name) × experiment groups become work units, Workers+len(Connect)
+// slots hand fresh units to the worker processes, and results merge in
+// unit order, so the database, the journal and the event stream's
+// machine brackets are the in-process run's.
 type Coordinator struct {
 	// Machines are the simulated-machine profile names, in merge order.
 	Machines []string
@@ -74,8 +77,8 @@ type Coordinator struct {
 	Only     map[string]bool
 	Extended bool
 	// Events receives the merged event stream of every worker plus the
-	// coordinator's machine bracketing events; nil discards it. Sinks
-	// must be concurrency-safe (the provided ones are).
+	// run's machine events; nil discards it. Sinks must be
+	// concurrency-safe (the provided ones are).
 	Events core.EventSink
 	// Workers is how many local worker processes to spawn (re-execs of
 	// the current binary). Connect lists remote worker daemons
@@ -97,18 +100,18 @@ type Coordinator struct {
 	// already retried inside the worker under Retries and aborts the
 	// run, matching serial semantics.
 	UnitRetries int
-	// Journal, when non-nil, receives one PR-2 format record per
-	// completed unit as it finishes; Resume replays a previous journal
-	// (from a fleet or serial run — the formats are identical) instead
-	// of re-executing completed units.
+	// Journal, when non-nil, receives one record per completed unit, in
+	// unit order; Resume replays a previous journal (from a fleet or
+	// serial run — the formats are identical) instead of re-executing
+	// completed units.
 	Journal *core.JournalWriter
 	Resume  *core.JournalReplay
 	// Cache, when non-nil, is the content-addressed unit cache: every
 	// unit not already served by Resume is looked up before dispatch,
 	// and hits restore their fragments without touching a worker — a
-	// fully-warm run starts zero workers. Fresh results are stored as
-	// their units complete. Hits merge at the unit's position in merge
-	// order, so cold and warm runs are byte-identical. See
+	// fully-warm run, like a refused resume, starts zero workers. Fresh
+	// results are stored as their units merge, at the unit's position in
+	// merge order, so cold and warm runs are byte-identical. See
 	// internal/unitcache.
 	Cache core.UnitCache
 	// PeerTimeout is the idle read deadline on remote worker
@@ -133,67 +136,56 @@ type Coordinator struct {
 	cur *run
 }
 
-// unitResult is one unit's terminal state.
-type unitResult struct {
-	done    bool
-	entries []results.Entry
-	skipped []string
-	err     error
+// ticket is one fresh unit an executor slot handed to the worker
+// loops. It stays open while the slot waits; it closes when its result
+// arrives, its retry budget runs out, the pool dies, or the slot stops
+// waiting — and a closed ticket's late result is dropped. Its fields
+// other than u and res are guarded by run.mu.
+type ticket struct {
+	u        core.WorkUnit
+	enqueued time.Time
+	attempts int
+	backoff  time.Duration
+	res      chan outcome // buffered: receives the one terminal outcome
+	closed   bool
 }
 
-// run is the state of one Coordinator.Run invocation.
+// outcome is a unit's terminal state.
+type outcome struct {
+	rec core.JournalRecord
+	err error
+}
+
+// run is the state of one Coordinator.Run invocation: the worker pool
+// and the queue that feeds it.
 type run struct {
-	c      *Coordinator
-	ctx    context.Context
-	cancel context.CancelFunc
-	sink   core.EventSink
-	obs    Observer
-	log    core.UnitLog
-	opts   core.Options
-	units  []core.WorkUnit
-	groups map[string]core.ExperimentGroup
+	c    *Coordinator
+	ctx  context.Context
+	sink core.EventSink
+	obs  Observer
 	// wireProfiles holds, per machine, the profile to ship on unit
 	// frames (nil entry / missing key = compiled built-in, resolved by
 	// name on the worker).
 	wireProfiles map[string]*machines.Profile
-	queue        chan int
+	queue        chan *ticket
 	wg           sync.WaitGroup
+	grown        sync.Mutex // serializes growing the pool; guards dialed, spawned
+	dialed       bool
+	spawned      int
 
-	mu           sync.Mutex
-	res          []unitResult
-	attempts     []int
-	backoff      []time.Duration
-	enqueuedAt   []time.Time
-	outstanding  int
-	queued       int
-	inflight     int
-	liveWorkers  int
-	spawnSeq     int
-	workers      []workerConn
-	pending      map[string]int // units per machine not yet terminal
-	machineT     map[string]time.Time
-	machineBegun map[string]bool
-	doneOnce     sync.Once
-	done         chan struct{}
-}
-
-func (c *Coordinator) unitRetries() int {
-	if c.UnitRetries > 0 {
-		return c.UnitRetries
-	}
-	return defaultUnitRetries
+	mu               sync.Mutex
+	open             map[*ticket]bool // tickets whose slot still waits
+	queued, inflight int
+	live, localLive  int
+	workers          []workerConn
 }
 
 // Run executes the suite on every machine through the worker pool and
 // merges all entries into db, returning each machine's skipped
-// experiments keyed by name. The semantics mirror core.Runner.Run: on
-// failure the first error in unit order is returned wrapped with the
-// machine's name, and everything that completed is still merged.
+// experiments keyed by name. The semantics are core.Runner.Run's: on
+// failure the lowest failing unit's error is returned wrapped with its
+// machine's name, and every earlier unit is still merged.
 func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]string, error) {
-	opts, err := c.Opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
 	if len(c.Machines) == 0 {
 		return map[string][]string{}, nil
 	}
@@ -221,126 +213,44 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	if c.Workers == 0 && len(c.Connect) == 0 {
 		return nil, errors.New("fleet: coordinator needs at least one worker")
 	}
-
-	exps := core.Experiments()
-	if c.Extended {
-		exps = append(exps, core.Extensions()...)
-	}
-	groups := core.GroupExperiments(exps, c.Only)
-	byKey := make(map[string]core.ExperimentGroup, len(groups))
-	for _, g := range groups {
-		byKey[g.Key] = g
-	}
-	units := core.UnitsFor(c.Machines, groups)
+	width := c.Workers + len(c.Connect)
 
 	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	r := &run{
-		c: c, ctx: runCtx, cancel: cancel,
-		sink: core.SinkOrDiscard(c.Events), obs: obsOrNoop(c.Obs),
-		log:  core.UnitLog{Resume: c.Resume, Cache: c.Cache, Journal: c.Journal, Mode: opts.SweepMode},
-		opts: opts, units: units, groups: byKey,
+		c: c, ctx: runCtx,
+		sink: core.SinkOrDiscard(c.Events), obs: c.Obs,
 		wireProfiles: wireProfiles,
-		// Buffered past the total attempt budget so a delayed
-		// re-enqueue never blocks and never races a shutdown.
-		queue:      make(chan int, len(units)*(c.unitRetries()+1)+1),
-		res:        make([]unitResult, len(units)),
-		attempts:   make([]int, len(units)),
-		backoff:    make([]time.Duration, len(units)),
-		enqueuedAt: make([]time.Time, len(units)),
-		pending:    map[string]int{}, machineT: map[string]time.Time{},
-		machineBegun: map[string]bool{},
-		outstanding:  len(units),
-		done:         make(chan struct{}),
+		// Every open ticket holds a slot and has at most one queue
+		// entry; a ticket its slot dropped leaves at most one stale
+		// entry, and no ticket opens after a drop. So sends never wait.
+		queue: make(chan *ticket, 2*width+1),
+		open:  map[*ticket]bool{},
 	}
-	for _, u := range units {
-		r.pending[u.Machine]++
+	if r.obs == nil {
+		r.obs = noopObserver{}
 	}
 	c.mu.Lock()
 	c.cur = r
 	c.mu.Unlock()
 	defer func() {
+		// Tear the pool down: killing or disconnecting every worker
+		// unblocks any pending recv, and the drive loops are joined.
+		cancel()
+		r.mu.Lock()
+		workers := append([]workerConn(nil), r.workers...)
+		r.mu.Unlock()
+		for _, w := range workers {
+			w.close()
+		}
+		r.wg.Wait()
 		c.mu.Lock()
 		c.cur = nil
 		c.mu.Unlock()
 	}()
-
-	// Serve what the resume journal or the unit cache already holds, in
-	// unit order and before any dispatch — the fleet version of the
-	// suite's replay-at-iteration-point rule. A fully-warm run starts no
-	// worker. A refused replay or a failed journal write aborts the run
-	// exactly as it would in complete(); no workers exist yet, so
-	// failing the unit and cancelling is enough.
-	for i, u := range units {
-		rec, kind, err := r.log.Lookup(u.Machine, u.Key)
-		if err == nil && kind != "" {
-			err = r.log.Settle(rec, kind)
-		}
-		if err != nil {
-			r.settle(i, unitResult{err: err}, false)
-			break
-		}
-		if kind == "" {
-			continue
-		}
-		g := byKey[u.Key]
-		r.beginMachine(u.Machine)
-		r.sink.Event(core.Event{
-			Kind: kind, Time: time.Now(), Machine: u.Machine,
-			Experiment: g.Exp.ID, Title: g.Exp.Title, Entries: len(rec.Entries),
-		})
-		res := unitResult{entries: rec.Entries}
-		if rec.Skipped {
-			res = unitResult{skipped: []string{g.Exp.ID}}
-		}
-		r.settle(i, res, false)
-	}
-
-	// Queue the remainder and start the pool.
-	remaining := 0
-	for i := range units {
-		r.mu.Lock()
-		queuedAlready := r.res[i].done
-		r.mu.Unlock()
-		if !queuedAlready {
-			remaining++
-			r.enqueue(i, 0)
-		}
-	}
-	if remaining > 0 {
-		local := c.Workers
-		if local > remaining {
-			local = remaining
-		}
-		for i := 0; i < local; i++ {
-			if err := r.startLocalWorker(); err != nil {
-				cancel()
-				r.shutdown()
-				return nil, err
-			}
-		}
-		for _, addr := range c.Connect {
-			w, err := DialWith(runCtx, addr, DialOptions{
-				Retries: c.DialRetries, Backoff: c.DialBackoff,
-				PeerTimeout: c.PeerTimeout, WrapConn: c.WrapConn,
-			})
-			if err != nil {
-				cancel()
-				r.shutdown()
-				return nil, err
-			}
-			r.startWorker(w, false)
-		}
-	}
-
-	select {
-	case <-r.done:
-	case <-runCtx.Done():
-	}
-	cancel()
-	r.shutdown()
-
-	return r.merge(ctx, db)
+	return (&core.Suite{
+		Opts: c.Opts, Events: r.sink, Only: c.Only, Extended: c.Extended,
+		Journal: c.Journal, Resume: c.Resume, Cache: c.Cache,
+	}).RunRemote(runCtx, db, c.Machines, width, r.exec, r.obs.UnitDone)
 }
 
 // WorkerPIDs returns the process IDs of the live local workers of the
@@ -364,50 +274,115 @@ func (c *Coordinator) WorkerPIDs() []int {
 	return pids
 }
 
-// enqueue makes unit i dispatchable after delay. The queue channel is
-// buffered past the total attempt budget, so sends never block; a
-// delayed send can only fire while its unit is still outstanding, so it
-// can never race run teardown into a closed channel (the channel is
-// never closed at all — workers drain it until the run context ends).
-func (r *run) enqueue(i int, delay time.Duration) {
+// exec is one executor slot's unit: it grows the pool if the unit needs
+// a worker, queues the unit, and waits for its terminal outcome. A
+// slot that stops waiting — a lower unit failed, or the run ended —
+// closes the ticket, so its worker's late result is dropped. A pool
+// that has no worker left and cannot grow — its remote workers died
+// while idle — fails the unit instead of queueing it for no one.
+func (r *run) exec(ctx context.Context, u core.WorkUnit, missed time.Time) (core.JournalRecord, error) {
+	t := &ticket{u: u, res: make(chan outcome, 1)}
 	r.mu.Lock()
-	r.enqueuedAt[i] = time.Now()
-	r.queued++
-	q, f := r.queued, r.inflight
+	r.open[t] = true
 	r.mu.Unlock()
-	r.obs.QueueDepth(q, f)
-	if delay <= 0 {
-		r.queue <- i
-		return
+	err := r.grow()
+	r.mu.Lock()
+	if err == nil && r.live == 0 {
+		err = errors.New("fleet: worker pool died")
 	}
-	time.AfterFunc(delay, func() {
-		select {
-		case <-r.ctx.Done():
-		default:
-			r.queue <- i
-		}
-	})
+	r.mu.Unlock()
+	if err != nil {
+		r.retire(t, nil)
+		return core.JournalRecord{}, err
+	}
+	r.enqueue(t, missed, 0)
+	select {
+	case o := <-t.res:
+		return o.rec, o.err
+	case <-ctx.Done():
+		r.retire(t, nil)
+		return core.JournalRecord{}, ctx.Err()
+	}
 }
 
-// startLocalWorker spawns one worker process and its drive loop.
-func (r *run) startLocalWorker() error {
-	r.mu.Lock()
-	r.spawnSeq++
-	name := fmt.Sprintf("w%d", r.spawnSeq)
-	r.mu.Unlock()
-	w, err := spawnWorker(name)
-	if err != nil {
-		return err
+// grow starts the workers open units need: the first time, it dials
+// every Connect address; then it spawns local workers, up to Workers,
+// until there is a worker per open unit.
+func (r *run) grow() error {
+	r.grown.Lock()
+	defer r.grown.Unlock()
+	if !r.dialed {
+		r.dialed = true
+		for _, addr := range r.c.Connect {
+			w, err := DialWith(r.ctx, addr, DialOptions{
+				Retries: r.c.DialRetries, Backoff: r.c.DialBackoff,
+				PeerTimeout: r.c.PeerTimeout, WrapConn: r.c.WrapConn,
+			})
+			if err != nil {
+				return err
+			}
+			r.startWorker(w, false)
+		}
 	}
-	r.startWorker(w, true)
-	return nil
+	for {
+		r.mu.Lock()
+		short := r.localLive < r.c.Workers && r.live < len(r.open)
+		r.mu.Unlock()
+		if !short {
+			return nil
+		}
+		r.spawned++
+		w, err := spawnWorker(fmt.Sprintf("w%d", r.spawned))
+		if err != nil {
+			return err
+		}
+		r.startWorker(w, true)
+	}
+}
+
+// retire closes t and hands it o (nil: the slot stopped waiting),
+// unless it is already closed.
+func (r *run) retire(t *ticket, o *outcome) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if t.closed {
+		return
+	}
+	t.closed = true
+	delete(r.open, t)
+	if o != nil {
+		t.res <- *o
+	}
+}
+
+// enqueue makes t dispatchable after delay, counting its wait from
+// since. A send still pending when the run ends is dropped.
+func (r *run) enqueue(t *ticket, since time.Time, delay time.Duration) {
+	r.mu.Lock()
+	t.enqueued = since
+	r.mu.Unlock()
+	r.count(1, 0)
+	send := func() {
+		select {
+		case r.queue <- t:
+		case <-r.ctx.Done():
+		}
+	}
+	if delay > 0 {
+		time.AfterFunc(delay, send)
+	} else {
+		send()
+	}
 }
 
 // startWorker registers w in the pool and starts its drive loop.
 func (r *run) startWorker(w workerConn, local bool) {
 	r.mu.Lock()
 	r.workers = append(r.workers, w)
-	r.liveWorkers++
+	r.live++
+	if local {
+		r.localLive++
+	}
 	r.mu.Unlock()
 	r.obs.WorkerUp(w.id())
 	r.wg.Add(1)
@@ -419,14 +394,15 @@ func (r *run) startWorker(w workerConn, local bool) {
 
 // idlePingInterval is how often the coordinator pings a remote worker
 // that has no unit in flight, well inside the daemon's 60s idle
-// timeout.
-const idlePingInterval = 10 * time.Second
+// timeout. Tests shorten it.
+var idlePingInterval = 10 * time.Second
 
 // workerLoop pulls units off the queue and drives them through w until
 // the run ends or the worker dies. Remote workers are pinged while
 // idle; a failed ping retires the worker exactly as a failed dispatch
 // would, except there is no unit to re-queue.
 func (r *run) workerLoop(w workerConn, local bool) {
+	defer w.close()
 	var pingC <-chan time.Time
 	if !local {
 		t := time.NewTicker(idlePingInterval)
@@ -439,89 +415,116 @@ func (r *run) workerLoop(w workerConn, local bool) {
 			return
 		case <-pingC:
 			if err := w.send(&wireMsg{Type: msgPing}); err != nil {
-				r.workerGone(w, err)
+				r.lost(w, local, nil, err)
 				return
 			}
-		case i := <-r.queue:
+		case t := <-r.queue:
 			r.mu.Lock()
-			if r.res[i].done { // late duplicate enqueue; nothing to do
-				r.mu.Unlock()
+			open, wait := !t.closed, time.Since(t.enqueued)
+			r.mu.Unlock()
+			if !open {
+				r.count(-1, 0)
 				continue
 			}
-			wait := time.Since(r.enqueuedAt[i])
-			r.queued--
-			r.inflight++
-			q, f := r.queued, r.inflight
-			r.mu.Unlock()
-			r.obs.QueueDepth(q, f)
+			r.count(-1, 1)
 			r.obs.UnitDispatched(wait)
-			if err := r.driveUnit(w, i); err != nil {
-				// Transport failure: the worker is dead. Put the unit
-				// back under the retry policy, replace the worker, and
-				// retire this loop.
-				r.mu.Lock()
-				r.inflight--
-				r.liveWorkers--
-				live := r.liveWorkers
-				q, f = r.queued, r.inflight
-				r.mu.Unlock()
-				r.obs.QueueDepth(q, f)
-				r.obs.WorkerDown(w.id(), err)
-				w.close()
-				r.redispatch(i, err, live, local)
+			o, err := r.driveUnit(w, t.u)
+			r.count(0, -1)
+			if err != nil {
+				// Transport failure: the worker is dead and the unit's
+				// fate unknown.
+				r.lost(w, local, t, err)
 				return
 			}
+			r.retire(t, &o)
 		}
 	}
 }
 
-// workerGone retires a worker that died with no unit in flight (an
-// idle ping failed). If it was the last worker and units are still
-// queued, the run cannot finish — the next queued unit is failed so
-// the run terminates instead of hanging.
-func (r *run) workerGone(w workerConn, cause error) {
+// count moves the queued and in-flight unit counts by dq and df and
+// reports the new depth.
+func (r *run) count(dq, df int) {
 	r.mu.Lock()
-	r.liveWorkers--
-	live := r.liveWorkers
+	r.queued += dq
+	r.inflight += df
+	q, f := r.queued, r.inflight
+	r.mu.Unlock()
+	r.obs.QueueDepth(q, f)
+}
+
+// lost retires a dead worker and re-queues its unit t (nil for an idle
+// worker) after a doubling backoff, or fails the unit once its retry
+// budget is spent. The pool then grows back — a local worker is
+// replaced — and a pool left without any worker fails every open unit
+// instead of hanging.
+func (r *run) lost(w workerConn, local bool, t *ticket, cause error) {
+	r.mu.Lock()
+	r.live--
+	if local {
+		r.localLive--
+	}
+	var attempts int
+	var delay time.Duration
+	if t != nil && !t.closed {
+		t.attempts++
+		t.backoff = core.NextBackoff(t.backoff)
+		attempts, delay = t.attempts, t.backoff
+	}
 	r.mu.Unlock()
 	r.obs.WorkerDown(w.id(), cause)
-	w.close()
-	if live > 0 {
+	budget := r.c.UnitRetries
+	if budget <= 0 {
+		budget = defaultUnitRetries
+	}
+	switch {
+	case attempts > budget:
+		r.retire(t, &outcome{err: fmt.Errorf("fleet: unit %s/%s lost its worker %d times: %w",
+			t.u.Machine, t.u.Key, attempts, cause)})
+	case attempts > 0:
+		r.obs.UnitRetried()
+		r.enqueue(t, time.Now(), delay)
+	}
+	if r.ctx.Err() != nil {
 		return
 	}
-	select {
-	case i := <-r.queue:
-		r.mu.Lock()
-		r.queued--
-		r.inflight++
-		r.mu.Unlock()
-		r.fail(i, fmt.Errorf("fleet: worker pool died: %w", cause))
-	default:
+	err := r.grow()
+	r.mu.Lock()
+	var open []*ticket
+	if r.live == 0 {
+		for t := range r.open {
+			open = append(open, t)
+		}
+	}
+	r.mu.Unlock()
+	if err == nil {
+		err = cause
+	}
+	for _, t := range open {
+		r.retire(t, &outcome{err: fmt.Errorf("fleet: worker pool died: %w", err)})
 	}
 }
 
-// driveUnit sends unit i to w and pumps its frames until the result
+// driveUnit sends unit u to w and pumps its frames until the result
 // arrives. A non-nil error means the transport failed and the unit's
-// fate is unknown — the caller re-dispatches it.
-func (r *run) driveUnit(w workerConn, i int) error {
-	u := r.units[i]
-	r.beginMachine(u.Machine)
+// fate is unknown — the caller re-dispatches it; a unit whose
+// experiment failed is a terminal outcome, matching serial semantics.
+func (r *run) driveUnit(w workerConn, u core.WorkUnit) (outcome, error) {
 	err := w.send(&wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: u.Seq,
 		Machine: u.Machine, Key: u.Key, IDs: u.IDs,
 		Profile: r.wireProfiles[u.Machine],
-		Opts:    &r.opts, Extended: r.c.Extended,
+		Opts:    &r.c.Opts, Extended: r.c.Extended,
 		Timeout: r.c.Timeout, Retries: r.c.Retries, RetryBackoff: r.c.RetryBackoff,
 		MaxRSD: r.c.MaxRSD, QualityRetries: r.c.QualityRetries,
 	})
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	skipErr := ""
 	for {
 		m, err := w.recv()
 		if err != nil {
-			return err
+			return outcome{}, err
 		}
 		switch m.Type {
 		case msgPing:
@@ -536,186 +539,18 @@ func (r *run) driveUnit(w workerConn, i int) error {
 			}
 		case msgResult:
 			if m.Seq != u.Seq {
-				return fmt.Errorf("fleet: result for unit %d, want %d", m.Seq, u.Seq)
+				return outcome{}, fmt.Errorf("fleet: result for unit %d, want %d", m.Seq, u.Seq)
 			}
-			return r.complete(i, m, skipErr)
+			if m.Err != "" {
+				return outcome{err: errors.New(m.Err)}, nil
+			}
+			rec := core.JournalRecord{Machine: u.Machine, Key: u.Key, Entries: m.Entries}
+			if len(m.Skipped) > 0 {
+				rec = core.JournalRecord{Machine: u.Machine, Key: u.Key, Skipped: true, Err: skipErr}
+			}
+			return outcome{rec: rec}, nil
 		default:
-			return fmt.Errorf("fleet: unexpected %q frame from worker", m.Type)
+			return outcome{}, fmt.Errorf("fleet: unexpected %q frame from worker", m.Type)
 		}
 	}
-}
-
-// complete records unit i's result frame. Only transport problems
-// return an error (there are none here); a unit whose experiment failed
-// is terminal and aborts the run, matching serial semantics.
-func (r *run) complete(i int, m *wireMsg, skipErr string) error {
-	u := r.units[i]
-	if m.Err != "" {
-		r.fail(i, errors.New(m.Err))
-		return nil
-	}
-	// Commit before marking done: a coordinator killed in between
-	// simply re-runs the unit.
-	rec := core.JournalRecord{Machine: u.Machine, Key: u.Key, Entries: m.Entries}
-	if len(m.Skipped) > 0 {
-		rec = core.JournalRecord{Machine: u.Machine, Key: u.Key, Skipped: true, Err: skipErr}
-	}
-	if err := r.log.Commit(rec); err != nil {
-		r.fail(i, err)
-		return nil
-	}
-	r.settle(i, unitResult{entries: m.Entries, skipped: m.Skipped}, true)
-	return nil
-}
-
-// fail marks dispatched unit i terminally failed; see settle.
-func (r *run) fail(i int, err error) { r.settle(i, unitResult{err: err}, true) }
-
-// settle records unit i's terminal result and retires the unit;
-// dispatched says it was in flight (units served before dispatch never
-// were). A failed unit aborts the run, the fleet version of the
-// scheduler's cancel-the-pool-on-error rule.
-func (r *run) settle(i int, res unitResult, dispatched bool) {
-	res.done = true
-	r.mu.Lock()
-	r.res[i] = res
-	if dispatched {
-		r.inflight--
-	}
-	q, f := r.queued, r.inflight
-	r.mu.Unlock()
-	if dispatched {
-		r.obs.QueueDepth(q, f)
-	}
-	if res.err != nil {
-		r.finishUnit(r.units[i], res.err.Error())
-		r.cancel()
-		return
-	}
-	r.obs.UnitDone()
-	r.finishUnit(r.units[i], "")
-}
-
-// redispatch re-queues unit i after its worker died, with doubling
-// backoff; when the attempt budget is spent the run fails. live is the
-// surviving worker count; a local death also spawns a replacement so
-// the pool keeps its size (re-dispatch would deadlock with zero
-// workers).
-func (r *run) redispatch(i int, cause error, live int, local bool) {
-	u := r.units[i]
-	r.mu.Lock()
-	if r.res[i].done {
-		r.mu.Unlock()
-		return
-	}
-	r.attempts[i]++
-	attempts := r.attempts[i]
-	r.backoff[i] = core.NextBackoff(r.backoff[i])
-	delay := r.backoff[i]
-	r.mu.Unlock()
-	if attempts > r.c.unitRetries() {
-		r.fail(i, fmt.Errorf("fleet: unit %s/%s lost its worker %d times: %w",
-			u.Machine, u.Key, attempts, cause))
-		return
-	}
-	r.obs.UnitRetried()
-	r.enqueue(i, delay)
-	if local && r.ctx.Err() == nil {
-		if err := r.startLocalWorker(); err != nil && live == 0 {
-			// No workers left and no replacement: the queue would
-			// never drain.
-			r.fail(i, fmt.Errorf("fleet: worker pool died: %w", err))
-		}
-	} else if !local && live == 0 {
-		// The last worker was remote; there is no respawning a daemon
-		// the coordinator didn't start.
-		r.fail(i, fmt.Errorf("fleet: worker pool died: %w", cause))
-	}
-}
-
-// beginMachine emits MachineStarted once per machine, at its first
-// dispatched or replayed unit.
-func (r *run) beginMachine(machine string) {
-	r.mu.Lock()
-	if r.machineBegun[machine] {
-		r.mu.Unlock()
-		return
-	}
-	r.machineBegun[machine] = true
-	r.machineT[machine] = time.Now()
-	r.mu.Unlock()
-	r.sink.Event(core.Event{Kind: core.MachineStarted, Time: time.Now(), Machine: machine})
-}
-
-// finishUnit retires one unit: machine bookkeeping, the run-complete
-// gate, and MachineFinished when the machine's last unit lands.
-func (r *run) finishUnit(u core.WorkUnit, errText string) {
-	r.mu.Lock()
-	r.pending[u.Machine]--
-	machineDone := r.pending[u.Machine] == 0
-	start := r.machineT[u.Machine]
-	r.outstanding--
-	allDone := r.outstanding == 0
-	r.mu.Unlock()
-	if machineDone {
-		ev := core.Event{
-			Kind: core.MachineFinished, Time: time.Now(), Machine: u.Machine,
-			Duration: time.Since(start), Err: errText,
-		}
-		r.sink.Event(ev)
-	}
-	if allDone {
-		r.doneOnce.Do(func() { close(r.done) })
-	}
-}
-
-// shutdown tears the pool down: every worker is killed or disconnected
-// (which unblocks any pending recv) and the drive loops are joined.
-func (r *run) shutdown() {
-	r.mu.Lock()
-	workers := append([]workerConn(nil), r.workers...)
-	r.mu.Unlock()
-	for _, w := range workers {
-		w.close()
-	}
-	r.wg.Wait()
-}
-
-// merge assembles the final database and skip map in unit order — the
-// serial iteration order, which is what makes fleet bytes identical to
-// serial bytes — and reports the first error in that order.
-func (r *run) merge(ctx context.Context, db *results.DB) (map[string][]string, error) {
-	skipped := map[string][]string{}
-	var firstErr error
-	for i, u := range r.units {
-		res := r.res[i]
-		if !res.done {
-			continue // abandoned when the run aborted
-		}
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", u.Machine, res.err)
-			}
-			continue
-		}
-		for _, e := range res.entries {
-			if err := db.Add(e); err != nil {
-				return skipped, fmt.Errorf("%s/%s: add %q: %w", u.Machine, u.Key, e.Benchmark, err)
-			}
-		}
-		if len(res.skipped) > 0 {
-			skipped[u.Machine] = append(skipped[u.Machine], res.skipped...)
-		}
-	}
-	if firstErr == nil && ctx.Err() != nil {
-		firstErr = ctx.Err()
-	}
-	return skipped, firstErr
-}
-
-func obsOrNoop(o Observer) Observer {
-	if o == nil {
-		return noopObserver{}
-	}
-	return o
 }

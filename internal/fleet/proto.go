@@ -18,7 +18,7 @@
 // its profile and the suite resets it before every attempt — and the
 // coordinator merges unit results in machine × group order, the serial
 // iteration order. A fleet run of any worker count therefore encodes
-// byte-identically to the serial and in-process-parallel runs, which
+// byte-identically to the in-process runs at any GOMAXPROCS, which
 // the golden test pins against the PR-3 SHA-256.
 //
 // Robustness rides the existing seams: a dead or killed worker's

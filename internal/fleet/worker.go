@@ -159,18 +159,33 @@ func runUnit(ctx context.Context, m *wireMsg, cache map[string]core.Machine, sen
 	if m.Opts != nil {
 		opts = *m.Opts
 	}
+	var rec unitRecord
 	suite := &core.Suite{
 		M: mach, Opts: opts, Only: only, Extended: m.Extended,
 		Timeout: m.Timeout, Retries: m.Retries, RetryBackoff: m.RetryBackoff,
 		MaxRSD: m.MaxRSD, QualityRetries: m.QualityRetries,
 		Events: forwardSink{seq: m.Seq, send: send},
+		Cache:  &rec,
 	}
-	sub := &results.DB{}
-	skipped, err := suite.Run(ctx, sub)
+	skipped, err := suite.Run(ctx, &results.DB{})
 	if err != nil {
 		return &wireMsg{Err: err.Error()}
 	}
-	return &wireMsg{Entries: sub.Entries(), Skipped: skipped}
+	return &wireMsg{Entries: rec.Entries, Skipped: skipped}
+}
+
+// unitRecord is a unit cache that never hits and keeps the record the
+// suite stores: the unit's entries in the order its experiment produced
+// them, so the coordinator journals exactly what an in-process run does.
+type unitRecord struct{ core.JournalRecord }
+
+func (*unitRecord) Lookup(string, string) (core.JournalRecord, bool) {
+	return core.JournalRecord{}, false
+}
+
+func (u *unitRecord) Store(rec core.JournalRecord) error {
+	u.JournalRecord = rec
+	return nil
 }
 
 // machineFor resolves a unit's machine name to a built backend,

@@ -11,7 +11,7 @@ const (
 // CacheMetrics aggregates unit-cache traffic into a Registry. It
 // satisfies unitcache.Observer (structurally — the cache takes any
 // implementation, keeping obs dependency-free) and is safe for
-// concurrent use by fleet drive loops and parallel machine workers.
+// concurrent use by an executor's slots.
 type CacheMetrics struct {
 	hits, misses *Counter
 	evictions    *Counter

@@ -132,7 +132,7 @@ type Snapshot struct {
 }
 
 // Snapshot returns the current progress. Machines appear in
-// first-event order, matching the scheduler's launch order.
+// first-event order, matching the executor's unit order.
 func (p *Progress) Snapshot() Snapshot {
 	now := time.Now()
 	p.mu.Lock()

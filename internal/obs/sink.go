@@ -28,7 +28,7 @@ const (
 
 // MetricsSink aggregates the suite's event stream and harness probes
 // into a Registry. It implements core.EventSink and core.AttemptProber
-// and is safe for concurrent use by parallel machine runs.
+// and is safe for concurrent use by overlapping units.
 //
 // Everything here is out-of-band: events fire between experiments, and
 // probe callbacks fire between the harness's clock readings — never

@@ -55,7 +55,7 @@ func (w *WallClock) RealTime() bool { return true }
 
 // RealTimer is an optional Clock capability: clocks whose readings come
 // from the real machine rather than a simulation report RealTime true.
-// The suite scheduler serializes experiments on real-time clocks so
+// The suite executor serializes experiments on real-time clocks so
 // concurrent work never perturbs a wall-clock measurement.
 type RealTimer interface {
 	RealTime() bool

@@ -75,8 +75,7 @@ const fragmentHeader = "# lmbench-go unit-fragment v1"
 // Observer sees cache traffic out of band — the unit-cache analogue of
 // the fleet's scheduling observer. obs.CacheMetrics implements it
 // structurally; nil means unobserved. Implementations must be safe for
-// concurrent use: fleet drive loops and parallel machine workers hit
-// one cache at once.
+// concurrent use: an executor's slots hit one cache at once.
 type Observer interface {
 	// CacheHit reports a fragment served from the cache.
 	CacheHit()

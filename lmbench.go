@@ -77,11 +77,6 @@ type DB = results.DB
 // retries and a structured event stream; New composes the common case.
 type Suite = core.Suite
 
-// Runner schedules suite runs across several machines with a worker
-// pool; simulated machines run concurrently, wall-clock machines are
-// serialized so measurements stay unperturbed.
-type Runner = core.Runner
-
 // Event is one structured record of the run event stream.
 type Event = core.Event
 
