@@ -23,8 +23,12 @@ all: verify
 build:
 	$(GO) build ./...
 
+# vet also compiles and vets the perfbench module: it imports internal
+# APIs (core.Runner, fleet.Coordinator, unitcache.Config, repro/compare)
+# that `go vet ./...` at the root never builds it against.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -120,7 +120,8 @@ func WithRetries(n int) Option {
 
 // WithMaxRSD enables the measurement quality gate: results whose
 // relative standard deviation exceeds frac are re-measured up to
-// retries times (0 keeps the best attempt anyway).
+// retries times (0 selects the default of 2), then accepted and
+// flagged.
 func WithMaxRSD(frac float64, retries int) Option {
 	return func(b *Bench) { b.maxRSD, b.qualityRetries = frac, retries }
 }
@@ -257,8 +258,12 @@ func WithProfileFile(path string) Option {
 // the fit's final verification run). Requires exactly one WithMachine,
 // and it must be a simulated machine. WithOptions sets the candidate
 // runs' suite options (default: the fitter's fast settings),
-// WithMaxRSD their quality gate, WithUnitCache the per-candidate
-// cache, and sinks see the calibration event stream.
+// WithMaxRSD their quality gate (its retries must stay zero),
+// WithUnitCache the per-candidate cache, and sinks see the calibration
+// event stream. Run refuses every option the calibrator would ignore —
+// the cache's read-only mode and limit, fleet execution, journal,
+// store, publish, WithOnly, WithExtended, timeout and retries — with a
+// *ConfigError.
 func WithCalibrateTarget(t CalibrationTarget) Option {
 	return func(b *Bench) { b.calibTarget = &t }
 }
@@ -359,6 +364,31 @@ func (b *Bench) validate() error {
 		if _, ok := b.machines[0].(profiled); !ok {
 			return &ConfigError{Feature: "WithCalibrateTarget",
 				Reason: fmt.Sprintf("calibration requires a simulated machine; %q carries no profile", b.machines[0].Name())}
+		}
+		// The calibrator runs its own candidate suites from the options
+		// runCalibration passes it; refuse every other setting rather
+		// than drop it.
+		for _, o := range []struct {
+			set  bool
+			with string
+		}{
+			{b.cacheReadOnly, "WithUnitCacheReadOnly"},
+			{b.cacheMaxBytes != 0, "WithUnitCacheLimit"},
+			{b.fleetWorkers != 0, "WithFleet"},
+			{len(b.fleetConnect) > 0, "WithFleetConnect"},
+			{b.journalPath != "", "WithJournal"},
+			{b.storeDir != "", "WithStore"},
+			{b.publishAddr != "", "WithPublish"},
+			{len(b.only) > 0, "WithOnly"},
+			{b.extended, "WithExtended"},
+			{b.timeout != 0, "WithTimeout"},
+			{b.retries != 0, "WithRetries"},
+			{b.qualityRetries != 0, "WithMaxRSD's retries"},
+		} {
+			if o.set {
+				return &ConfigError{Feature: "WithCalibrateTarget", With: o.with,
+					Reason: "the calibrator's candidate runs would silently ignore it"}
+			}
 		}
 	}
 	if len(b.chaotic()) == 0 {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 )
@@ -36,7 +37,11 @@ func TestConfigErrorsRefuseBeforeRunning(t *testing.T) {
 	}
 	defer func() { _ = host.Close() }()
 	target := CalibrationTarget{Values: map[string]float64{"lat_syscall": 2}}
-	cacheDir := filepath.Join(t.TempDir(), "cache")
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	calibrate := func(o ...Option) []Option {
+		return append([]Option{WithMachine(sim()), WithCalibrateTarget(target)}, o...)
+	}
 
 	cases := []struct {
 		name    string
@@ -49,6 +54,19 @@ func TestConfigErrorsRefuseBeforeRunning(t *testing.T) {
 		{"unknown experiment", []Option{WithMachine(sim()), WithOnly("table7", "tabel7")}, `unknown experiment "tabel7"`},
 		{"calibrate host", []Option{WithMachine(host), WithCalibrateTarget(target)}, "requires a simulated machine"},
 		{"calibrate two machines", []Option{WithMachine(sim()), WithMachine(sim()), WithCalibrateTarget(target)}, "exactly one machine"},
+		// A calibration refuses every option its candidate runs ignore.
+		{"calibrate x read-only cache", calibrate(WithUnitCache(cacheDir), WithUnitCacheReadOnly()), "does not compose with WithUnitCacheReadOnly"},
+		{"calibrate x cache limit", calibrate(WithUnitCache(cacheDir), WithUnitCacheLimit(1<<20)), "does not compose with WithUnitCacheLimit"},
+		{"calibrate x fleet", calibrate(WithFleet(2)), "does not compose with WithFleet"},
+		{"calibrate x fleet connect", calibrate(WithFleetConnect("127.0.0.1:1")), "does not compose with WithFleetConnect"},
+		{"calibrate x journal", calibrate(WithJournal(filepath.Join(dir, "cal.jnl"))), "does not compose with WithJournal"},
+		{"calibrate x store", calibrate(WithStore(filepath.Join(dir, "store"))), "does not compose with WithStore"},
+		{"calibrate x publish", calibrate(WithPublish("127.0.0.1:1")), "does not compose with WithPublish"},
+		{"calibrate x only", calibrate(WithOnly("table7")), "does not compose with WithOnly"},
+		{"calibrate x extended", calibrate(WithExtended()), "does not compose with WithExtended"},
+		{"calibrate x timeout", calibrate(WithTimeout(time.Minute)), "does not compose with WithTimeout"},
+		{"calibrate x retries", calibrate(WithRetries(1)), "does not compose with WithRetries"},
+		{"calibrate x quality retries", calibrate(WithMaxRSD(0.05, 3)), "does not compose with WithMaxRSD's retries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,8 +84,19 @@ func TestConfigErrorsRefuseBeforeRunning(t *testing.T) {
 			}
 		})
 	}
-	if _, err := os.Stat(cacheDir); !os.IsNotExist(err) {
-		t.Errorf("refused run touched the cache directory: %v", err)
+	for _, left := range []string{"cache", "cal.jnl", "store"} {
+		if _, err := os.Stat(filepath.Join(dir, left)); !os.IsNotExist(err) {
+			t.Errorf("a refused run left %s behind (%v)", left, err)
+		}
+	}
+
+	// cmd/lmbench passes every option on every run, zero when its flag
+	// is unset; zero values must still compose with a calibration.
+	zero := New(calibrate(WithOptions(exampleOpts()), WithUnitCache(cacheDir), WithUnitCacheLimit(0),
+		WithFleet(0), WithFleetConnect(), WithPublish(""), WithPublishRetries(0), WithRunLabel(""),
+		WithTimeout(0), WithRetries(0), WithMaxRSD(0.05, 0))...)
+	if err := zero.validate(); err != nil {
+		t.Errorf("zero-valued options refused with a calibration: %v", err)
 	}
 }
 

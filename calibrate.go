@@ -20,10 +20,6 @@ type CalibrationTarget = calibrate.Target
 // per-parameter trace and the final verification database.
 type CalibrationResult = calibrate.Result
 
-// CalibrationParam is one parameter's fitting outcome inside a
-// CalibrationResult.
-type CalibrationParam = calibrate.ParamResult
-
 // CalibrationFromPaper targets the paper's own table values for one of
 // its machines (names match the built-in profiles).
 func CalibrationFromPaper(machine string) (CalibrationTarget, error) {

@@ -56,6 +56,9 @@ func TestRejectedCombinations(t *testing.T) {
 			`unknown experiment "tabel7"`, true},
 		{"calibrate host", []string{"-calibrate", "-machine", "host", "-target", hostDB, "-emit", out},
 			"requires a simulated machine", true},
+		{"calibrate x read-only cache", []string{"-calibrate", "-machine", "Linux/i686", "-target", "paper", "-emit", out,
+			"-unit-cache", filepath.Join(dir, "cache"), "-unit-cache-readonly"},
+			"does not compose with WithUnitCacheReadOnly", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,7 +3,8 @@
 // Spearman rank correlation of the machine ranking. With -ref paper it
 // compares against the paper's published evaluation (the reproduction's
 // headline check). It is a thin client of the public repro/compare
-// package; everything it prints is a few API calls.
+// package, with stores opened through lmbench.OpenStore; everything it
+// prints is a few API calls.
 //
 // Databases can come from files, the paper's published values, or a
 // results store (-store), where any run reference works: a run ID or
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"os"
 
+	lmbench "repro"
 	"repro/compare"
 )
 
@@ -33,7 +35,7 @@ func main() {
 
 // load resolves one database reference: the reserved name "paper", an
 // existing file, or — when a store is open — any store run reference.
-func load(s *compare.Store, ref string) (*compare.DB, string, error) {
+func load(s *lmbench.Store, ref string) (*compare.DB, string, error) {
 	if ref == "paper" {
 		return compare.Paper(), "paper", nil
 	}
@@ -66,10 +68,10 @@ func run() error {
 		return fmt.Errorf("usage: lmcompare [flags] got  (see -help)")
 	}
 
-	var s *compare.Store
+	var s *lmbench.Store
 	if *storeFlag != "" {
 		var err error
-		if s, err = compare.Open(*storeFlag); err != nil {
+		if s, err = lmbench.OpenStore(*storeFlag); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	lmbench "repro"
 	"repro/compare"
 )
 
@@ -46,16 +47,16 @@ func TestLoadPaperAndFiles(t *testing.T) {
 	}
 }
 
-// TestStoreRoundTripThroughPublicAPI: the public aliases are the real
-// types — a store opened here accepts and serves databases loaded
-// here.
+// TestStoreRoundTripThroughPublicAPI: compare's DB is the facade's —
+// a store opened through lmbench accepts and serves databases loaded
+// here, and compares them unchanged.
 func TestStoreRoundTripThroughPublicAPI(t *testing.T) {
-	s, err := compare.Open(t.TempDir())
+	s, err := lmbench.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := compare.Paper()
-	put, err := s.Put(compare.Manifest{
+	put, err := s.Put(lmbench.Manifest{
 		Label: "ref", Machines: []string{"published"}, Options: "{}", CodeVersion: "v",
 	}, db)
 	if err != nil {

@@ -38,35 +38,3 @@ func ExampleRegressions() {
 	// regressions: base -> head (367 pairs compared, bar max(0.001, 3*spread))
 	// no significant changes
 }
-
-// Open gives direct access to a results store; any run reference —
-// label, ID prefix, "latest" — resolves to a manifest and database.
-func ExampleOpen() {
-	dir, err := os.MkdirTemp("", "lmbench-store-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-
-	s, err := compare.Open(dir)
-	if err != nil {
-		panic(err)
-	}
-	db := compare.Paper()
-	if _, err := s.Put(compare.Manifest{
-		Label:       "paper-values",
-		Machines:    []string{"published"},
-		Options:     "{}",
-		CodeVersion: "usenix96",
-	}, db); err != nil {
-		panic(err)
-	}
-
-	m, got, err := s.DB("latest")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%s: %d entries, same content: %v\n", m.Label, got.Len(), got.Len() == db.Len())
-	// Output:
-	// paper-values: 367 entries, same content: true
-}

@@ -115,8 +115,11 @@ func entrySpread(e results.Entry) float64 {
 }
 
 // Regressions compares every (benchmark, machine) pair present in both
-// databases and reports the changes that clear the noise bar.
-func Regressions(base, head *results.DB, opt RegressOptions) RegressionReport {
+// databases and reports the changes that clear the per-entry noise bar
+// — max(MinRel, Sigmas × the entries' quality.spread). Direction is
+// unit-aware: bandwidths regress downward, latencies upward; series
+// entries are judged by their worst-moving common point.
+func Regressions(base, head *DB, opt RegressOptions) RegressionReport {
 	opt = opt.normalize()
 	rep := RegressionReport{Options: opt}
 	for _, be := range base.Entries() {
@@ -220,8 +223,9 @@ func worstSeriesDelta(base, head []results.Point) (seriesDelta, bool) {
 	return worst, found
 }
 
-// RenderRegressions prints the report as an aligned table; an empty
-// report is a single line, the shape regression gates grep for.
+// RenderRegressions prints a regression report as an aligned table; an
+// empty report renders as the single line "no significant changes",
+// the shape CI gates grep for.
 func RenderRegressions(w io.Writer, rep RegressionReport) {
 	title := func(s, fallback string) string {
 		if s == "" {

@@ -14,7 +14,9 @@ import (
 // contract: a run served partially or entirely from the cache is
 // byte-identical to one computed from scratch — same golden hash, in
 // serial and fleet mode, at any worker count, and across an
-// interrupted-and-resumed run.
+// interrupted-and-resumed run. The golden matrix
+// (golden_matrix_test.go) pairs the cache with resume, GOMAXPROCS and
+// file profiles over subsets of the evaluation.
 
 // cacheBench assembles a full-suite builder over every simulated
 // machine with the golden options and the unit cache at dir.

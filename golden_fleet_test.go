@@ -1,11 +1,7 @@
 package lmbench_test
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"os"
 	"path/filepath"
 	"sync"
 	"syscall"
@@ -18,30 +14,6 @@ import (
 	"repro/internal/machines"
 	"repro/internal/results"
 )
-
-// TestMain lets this test binary serve as its own fleet worker and
-// fork child: the fleet golden tests spawn re-executions of it.
-func TestMain(m *testing.M) {
-	lmbench.MaybeChild()
-	os.Exit(m.Run())
-}
-
-func goldenHash(t *testing.T, db *results.DB) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := db.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
-}
-
-func checkGolden(t *testing.T, db *results.DB, config string) {
-	t.Helper()
-	if got := goldenHash(t, db); got != goldenDBSHA256 {
-		t.Errorf("%s: database hash %s, want %s", config, got, goldenDBSHA256)
-	}
-}
 
 // TestGoldenDatabaseFleetByteIdentical regenerates the entire
 // evaluation across worker processes and pins the result against the
@@ -153,11 +125,6 @@ func TestGoldenFleetWorkerKill(t *testing.T) {
 }
 
 func kill9(pid int) error { return syscall.Kill(pid, syscall.SIGKILL) }
-
-// sinkFunc adapts a function to lmbench.EventSink.
-type sinkFunc func(lmbench.Event)
-
-func (f sinkFunc) Event(e lmbench.Event) { f(e) }
 
 // killObserver fires its kill hook once, after the first completed
 // unit (so the pool is warm and the queue still deep).

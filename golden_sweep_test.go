@@ -26,7 +26,8 @@ import (
 //     line size, and level/memory latencies within the extraction's
 //     own plateau tolerance (25%);
 //   - the planner pays for its exemption: at most half the grid is
-//     measured (the >=2x point reduction recorded in BENCH_pr9.json);
+//     measured (the >=2x point reduction of the sweep-planning ledger,
+//     `git show cb85fb2:BENCH_pr9.json`);
 //   - results are byte-identical at every GOMAXPROCS, so the accuracy
 //     gate transfers to parallel and fleet runs.
 //

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/ptime"
+	"repro/internal/results"
 	"repro/internal/timing"
 )
 
@@ -49,6 +51,35 @@ func goldenOpts() core.Options {
 		CtxSizes:     []int64{0, 4 << 10, 16 << 10, 32 << 10, 64 << 10},
 	}
 }
+
+// TestMain lets this test binary serve as its own fleet worker and
+// fork child: the fleet golden tests spawn re-executions of it.
+func TestMain(m *testing.M) {
+	lmbench.MaybeChild()
+	os.Exit(m.Run())
+}
+
+func goldenHash(t *testing.T, db *results.DB) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+func checkGolden(t *testing.T, db *results.DB, config string) {
+	t.Helper()
+	if got := goldenHash(t, db); got != goldenDBSHA256 {
+		t.Errorf("%s: database hash %s, want %s", config, got, goldenDBSHA256)
+	}
+}
+
+// sinkFunc adapts a function to lmbench.EventSink.
+type sinkFunc func(lmbench.Event)
+
+func (f sinkFunc) Event(e lmbench.Event) { f(e) }
 
 // TestGoldenDatabaseByteIdentical regenerates the entire evaluation
 // in-process through lmbench.New(...).Run — the path cmd/lmreport

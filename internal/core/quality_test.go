@@ -184,6 +184,26 @@ func TestQualityGateOffByDefault(t *testing.T) {
 	}
 }
 
+// TestQualityBudget: the gate's effective budget is the one the suite
+// spends — a persistently noisy experiment under the default budget
+// runs 1 + QualityBudget(maxRSD, 0) times — and the unit cache keys by
+// the same function.
+func TestQualityBudget(t *testing.T) {
+	for _, c := range []struct {
+		maxRSD        float64
+		retries, want int
+	}{{0, 0, 0}, {0, 3, 0}, {-1, 3, 0}, {0.05, 0, 2}, {0.05, 1, 1}, {0.05, -1, -1}} {
+		if got := core.QualityBudget(c.maxRSD, c.retries); got != c.want {
+			t.Errorf("QualityBudget(%v, %d) = %d, want %d", c.maxRSD, c.retries, got, c.want)
+		}
+	}
+	attempts := 0
+	qualitySuite(t, noisyExperiment("noisy4", 1<<30, &attempts), 0.05, 0)
+	if want := 1 + core.QualityBudget(0.05, 0); attempts != want {
+		t.Errorf("experiment ran %d times, want %d", attempts, want)
+	}
+}
+
 // TestRetryBackoffHonorsCancellation: a run sleeping out a long retry
 // backoff must wake as soon as the context is cancelled, not after the
 // backoff elapses.

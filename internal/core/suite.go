@@ -184,8 +184,9 @@ type Suite struct {
 	// spread, outliers) so reports can flag low-confidence numbers.
 	MaxRSD float64
 	// QualityRetries caps re-measurements of a noisy experiment;
-	// default 2 when the gate is enabled. When the budget is spent the
-	// noisy result is accepted but flagged (quality.flagged attr).
+	// default 2 when the gate is enabled (see QualityBudget). When the
+	// budget is spent the noisy result is accepted but flagged
+	// (quality.flagged attr).
 	QualityRetries int
 	// Journal, when non-nil, receives one checksummed record per
 	// completed experiment group, in unit order, as soon as the group
@@ -251,6 +252,20 @@ func NextBackoff(d time.Duration) time.Duration {
 	return d * 2
 }
 
+// QualityBudget is the quality gate's effective re-measurement budget,
+// the one rule the suite runs by and the unit cache keys by: 0 when
+// the gate is off (maxRSD <= 0), 2 when it is on and retries is zero,
+// retries otherwise.
+func QualityBudget(maxRSD float64, retries int) int {
+	switch {
+	case maxRSD <= 0:
+		return 0
+	case retries == 0:
+		return 2
+	}
+	return retries
+}
+
 // runExperiment drives one experiment through the attempt/retry loop
 // and the measurement quality gate, emitting lifecycle events along
 // the way.
@@ -263,10 +278,7 @@ func (s *Suite) runExperiment(ctx context.Context, m Machine, sink EventSink, ex
 	if backoff <= 0 {
 		backoff = NextBackoff(0)
 	}
-	qualityLeft := s.QualityRetries
-	if s.MaxRSD > 0 && s.QualityRetries == 0 {
-		qualityLeft = 2
-	}
+	qualityLeft := QualityBudget(s.MaxRSD, s.QualityRetries)
 	// One recorder serves every attempt of this experiment: Reset keeps
 	// the backing storage, so re-measurements (retries, the quality
 	// gate's re-runs) record into already-grown slices instead of

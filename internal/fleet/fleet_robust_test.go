@@ -142,8 +142,8 @@ func TestDialWithRetry(t *testing.T) {
 	ln.Close() // free the port; nothing listens now
 
 	// One attempt against a dead port fails immediately.
-	if _, err := Dial(addr); err == nil {
-		t.Fatal("Dial to dead port succeeded")
+	if _, err := DialWith(context.Background(), addr, DialOptions{Retries: -1}); err == nil {
+		t.Fatal("single-attempt dial to dead port succeeded")
 	}
 
 	go func() {

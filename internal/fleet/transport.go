@@ -131,19 +131,9 @@ func (o DialOptions) normalize() DialOptions {
 	return o
 }
 
-// Dial connects to a remote worker daemon (one started with Serve /
-// `lmbench -fleet-listen`) and returns the coordinator-side handle.
-// One attempt, no deadlines — DialWith is the hardened path.
-func Dial(addr string) (*netWorker, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: dial worker %s: %w", addr, err)
-	}
-	return &netWorker{name: addr, conn: conn, s: newSession(conn, conn)}, nil
-}
-
-// DialWith connects to a remote worker daemon with retry/backoff and
-// arms idle deadlines on the resulting connection.
+// DialWith connects to a remote worker daemon (one started with Serve /
+// `lmbench -fleet-listen`) with retry/backoff, arms idle deadlines on
+// the connection, and returns the coordinator-side handle.
 func DialWith(ctx context.Context, addr string, o DialOptions) (*netWorker, error) {
 	o = o.normalize()
 	var d net.Dialer

@@ -4,7 +4,7 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/compare"
+	"repro/compare"
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/paperdata"

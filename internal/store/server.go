@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/compare"
+	"repro/compare"
 	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/paper"

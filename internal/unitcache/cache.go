@@ -109,9 +109,9 @@ type Config struct {
 	MaxBytes int64
 	// MaxRSD and QualityRetries mirror the suite's quality gate: the
 	// gate stamps quality.* attrs into result entries, so its
-	// parameters are key inputs. QualityRetries is canonicalized the
-	// way the suite defaults it (2 when the gate is on and the value is
-	// zero; both zero when the gate is off).
+	// parameters are key inputs. QualityRetries is canonicalized to
+	// the budget the suite runs with (core.QualityBudget), and MaxRSD to
+	// zero when the gate is off.
 	MaxRSD         float64
 	QualityRetries int
 	// Obs sees hits, misses, stores and evictions; nil means
@@ -177,10 +177,9 @@ func Open(dir string, opts core.Options, cfg Config) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("unitcache: %w", err)
 	}
+	cfg.QualityRetries = core.QualityBudget(cfg.MaxRSD, cfg.QualityRetries)
 	if cfg.MaxRSD <= 0 {
-		cfg.MaxRSD, cfg.QualityRetries = 0, 0
-	} else if cfg.QualityRetries == 0 {
-		cfg.QualityRetries = 2 // the suite's default budget
+		cfg.MaxRSD = 0
 	}
 	for _, d := range []string{dir, filepath.Join(dir, "units")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {

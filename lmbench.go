@@ -73,10 +73,6 @@ type Experiment = core.Experiment
 // DB is the mergeable, serializable results database.
 type DB = results.DB
 
-// Suite runs experiments on one machine with per-experiment timeout,
-// retries and a structured event stream; New composes the common case.
-type Suite = core.Suite
-
 // Event is one structured record of the run event stream.
 type Event = core.Event
 
@@ -85,10 +81,6 @@ type EventSink = core.EventSink
 
 // Entry is one benchmark result (scalar or series).
 type Entry = results.Entry
-
-// ErrUnsupported marks primitives a backend cannot provide; a run
-// skips the corresponding experiments.
-var ErrUnsupported = core.ErrUnsupported
 
 // MaybeChild must be the first call in main() of any binary using the
 // host backend's process-creation benchmarks or fleet execution. It
@@ -108,7 +100,7 @@ func NewHostMachine() (*host.Machine, error) { return host.New() }
 
 // SimMachineNames lists the compiled-in Table-1 machine profiles. The
 // full shipped set — compiled built-ins plus embedded data-file
-// profiles — is CatalogMachineNames(nil).
+// profiles — is DefaultCatalog().Names().
 func SimMachineNames() []string { return machines.Names() }
 
 // NewSimMachine builds a simulated machine from the shipped catalog:

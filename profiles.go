@@ -26,16 +26,6 @@ type Profile = machines.Profile
 // names.
 type Catalog = machines.Catalog
 
-// CatalogEntry is one catalog profile plus its provenance.
-type CatalogEntry = machines.CatalogEntry
-
-// Profile provenance values on CatalogEntry.Source.
-const (
-	ProfileSourceBuiltin    = machines.SourceBuiltin
-	ProfileSourceFile       = machines.SourceFile
-	ProfileSourceCalibrated = machines.SourceCalibrated
-)
-
 // DefaultCatalog returns a fresh copy of the shipped catalog — the
 // compiled Table-1 testbed plus the embedded data-file profiles
 // (remaining Table-1 machines, MP variants, modern geometries).
@@ -46,20 +36,13 @@ func DefaultCatalog() *Catalog { return machines.Default() }
 // scratch rather than extending the shipped set.
 func NewCatalog() *Catalog { return machines.NewCatalog() }
 
-// LoadProfileFile reads and validates one canonical profile JSON file.
-func LoadProfileFile(path string) (Profile, error) { return machines.LoadProfileFile(path) }
-
 // WriteProfileFile writes p's canonical encoding to path.
 func WriteProfileFile(path string, p Profile) error { return machines.WriteProfileFile(path, p) }
 
 // EncodeProfile renders p in the canonical JSON encoding: the byte
-// form that round-trips through DecodeProfile to an identical profile
-// and an identical fingerprint.
+// form that loads back (Catalog.LoadFile) to an identical profile and
+// an identical fingerprint.
 func EncodeProfile(p Profile) ([]byte, error) { return machines.EncodeProfile(p) }
-
-// DecodeProfile parses the canonical encoding, rejecting unknown
-// fields, non-finite numbers and trailing data.
-func DecodeProfile(data []byte) (Profile, error) { return machines.DecodeProfile(data) }
 
 // NewSimMachineIn builds a simulated machine by name from cat (nil =
 // the shipped catalog).
@@ -72,15 +55,6 @@ func NewSimMachineIn(cat *Catalog, name string) (Machine, error) {
 		return nil, &UnknownMachineError{Name: name}
 	}
 	return machines.Build(p)
-}
-
-// CatalogMachineNames lists cat's profile names (nil = the shipped
-// catalog), sorted.
-func CatalogMachineNames(cat *Catalog) []string {
-	if cat == nil {
-		cat = machines.Default()
-	}
-	return cat.Names()
 }
 
 // RenderMachineList writes a human-readable catalog listing — name,

@@ -43,10 +43,6 @@ type PublishOptions = istore.PublishOptions
 // production defaults.
 type IngestOptions = istore.IngestOptions
 
-// ScrubReport is what Store.Scrub found and repaired; see
-// (*Store).Scrub.
-type ScrubReport = istore.ScrubReport
-
 // PublishRun streams a database to a results-store daemon at addr
 // (see ServeStoreIngest); the returned manifest carries the
 // daemon-assigned run identity. The store fills m's ContentHash,
