@@ -10,8 +10,9 @@ LMBENCH_CHAOS_SEED ?= 1
 # paths), the sweep-planning and unit-cache evaluation benchmarks, and
 # the simmem micro-benchmarks underneath them: per-access costs with
 # pass skipping off, and the skipped steady-state passes. BENCH_BUILD
-# times machines.Build's DRAM inversion (with its stream measurements
-# per op). The repository's end-to-end benchmark is perfbench/ (see
+# times machines.Build's DRAM inversion for a cache geometry new to the
+# process and for a memo hit, with the stream simulations per op (2
+# and 0). The repository's end-to-end benchmark is perfbench/ (see
 # BENCHMARK.json).
 BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch|Figure1SweepPlanning|EvaluationUnitCache
 BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|StreamReadResident|StreamKernel|ChaseSteadyState|StreamCopySteadyState

@@ -258,6 +258,7 @@ func WithProfileFile(path string) Option {
 // the fit's final verification run). Requires exactly one WithMachine,
 // and it must be a simulated machine. WithOptions sets the candidate
 // runs' suite options (default: the fitter's fast settings),
+// WithSweepMode their sweep mode (default: adaptive),
 // WithMaxRSD their quality gate (its retries must stay zero),
 // WithUnitCache the per-candidate cache, and sinks see the calibration
 // event stream. Run refuses every option the calibrator would ignore —
@@ -344,8 +345,22 @@ func (e *ConfigError) Error() string {
 // profiled is a machine built from a simulated profile.
 type profiled interface{ Profile() machines.Profile }
 
-// validate refuses a configuration before anything is opened or run.
-func (b *Bench) validate() error {
+// Validate refuses a configuration that cannot run, with a
+// *ConfigError, an options error or an option's own error, before
+// anything is opened or run. Run validates first; a caller that
+// prepares files for the run (cmd/lmbench truncating a fresh journal)
+// validates before touching them.
+func (b *Bench) Validate() error {
+	if len(b.errs) > 0 {
+		return errors.Join(b.errs...)
+	}
+	// Fold the sweep mode into the options before anything derives
+	// state from them (unit-cache keys, the fleet/runner config, the
+	// manifest fingerprint), so WithSweepMode works regardless of its
+	// ordering relative to WithOptions.
+	if b.sweepMode != "" {
+		b.opts.SweepMode = b.sweepMode
+	}
 	if len(b.machines) == 0 {
 		return errors.New("lmbench: no machines configured (use WithMachine)")
 	}
@@ -423,17 +438,7 @@ func (b *Bench) fleet() bool { return b.fleetWorkers > 0 || len(b.fleetConnect) 
 // configuration that cannot execute is refused with a *ConfigError
 // (or an options error) before anything runs.
 func (b *Bench) Run(ctx context.Context) (*Report, error) {
-	if len(b.errs) > 0 {
-		return nil, errors.Join(b.errs...)
-	}
-	// Fold the sweep mode into the options before anything derives
-	// state from them (unit-cache keys, the fleet/runner config, the
-	// manifest fingerprint), so WithSweepMode works regardless of its
-	// ordering relative to WithOptions.
-	if b.sweepMode != "" {
-		b.opts.SweepMode = b.sweepMode
-	}
-	if err := b.validate(); err != nil {
+	if err := b.Validate(); err != nil {
 		return nil, err
 	}
 	if b.calibTarget != nil {
@@ -602,8 +607,15 @@ func (b *Bench) registerMetrics(journal *core.JournalWriter) (fo fleet.Observer,
 // verification run as the database.
 func (b *Bench) runCalibration(ctx context.Context) (*Report, error) {
 	opts := calibrate.Options{MaxRSD: b.maxRSD, CacheDir: b.cacheDir, Events: b.sinks}
-	if b.optsSet {
+	switch {
+	case b.optsSet:
 		runOpts := b.opts
+		opts.Run = &runOpts
+	case b.sweepMode != "":
+		// A set sweep mode reaches the candidate runs on the
+		// calibrator's own fast base.
+		runOpts := core.FastOptions()
+		runOpts.SweepMode = b.sweepMode
 		opts.Run = &runOpts
 	}
 	res, err := calibrate.Calibrate(ctx, b.machines[0].(profiled).Profile(), *b.calibTarget, opts)

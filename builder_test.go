@@ -95,7 +95,7 @@ func TestConfigErrorsRefuseBeforeRunning(t *testing.T) {
 	zero := New(calibrate(WithOptions(exampleOpts()), WithUnitCache(cacheDir), WithUnitCacheLimit(0),
 		WithFleet(0), WithFleetConnect(), WithPublish(""), WithPublishRetries(0), WithRunLabel(""),
 		WithTimeout(0), WithRetries(0), WithMaxRSD(0.05, 0))...)
-	if err := zero.validate(); err != nil {
+	if err := zero.Validate(); err != nil {
 		t.Errorf("zero-valued options refused with a calibration: %v", err)
 	}
 }

@@ -238,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	options = append(options,
 		lmbench.WithTimeout(*timeoutFlag), lmbench.WithRetries(*retryFlag),
-		lmbench.WithMaxRSD(*rsdFlag, *qretryFlag), lmbench.WithSweepMode(lmbench.SweepMode(*sweepFlag)),
+		lmbench.WithMaxRSD(*rsdFlag, *qretryFlag),
 		lmbench.WithFleet(*fleetFlag), lmbench.WithFleetConnect(fleetConnect...),
 		lmbench.WithUnitCache(*cacheFlag), lmbench.WithUnitCacheLimit(*cacheMaxFlag),
 		lmbench.WithPublish(*publishFlag), lmbench.WithPublishRetries(*pubRetriesFlag),
@@ -246,6 +246,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *cacheROFlag {
 		options = append(options, lmbench.WithUnitCacheReadOnly())
 	}
+	// Only a -sweep given on the command line sets the mode, so a run
+	// without one keeps its own default: exhaustive sweeps for a
+	// benchmark run, adaptive ones for a calibration's candidates.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "sweep" {
+			options = append(options, lmbench.WithSweepMode(lmbench.SweepMode(*sweepFlag)))
+		}
+	})
 	if journal := *journalFlag + *resumeFlag; journal != "" { // at most one is set
 		options = append(options, lmbench.WithJournal(journal))
 	}
@@ -295,6 +303,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		options = append(options, lmbench.WithMetrics(registry), lmbench.WithSink(progress))
 	}
 	bench := lmbench.New(options...)
+	// A refused configuration opens nothing: no -serve listener, no
+	// pprof file, no emptied -journal.
+	if err := bench.Validate(); err != nil {
+		return err
+	}
 	if *serveFlag != "" {
 		srv := &lmbench.Server{Registry: registry, Progress: progress}
 		addr, stopServe, err := srv.Start(ctx, *serveFlag)

@@ -36,6 +36,13 @@ func TestRejectedCombinations(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A journal a refused -journal run names must keep its bytes.
+	kept := filepath.Join(dir, "kept.jnl")
+	keptBytes := []byte("a journal from an earlier run\n")
+	if err := os.WriteFile(kept, keptBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	out := filepath.Join(dir, "out.db")
 	sim := []string{"-machine", "Linux/i686", "-fast", "-out", out}
 	cases := []struct {
@@ -59,6 +66,10 @@ func TestRejectedCombinations(t *testing.T) {
 		{"calibrate x read-only cache", []string{"-calibrate", "-machine", "Linux/i686", "-target", "paper", "-emit", out,
 			"-unit-cache", filepath.Join(dir, "cache"), "-unit-cache-readonly"},
 			"does not compose with WithUnitCacheReadOnly", true},
+		{"calibrate x journal", []string{"-calibrate", "-machine", "Linux/i686", "-target", "paper", "-emit", out, "-journal", kept},
+			"does not compose with WithJournal", true},
+		{"chaos x fleet x journal", append(sim, "-only", "table7", "-chaos", "seed=1,err=0.3", "-fleet-workers", "2", "-journal", kept),
+			"does not compose with fleet execution", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,6 +91,50 @@ func TestRejectedCombinations(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, left)); !os.IsNotExist(err) {
 			t.Errorf("a refused run left %s behind (%v)", left, err)
 		}
+	}
+	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, keptBytes) {
+		t.Errorf("a refused run rewrote its -journal: %q (%v), want %q", got, err, keptBytes)
+	}
+}
+
+// TestCalibrationHonoursSweep: a calibration's candidate runs use the
+// sweep mode set with -sweep, and adaptive sweeps when none is set.
+// The mode is part of every unit-cache key, so exhaustive candidates
+// write other fragments than adaptive ones, and a calibration without
+// -sweep writes the adaptive fragments.
+func TestCalibrationHonoursSweep(t *testing.T) {
+	dir := t.TempDir()
+	fragments := map[string][]string{}
+	for _, mode := range []string{"exhaustive", "adaptive", ""} {
+		cache := filepath.Join(dir, "cache-"+mode)
+		args := []string{"-calibrate", "-machine", "Linux/i686", "-target", "paper", "-quiet",
+			"-emit", filepath.Join(dir, "fit.json"), "-unit-cache", cache}
+		if mode != "" {
+			args = append(args, "-sweep", mode)
+		}
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("-sweep %q: %v\n%s", mode, err, stderr.String())
+		}
+		err := filepath.WalkDir(cache, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				fragments[mode] = append(fragments[mode], strings.TrimPrefix(path, cache))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(a, b []string) bool { return strings.Join(a, "\n") == strings.Join(b, "\n") }
+	if len(fragments["adaptive"]) == 0 {
+		t.Fatal("an adaptive calibration wrote no fragments")
+	}
+	if same(fragments["exhaustive"], fragments["adaptive"]) {
+		t.Errorf("-sweep exhaustive and -sweep adaptive wrote the same %d fragments", len(fragments["adaptive"]))
+	}
+	if !same(fragments[""], fragments["adaptive"]) {
+		t.Errorf("a calibration without -sweep wrote %v, -sweep adaptive %v", fragments[""], fragments["adaptive"])
 	}
 }
 

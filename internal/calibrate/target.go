@@ -9,8 +9,9 @@
 // fields. Monotone continuous parameters (syscall/FS costs, cache and
 // DRAM latencies, bandwidths) descend by bracketed bisection, which
 // rests on the same monotone response as machines.Build's inversions
-// (Build's DRAM inversion is a threshold search that returns what a
-// plain bisection would); discrete geometry
+// (Build's DRAM inversion bisects prices of streams it simulates once
+// per cache geometry, so a candidate that moves only a bandwidth or
+// the DRAM latency simulates no stream); discrete geometry
 // (cache sizes, line size) walks a log grid. Every candidate
 // evaluation is a normal suite run — adaptive sweeps, the quality
 // gate, the unit cache keyed by the candidate's own fingerprint — so

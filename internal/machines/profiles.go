@@ -3,7 +3,6 @@ package machines
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -132,12 +131,11 @@ func Build(p Profile) (*Machine, error) {
 	if line <= 0 {
 		line = 32
 	}
-	memCfg := simmem.Config{
-		Caches: p.Caches,
-		DRAM:   invertDRAM(p, line),
-		TLB:    p.TLB,
+	dram, err := invertDRAM(p, line)
+	if err != nil {
+		return nil, fmt.Errorf("machines: %s: %w", p.Name, err)
 	}
-	mem, err := simmem.New(cpu, memCfg)
+	mem, err := simmem.New(cpu, simmem.Config{Caches: p.Caches, DRAM: dram, TLB: p.TLB})
 	if err != nil {
 		return nil, fmt.Errorf("machines: %s: %w", p.Name, err)
 	}
@@ -190,54 +188,45 @@ func Build(p Profile) (*Machine, error) {
 	return m, nil
 }
 
-// invertDRAM derives DRAM timing from the Table-2 bandwidth targets.
-// Because streaming cost depends on the whole hierarchy (larger
-// lower-level lines convert some chunk misses into lower-level hits),
-// the inversion runs the actual streaming workload on scratch
-// hierarchies and inverts FillNS (for the read target) and then
-// WritebackNS (for the write target). Each inversion is a threshold
-// search (bisect) that returns, bit for bit, what a 26-halving
-// bisection of the measured bandwidth returns, from a handful of
-// stream measurements instead of 28 (DESIGN.md §6e). Results are
-// memoized per process on exactly the inputs calibrateDRAM reads, so
-// renamed twins of one machine share an inversion.
-func invertDRAM(p Profile, line int) simmem.DRAMConfig {
-	key := fmt.Sprintf("%g|%g|%g|%g|%d|%v", p.MHz, p.MemLatNS, p.ReadBW, p.WriteBW, p.IssueWidth, p.Caches)
-	if v, ok := dramCache.Load(key); ok {
-		return v.(simmem.DRAMConfig)
-	}
-	cfg := calibrateDRAM(p, line, bisect)
-	dramCache.Store(key, cfg)
-	return cfg
-}
-
-var dramCache sync.Map
-
-// searcher inverts a nondecreasing f to target over [lo, hi]; see
-// bisect. calibrateDRAM takes one so that tests can run it with the
-// plain bisection bisect reproduces and count its measurements.
-type searcher func(lo, hi float64, f func(float64) float64, target float64) float64
-
-func calibrateDRAM(p Profile, line int, search searcher) simmem.DRAMConfig {
+// invertDRAM derives DRAM timing from the Table-2 bandwidth targets:
+// it bisects FillNS until a 1 MB read stream through a cold scratch
+// copy of the caches measures the read target, then WritebackNS until a
+// 1 MB write stream after dirty priming measures the write target.
+// Streaming cost depends on the whole hierarchy (larger lower-level
+// lines convert some chunk misses into lower-level hits), so the two
+// streams are simulated; but a stream's DRAM fills and writebacks do
+// not depend on DRAM timing, so each is simulated once per geometry and
+// every candidate timing is priced from it, bit for bit what simulating
+// the candidate would measure (DESIGN.md §6e). p is as Build defaulted
+// it, with a positive issue width.
+func invertDRAM(p Profile, line int) (simmem.DRAMConfig, error) {
 	cfg := simmem.DRAMConfig{LatencyNS: p.MemLatNS}
 	if cfg.LatencyNS <= 0 {
 		cfg.LatencyNS = 300
 	}
 	naive := float64(line) / (1 << 20) * 1e9 // ns per line at 1 MB/s
 	if p.ReadBW > 0 {
-		cfg.FillNS = search(1e-3, 4*naive/p.ReadBW+200, func(f float64) float64 {
+		read, err := streamPrice(p, false)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.FillNS = bisect(1e-3, 4*naive/p.ReadBW+200, func(f float64) float64 {
 			c := cfg
 			c.FillNS = f
 			c.WritebackNS = 1
-			return -measureStreamBW(p, c, false) // decreasing in f
+			return -streamBW(read.At(c)) // decreasing in f
 		}, -p.ReadBW)
 	}
 	cfg.WritebackNS = 1
 	if p.WriteBW > 0 {
-		cfg.WritebackNS = search(1e-3, 8*naive/p.WriteBW+200, func(w float64) float64 {
+		write, err := streamPrice(p, true)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.WritebackNS = bisect(1e-3, 8*naive/p.WriteBW+200, func(w float64) float64 {
 			c := cfg
 			c.WritebackNS = w
-			return -measureStreamBW(p, c, true)
+			return -streamBW(write.At(c))
 		}, -p.WriteBW)
 		if cfg.WritebackNS < 1 {
 			// Machines like the Power2 write faster than they read
@@ -246,146 +235,77 @@ func calibrateDRAM(p Profile, line int, search searcher) simmem.DRAMConfig {
 			cfg.WritebackNS = 1
 		}
 	}
-	return cfg
+	return cfg, nil
 }
 
-// measureStreamBW builds a scratch hierarchy with the candidate DRAM
-// timing and measures steady-state streaming bandwidth in MB/s.
-func measureStreamBW(p Profile, dram simmem.DRAMConfig, write bool) float64 {
-	clk := &sim.Clock{}
-	width := p.IssueWidth
-	if width <= 0 {
-		width = 2
-	}
-	cpu := sim.NewCPU(clk, sim.CPUConfig{MHz: p.MHz, IssueWidth: width})
-	h, err := simmem.New(cpu, simmem.Config{Caches: p.Caches, DRAM: dram})
+// streamSpan is the length of the timed stream: 1 MB.
+const streamSpan = 1 << 20
+
+// streamBW converts the timed stream's duration into MB/s.
+func streamBW(d ptime.Duration) float64 { return float64(streamSpan) / (1 << 20) / d.Seconds() }
+
+// pricedStream is one memoized stream simulation.
+type pricedStream struct {
+	once  sync.Once
+	price simmem.StreamPrice
+	err   error
+}
+
+// streamPrices memoizes stream simulations per process, keyed on
+// exactly what they read: the direction, clock, issue width and caches.
+// A renamed twin, or a calibrate candidate that moves only a bandwidth
+// or the DRAM latency, reuses them.
+var streamPrices sync.Map // key -> *pricedStream
+
+// streamPrice returns the price of p's timed read or write stream,
+// simulating it on the first call for p's geometry in this process.
+func streamPrice(p Profile, write bool) (simmem.StreamPrice, error) {
+	key := fmt.Sprintf("%t|%g|%d|%v", write, p.MHz, p.IssueWidth, p.Caches)
+	v, _ := streamPrices.LoadOrStore(key, new(pricedStream))
+	s := v.(*pricedStream)
+	s.once.Do(func() { s.price, s.err = simulateStream(p, write) })
+	return s.price, s.err
+}
+
+// simulateStream prices the timed stream on a scratch copy of p's
+// caches: a read from cold, or a write after priming every cache level
+// with dirty lines so that the stream evicts at steady state.
+func simulateStream(p Profile, write bool) (simmem.StreamPrice, error) {
+	cpu := sim.NewCPU(&sim.Clock{}, sim.CPUConfig{MHz: p.MHz, IssueWidth: p.IssueWidth})
+	h, err := simmem.New(cpu, simmem.Config{Caches: p.Caches})
 	if err != nil {
-		return 0
+		return simmem.StreamPrice{}, err
 	}
 	var cacheTotal int64
 	for _, c := range p.Caches {
 		cacheTotal += c.Size
 	}
-	const span = 1 << 20
-	base := h.Alloc(cacheTotal + span)
+	addr := h.Alloc(cacheTotal + streamSpan)
 	if write {
-		// Prime the caches with dirty data so the timed span evicts
-		// at steady state.
-		h.StreamWrite(base, cacheTotal)
-		start := clk.Now()
-		h.StreamWrite(base+uint64(cacheTotal), span)
-		return float64(span) / (1 << 20) / (clk.Now() - start).Seconds()
+		h.StreamWrite(addr, cacheTotal)
+		addr += uint64(cacheTotal)
 	}
-	start := clk.Now()
-	h.StreamRead(base, span)
-	return float64(span) / (1 << 20) / (clk.Now() - start).Seconds()
+	return h.PriceStream(addr, streamSpan, write)
 }
 
-const (
-	// halvings is the number of bisection steps bisect reproduces.
-	halvings = 26
-	// secantGuesses caps bisect's secant phase. It measures the upper
-	// end's neighbour and at most two points per guess, so a call
-	// measures at most 2 + 1 + 2*secantGuesses + halvings = 33 times,
-	// against the plain bisection's 28.
-	secantGuesses = 2
-)
-
-// bisect returns, bit for bit, what this plain bisection returns:
-//
-//	if f(lo) >= target { return lo }
-//	if f(hi) <= target { return hi }
-//	26 times: mid := (lo+hi)/2; if f(mid) < target { lo = mid } else { hi = mid }
-//	return (lo+hi)/2
-//
-// provided f is nondecreasing and depends on x only through
-// ptime.FromNS(x), as every simulated measurement does: a candidate
-// timing reaches simmem only as whole picoseconds. Then each halving's
-// test f(mid) < target is FromNS(mid) < q*, where q* is the least
-// picosecond count at which f reaches target, so bisect first closes
-// in on q* with secant guesses and then replays the halvings,
-// measuring only the tests that the picosecond counts measured so far
-// leave undecided (DESIGN.md §6e).
+// bisect inverts a nondecreasing f over [lo, hi] to target by 26
+// halvings.
 func bisect(lo, hi float64, f func(float64) float64, target float64) float64 {
 	if f(lo) >= target {
 		return lo
 	}
-	fhi := f(hi)
-	if fhi <= target {
+	if f(hi) <= target {
 		return hi
 	}
-	t := threshold{f: f, target: target, below: ptime.FromNS(lo), above: ptime.FromNS(hi), fAbove: fhi}
-	// The upper end's neighbouring picosecond gives the first secant
-	// its second point. Each guess is checked against its neighbour
-	// too, so an exact guess closes the bracket to (q*-1, q*].
-	t.less((t.above - 1).Nanoseconds())
-	for i := 0; i < secantGuesses && t.above-t.below > 1; i++ {
-		g := t.guess()
-		if t.less(g.Nanoseconds()) {
-			t.less((g + 1).Nanoseconds())
-		} else {
-			t.less((g - 1).Nanoseconds())
-		}
-	}
-	for i := 0; i < halvings; i++ {
+	for i := 0; i < 26; i++ {
 		mid := (lo + hi) / 2
-		if t.less(mid) {
+		if f(mid) < target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// threshold brackets q*, the least picosecond count at which f reaches
-// target: below < q* <= above. It keeps f at the two lowest points
-// measured on the upper side, above and next.
-type threshold struct {
-	f             func(float64) float64
-	target        float64
-	below, above  ptime.Duration
-	next          ptime.Duration
-	fAbove, fNext float64
-}
-
-// less reports f(x) < target. It measures f only when FromNS(x) lies
-// strictly inside the bracket, and then narrows the bracket to it.
-func (t *threshold) less(x float64) bool {
-	q := ptime.FromNS(x)
-	if q <= t.below {
-		return true
-	}
-	if q >= t.above {
-		return false
-	}
-	y := t.f(x)
-	if y < t.target {
-		t.below = q
-		return true
-	}
-	t.next, t.fNext = t.above, t.fAbove
-	t.above, t.fAbove = q, y
-	return false
-}
-
-// guess estimates q* by the secant on 1/f through the two lowest points
-// measured on the upper side, as a picosecond count strictly inside the
-// bracket (which must be at least 2 wide). For a stream measurement 1/f
-// is affine in the picoseconds there (the stream's duration is: a read
-// stream's fills hide behind instruction issue only below q*), so the
-// guess is q* up to float rounding; a secant that rounds to the upper
-// end itself guesses its neighbour. For any other f it is only a guess,
-// and one that misses the bracket below, or has no root, falls back to
-// the bracket's middle.
-func (t *threshold) guess() ptime.Duration {
-	a, n := float64(t.above), float64(t.next)
-	ya, yn := 1/t.fAbove, 1/t.fNext
-	r := a + (1/t.target-ya)*(n-a)/(yn-ya)
-	if !(r > float64(t.below)) || math.IsInf(r, 1) {
-		return t.below + (t.above-t.below)/2
-	}
-	return min(ptime.Duration(math.Ceil(min(r, a))), t.above-1)
 }
 
 // invertOS derives kernel cost parameters from the Table 7-10 targets.

@@ -1,6 +1,8 @@
 package simmem
 
 import (
+	"errors"
+
 	"repro/internal/ptime"
 )
 
@@ -157,6 +159,67 @@ func (h *Hierarchy) streamWrite(addr uint64, bytes int64) ptime.Duration {
 		total += maxDur(h.writeIssue, memTime)
 	}
 	return total
+}
+
+// StreamPrice is a read or write stream's simulated duration split by
+// what DRAM timing reaches:
+//
+//	Fixed + Fills·max(Issue, fill) + Writebacks·writeback
+//
+// where fill and writeback are a DRAMConfig's streaming fill and
+// writeback times in whole picoseconds. Which chunks a stream fills
+// from DRAM and which dirty lines it retires depend on addresses, never
+// on timing, so one simulation prices the same stream on the same
+// caches under every DRAM timing, bit for bit (DESIGN.md §6e).
+type StreamPrice struct {
+	// Fixed is every term DRAM timing does not reach: TLB walks,
+	// fills from lower cache levels, the issue time of chunks that hit.
+	Fixed ptime.Duration
+	// Fills counts chunks filled from DRAM; each costs the larger of
+	// Issue and the DRAM fill, since the two overlap.
+	Fills int64
+	// Issue is the stream loop's instruction issue time per chunk.
+	Issue ptime.Duration
+	// Writebacks counts dirty lines the stream retired to DRAM.
+	Writebacks int64
+}
+
+// At returns the stream's duration under dram.
+func (p StreamPrice) At(dram DRAMConfig) ptime.Duration {
+	return p.Fixed + maxDur(p.Issue, ptime.FromNS(dram.fill())).Mul(p.Fills) +
+		ptime.FromNS(dram.writeback()).Mul(p.Writebacks)
+}
+
+// PriceStream simulates StreamRead over [addr, addr+bytes), or
+// StreamWrite when write is set, charging the clock and moving the
+// cache state as that call would, and returns the call's duration as a
+// StreamPrice. It refuses a hierarchy with NoWriteAllocate or HWCopy:
+// their bypassing stores charge a DRAM writeback inside the issue
+// overlap, which the split cannot express.
+func (h *Hierarchy) PriceStream(addr uint64, bytes int64, write bool) (StreamPrice, error) {
+	if h.cfg.NoWriteAllocate || h.cfg.HWCopy {
+		return StreamPrice{}, errors.New("simmem: streams with bypassing stores have no DRAM price")
+	}
+	p := StreamPrice{Issue: h.readIssue}
+	if write {
+		p.Issue = h.writeIssue
+	}
+	if bytes <= 0 {
+		return p, nil
+	}
+	h.epoch++ // simulated outside a memoized pass
+	fills, wbs := h.stats.MemAccesses, h.stats.Writebacks
+	var d ptime.Duration
+	if write {
+		d = h.streamWrite(addr, bytes)
+	} else {
+		d = h.streamRead(addr, bytes)
+	}
+	h.clk.Advance(d)
+	p.Fills = h.stats.MemAccesses - fills
+	p.Writebacks = h.stats.Writebacks - wbs
+	p.Fixed = d - maxDur(p.Issue, h.memFill).Mul(p.Fills) - h.memWB.Mul(p.Writebacks)
+	return p, nil
 }
 
 // StreamCopy models bcopy: read the source, write the destination.
