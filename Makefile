@@ -40,15 +40,16 @@ test:
 golden-serial:
 	GOMAXPROCS=1 $(GO) test -run '^TestGoldenDatabaseByteIdentical$$' -count=1 .
 
-# The scheduler, timing harness, fault-injection wrapper, wire-chaos
-# injector, fleet coordinator, observability layer and results store
+# The scheduler, timing harness, fault-injection wrapper, session
+# layer (every daemon's accept and drain loop), wire-chaos injector,
+# fleet coordinator, observability layer and results store
 # are the concurrency-sensitive packages; run them (including the
 # journal, resume, chaos, worker-kill, metrics-scrape, ingest,
 # HTTP-cache, drain and chaos-transport suites) under the race
 # detector, and the executor's tests — in process and through the
 # fleet — ten times over.
 race:
-	$(GO) test -race ./internal/core/... ./internal/timing/... ./internal/faults/... ./internal/netfaults/... ./internal/obs/... ./internal/fleet/... ./internal/store/... ./internal/unitcache/... ./internal/calibrate/...
+	$(GO) test -race ./internal/core/... ./internal/timing/... ./internal/faults/... ./internal/rpcx/... ./internal/netfaults/... ./internal/obs/... ./internal/fleet/... ./internal/store/... ./internal/unitcache/... ./internal/calibrate/...
 	$(GO) test -race -count=10 -run '^TestPool|^TestFleet(RefusedResume|JournalSequence|FailureMatches|IdlePeer)' ./internal/core/ ./internal/fleet/
 
 # chaos runs the fault-injection scheduler suite on its own, race-

@@ -112,7 +112,7 @@ func TestWithPublishStreamsToDaemon(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- ServeStoreIngest(ctx, ln, s) }()
+	go func() { done <- ServeStoreIngestWith(ctx, ln, s, IngestOptions{}) }()
 	defer func() {
 		cancel()
 		if err := <-done; err != nil {

@@ -9,19 +9,15 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
 
 	lmbench "repro"
 	"repro/internal/fleet"
 	"repro/internal/netfaults"
+	"repro/internal/rpcx"
 )
 
 // serveFleet runs the remote fleet worker daemon on addr.
-func serveFleet(addr string, quiet bool, stderr io.Writer) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+func serveFleet(ctx context.Context, addr string, quiet bool, stderr io.Writer) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("-fleet-listen: %w", err)
@@ -29,7 +25,7 @@ func serveFleet(addr string, quiet bool, stderr io.Writer) error {
 	if !quiet {
 		fmt.Fprintf(stderr, "fleet worker daemon on %s\n", ln.Addr())
 	}
-	return fleet.Serve(ctx, ln)
+	return fleet.ServeWith(ctx, ln, rpcx.ServeOptions{})
 }
 
 // serveStore runs the results-store daemon: runs published with
@@ -39,9 +35,7 @@ func serveFleet(addr string, quiet bool, stderr io.Writer) error {
 // startup — a daemon that crashed mid-ingest comes back with partial
 // writes swept and any corruption quarantined — and SIGINT/SIGTERM
 // drain in-flight publishes before the process exits.
-func serveStore(listenAddr, dir, httpAddr string, catalog *lmbench.Catalog, quiet bool, stderr io.Writer) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+func serveStore(ctx context.Context, listenAddr, dir, httpAddr string, catalog *lmbench.Catalog, quiet bool, stderr io.Writer) error {
 	s, err := lmbench.OpenStore(dir)
 	if err != nil {
 		return fmt.Errorf("-store-dir: %w", err)
@@ -94,7 +88,7 @@ func scrubStore(dir string, stdout io.Writer) error {
 // serveChaosProxy runs the deterministic lossy proxy: record-framed
 // traffic relayed to target with seeded frame-level faults, for
 // rehearsing daemon failures without touching the daemons themselves.
-func serveChaosProxy(planText, listenAddr, target string, quiet bool, stdout, stderr io.Writer) error {
+func serveChaosProxy(ctx context.Context, planText, listenAddr, target string, quiet bool, stdout, stderr io.Writer) error {
 	if target == "" {
 		return fmt.Errorf("-chaos-net requires -chaos-target")
 	}
@@ -102,8 +96,6 @@ func serveChaosProxy(planText, listenAddr, target string, quiet bool, stdout, st
 	if err != nil {
 		return fmt.Errorf("-chaos-net: %w", err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	inj := netfaults.New(plan)
 	p := &netfaults.Proxy{Inj: inj, Target: target}
 	if !quiet {
@@ -111,11 +103,14 @@ func serveChaosProxy(planText, listenAddr, target string, quiet bool, stdout, st
 			fmt.Fprintf(stderr, "chaos: "+format+"\n", args...)
 		}
 	}
-	err = p.ListenAndServe(ctx, listenAddr, func(addr net.Addr) {
-		// The address line is machine-readable on stdout so scripts can
-		// point publishers at an ephemeral proxy port.
-		fmt.Fprintf(stdout, "chaos proxy %s -> %s\n", addr, target)
-	})
+	ln, err := net.Listen("tcp", listenAddr)
+	if err != nil {
+		return fmt.Errorf("-chaos-listen: %w", err)
+	}
+	// The address line is machine-readable on stdout so scripts can
+	// point publishers at an ephemeral proxy port.
+	fmt.Fprintf(stdout, "chaos proxy %s -> %s\n", ln.Addr(), target)
+	err = p.Serve(ctx, ln)
 	if !quiet {
 		fmt.Fprintf(stderr, "chaos proxy: %s\n", inj.Stats())
 	}

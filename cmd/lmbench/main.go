@@ -69,7 +69,6 @@ import (
 	lmbench "repro"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/fleet"
 	"repro/internal/paper"
 	"repro/internal/results"
 )
@@ -108,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cpuProfile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile  = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		fleetFlag   = fs.Int("fleet-workers", 0, "run across this many worker processes (simulated machines only; results are byte-identical)")
-		workerFlag  = fs.Bool("worker", false, "serve fleet work units on stdin/stdout, then exit (what a spawned worker does)")
 		listenFlag  = fs.String("fleet-listen", "", "serve as a remote fleet worker daemon on this address")
 
 		storeFlag       = fs.String("store", "", "persist the finished run in the results store at this directory")
@@ -155,17 +153,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
+	// SIGINT/SIGTERM cancel a run and drain a daemon.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	switch {
-	case *workerFlag:
-		return fleet.Work(context.Background(), os.Stdin, os.Stdout)
 	case *listenFlag != "":
-		return serveFleet(*listenFlag, *quietFlag, stderr)
+		return serveFleet(ctx, *listenFlag, *quietFlag, stderr)
 	case *storeScrubFlag:
 		return scrubStore(*storeDirFlag, stdout)
 	case *storeListenFlag != "":
-		return serveStore(*storeListenFlag, *storeDirFlag, *storeHTTPFlag, catalog, *quietFlag, stderr)
+		return serveStore(ctx, *storeListenFlag, *storeDirFlag, *storeHTTPFlag, catalog, *quietFlag, stderr)
 	case *chaosNetFlag != "":
-		return serveChaosProxy(*chaosNetFlag, *chaosListenFlag, *chaosTargetFlag, *quietFlag, stdout, stderr)
+		return serveChaosProxy(ctx, *chaosNetFlag, *chaosListenFlag, *chaosTargetFlag, *quietFlag, stdout, stderr)
 	case *listMachFlag:
 		return lmbench.RenderMachineList(stdout, catalog)
 	case *dumpProfFlag != "":
@@ -267,13 +266,33 @@ func run(args []string, stdout, stderr io.Writer) error {
 			options = append(options, lmbench.WithSink(lmbench.NewTextSink(stderr)))
 		}
 	}
+	db := &lmbench.DB{}
+	for _, path := range merges {
+		if err := mergeFile(db, path); err != nil {
+			return err
+		}
+	}
+
+	var registry *lmbench.Registry
+	var progress *lmbench.Progress
+	if *serveFlag != "" {
+		registry, progress = lmbench.NewRegistry(), lmbench.NewProgress()
+		options = append(options, lmbench.WithMetrics(registry), lmbench.WithSink(progress))
+	}
+	bench := lmbench.New(options...)
+	// A refused configuration opens nothing: no -trace or -spans file,
+	// no -serve listener, no pprof file, no emptied -journal. The file
+	// sinks join the validated bench (an Option is a func(*Bench)).
+	if err := bench.Validate(); err != nil {
+		return err
+	}
 	if *traceFlag != "" {
 		tf, err := os.Create(*traceFlag)
 		if err != nil {
 			return err
 		}
 		defer func() { _ = tf.Close() }()
-		options = append(options, lmbench.WithSink(lmbench.NewJSONLSink(tf)))
+		lmbench.WithSink(lmbench.NewJSONLSink(tf))(bench)
 	}
 	if *spansFlag != "" {
 		sf, err := os.Create(*spansFlag)
@@ -285,28 +304,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			_ = tr.Close() // emit the root suite span
 			_ = sf.Close()
 		}()
-		options = append(options, lmbench.WithSink(tr))
-	}
-	db := &lmbench.DB{}
-	for _, path := range merges {
-		if err := mergeFile(db, path); err != nil {
-			return err
-		}
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	var registry *lmbench.Registry
-	var progress *lmbench.Progress
-	if *serveFlag != "" {
-		registry, progress = lmbench.NewRegistry(), lmbench.NewProgress()
-		options = append(options, lmbench.WithMetrics(registry), lmbench.WithSink(progress))
-	}
-	bench := lmbench.New(options...)
-	// A refused configuration opens nothing: no -serve listener, no
-	// pprof file, no emptied -journal.
-	if err := bench.Validate(); err != nil {
-		return err
+		lmbench.WithSink(tr)(bench)
 	}
 	if *serveFlag != "" {
 		srv := &lmbench.Server{Registry: registry, Progress: progress}

@@ -36,11 +36,13 @@ func TestRejectedCombinations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A journal a refused -journal run names must keep its bytes.
-	kept := filepath.Join(dir, "kept.jnl")
-	keptBytes := []byte("a journal from an earlier run\n")
-	if err := os.WriteFile(kept, keptBytes, 0o644); err != nil {
-		t.Fatal(err)
+	// The -journal, -trace and -spans files a refused run names must
+	// keep their bytes.
+	kept, keptTrace, keptSpans := filepath.Join(dir, "kept.jnl"), filepath.Join(dir, "kept.trace"), filepath.Join(dir, "kept.spans")
+	for _, path := range []string{kept, keptTrace, keptSpans} {
+		if err := os.WriteFile(path, []byte("from an earlier run: "+path+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	out := filepath.Join(dir, "out.db")
@@ -68,7 +70,8 @@ func TestRejectedCombinations(t *testing.T) {
 			"does not compose with WithUnitCacheReadOnly", true},
 		{"calibrate x journal", []string{"-calibrate", "-machine", "Linux/i686", "-target", "paper", "-emit", out, "-journal", kept},
 			"does not compose with WithJournal", true},
-		{"chaos x fleet x journal", append(sim, "-only", "table7", "-chaos", "seed=1,err=0.3", "-fleet-workers", "2", "-journal", kept),
+		{"chaos x fleet x journal", append(sim, "-only", "table7", "-chaos", "seed=1,err=0.3", "-fleet-workers", "2",
+			"-journal", kept, "-trace", keptTrace, "-spans", keptSpans),
 			"does not compose with fleet execution", true},
 	}
 	for _, tc := range cases {
@@ -92,8 +95,35 @@ func TestRejectedCombinations(t *testing.T) {
 			t.Errorf("a refused run left %s behind (%v)", left, err)
 		}
 	}
-	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, keptBytes) {
-		t.Errorf("a refused run rewrote its -journal: %q (%v), want %q", got, err, keptBytes)
+	for _, path := range []string{kept, keptTrace, keptSpans} {
+		want := "from an earlier run: " + path + "\n"
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("a refused run rewrote %s: %q (%v), want %q", filepath.Base(path), got, err, want)
+		}
+	}
+}
+
+// TestResumeRefusesOtherOptions: a journal written under -fast cannot
+// resume a full-size run — its records would fill the database with
+// -fast bytes filed under the full-size options fingerprint — while a
+// resume under the options that wrote it replays.
+func TestResumeRefusesOtherOptions(t *testing.T) {
+	dir := t.TempDir()
+	jnl, out := filepath.Join(dir, "j.jnl"), filepath.Join(dir, "b.db")
+	table2 := []string{"-machine", "Linux/i686", "-only", "table2", "-quiet"}
+	var stdout, stderr bytes.Buffer
+	if err := run(append(table2, "-fast", "-journal", jnl), &stdout, &stderr); err != nil {
+		t.Fatalf("journaled -fast run: %v\n%s", err, stderr.String())
+	}
+	err := run(append(table2, "-resume", jnl, "-out", out), &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "written under other run options") {
+		t.Fatalf("full-size resume of a -fast journal: err = %v, want it refused", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("the refused resume wrote %s (%v)", filepath.Base(out), err)
+	}
+	if err := run(append(table2, "-fast", "-resume", jnl, "-out", out), &stdout, &stderr); err != nil {
+		t.Fatalf("-fast resume of a -fast journal: %v", err)
 	}
 }
 

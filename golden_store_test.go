@@ -44,19 +44,19 @@ func TestGoldenDBPublishServeByteIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- lmbench.ServeStoreIngest(ctx, ln, s) }()
+	go func() { done <- lmbench.ServeStoreIngestWith(ctx, ln, s, lmbench.IngestOptions{}) }()
 	defer func() {
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("ingest daemon: %v", err)
 		}
 	}()
-	m, err := lmbench.PublishRun(ctx, ln.Addr().String(), lmbench.Manifest{
+	m, err := lmbench.PublishRunWith(ctx, ln.Addr().String(), lmbench.Manifest{
 		Label:       "golden",
 		Machines:    db.Machines(),
 		Options:     "lmreport-defaults",
 		CodeVersion: "golden",
-	}, db)
+	}, db, lmbench.PublishOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func TestGoldenDBPublishServeByteIdentical(t *testing.T) {
 
 	// Idempotence at golden scale: re-publishing the committed file
 	// dedupes onto the same run.
-	again, err := lmbench.PublishRun(ctx, ln.Addr().String(), lmbench.Manifest{
+	again, err := lmbench.PublishRunWith(ctx, ln.Addr().String(), lmbench.Manifest{
 		Machines: db.Machines(), Options: "lmreport-defaults", CodeVersion: "golden",
-	}, db)
+	}, db, lmbench.PublishOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

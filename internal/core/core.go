@@ -13,6 +13,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -293,6 +294,23 @@ func FastOptions() Options {
 		CtxProcs:     []int{2, 8, 16},
 		CtxSizes:     []int64{0, 16 << 10, 32 << 10},
 	}
+}
+
+// Fingerprint is the canonical identity of the options a run executes
+// with: the JSON encoding of the normalized options. Options contains
+// no maps, so encoding/json emits fields in fixed declaration order.
+// Store manifests, unit-cache keys and journal records (ConfigDigest)
+// are keyed by it.
+func (o Options) Fingerprint() (string, error) {
+	n, err := o.Normalize()
+	if err != nil {
+		return "", err
+	}
+	b, err := json.Marshal(n)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
 }
 
 // Normalize validates o and fills in the paper's defaults for unset

@@ -20,6 +20,8 @@ package core
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -42,11 +44,32 @@ type JournalRecord struct {
 	// Key is the experiment's run key (Experiment.RunKey, or the ID
 	// when it runs alone): the unit of execution and of replay.
 	Key string `json:"key"`
+	// Config is the ConfigDigest of the run that journaled the record;
+	// a resume under another digest is refused. Records in the unit
+	// cache, whose key already covers the configuration, carry none.
+	Config string `json:"config,omitempty"`
 	// Skipped records an ErrUnsupported outcome; Err carries its text.
 	Skipped bool   `json:"skipped,omitempty"`
 	Err     string `json:"error,omitempty"`
 	// Entries are the database entries the run produced, in order.
 	Entries []results.Entry `json:"entries,omitempty"`
+}
+
+// ConfigDigest digests what a unit's result bytes take from the run's
+// configuration — the inputs a unit-cache key takes from it: the
+// options fingerprint (sweep mode included) and the quality gate's
+// canonical budget (MaxRSD, QualityBudget). Every journal record
+// carries its run's digest, so a journal written under other options
+// never replays into a run: its -fast records cannot fill a full-size
+// database, nor exhaustive sweeps an adaptive one.
+func ConfigDigest(o Options, maxRSD float64, qualityRetries int) (string, error) {
+	fp, err := o.Fingerprint()
+	if err != nil {
+		return "", err
+	}
+	maxRSD = max(maxRSD, 0)
+	sum := sha256.Sum256([]byte(fmt.Sprintf("options %s\nquality %g %d\n", fp, maxRSD, QualityBudget(maxRSD, qualityRetries))))
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // syncer is the subset of *os.File the writer uses to make each record

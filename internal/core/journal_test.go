@@ -329,8 +329,12 @@ func TestResumeReplaysSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	config, err := core.ConfigDigest(smallOpts(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := jw.Record(core.JournalRecord{
-		Machine: "Linux/i686", Key: "table7", Skipped: true, Err: "simulated",
+		Machine: "Linux/i686", Key: "table7", Config: config, Skipped: true, Err: "simulated",
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -332,48 +332,6 @@ func boundaryEndOffsets(c sweepColumn, measured []bool, yAt func(int) float64) [
 	return offs
 }
 
-// plannedSweepGroups are the experiment-group keys whose Run functions
-// consult Options.SweepMode: records of these groups produced by an
-// exhaustive run lack the planner's marks and must not be replayed
-// into an adaptive one. (units.go: figure1/table6 share the "mem_hier"
-// group; the §7 memory-variant sweep is its own "ext_memvar" group.)
-var plannedSweepGroups = map[string]bool{
-	"mem_hier":   true,
-	"ext_memvar": true,
-}
-
-// CheckReplayMode decides whether a journal record may be replayed
-// into a run using the given sweep mode. Results from the two modes
-// must never mix in one database: adaptive entries carry synthetic
-// interpolated points an exhaustive database may never contain, and
-// exhaustive entries replayed into an adaptive run would silently
-// void its point-reduction accounting. Skipped records carry no
-// results and replay into either mode. The unit cache needs no such
-// check — the sweep mode is part of the options fingerprint, so the
-// two modes' cache keys are disjoint by construction.
-func CheckReplayMode(rec JournalRecord, mode SweepMode) error {
-	if rec.Skipped {
-		return nil
-	}
-	adaptive := false
-	for _, e := range rec.Entries {
-		if e.Attrs["sweep.mode"] == string(SweepAdaptive) {
-			adaptive = true
-			break
-		}
-	}
-	if mode == SweepAdaptive {
-		if plannedSweepGroups[rec.Key] && !adaptive {
-			return fmt.Errorf("core: journal record %s/%s holds exhaustive-sweep results; an adaptive run cannot replay them (resume without -sweep adaptive, or rerun from scratch)", rec.Machine, rec.Key)
-		}
-		return nil
-	}
-	if adaptive {
-		return fmt.Errorf("core: journal record %s/%s holds adaptive-sweep results; an exhaustive run cannot replay them (resume with -sweep adaptive, or rerun from scratch)", rec.Machine, rec.Key)
-	}
-	return nil
-}
-
 // seamWithinNoise is the planner's stopping rule: the order statistics
 // of the measured window around a detected boundary decide whether the
 // step is real. A boundary whose local spread (max minus min of up to

@@ -162,33 +162,3 @@ func TestNormalizeSweepMode(t *testing.T) {
 		t.Fatal("Normalize accepted unknown SweepMode")
 	}
 }
-
-// TestCheckReplayMode pins the cross-mode journal guard: results from
-// the two sweep modes must never mix in one database.
-func TestCheckReplayMode(t *testing.T) {
-	adaptiveEntry := results.Entry{
-		Machine: "m", Benchmark: "f.lat", Unit: "ns",
-		Attrs: map[string]string{"sweep.mode": string(core.SweepAdaptive)},
-	}
-	plainEntry := results.Entry{Machine: "m", Benchmark: "f.lat", Unit: "ns"}
-	cases := []struct {
-		name    string
-		rec     core.JournalRecord
-		mode    core.SweepMode
-		wantErr bool
-	}{
-		{"skipped-into-adaptive", core.JournalRecord{Key: "mem_hier", Skipped: true}, core.SweepAdaptive, false},
-		{"skipped-into-exhaustive", core.JournalRecord{Key: "mem_hier", Skipped: true}, core.SweepExhaustive, false},
-		{"exhaustive-sweep-into-adaptive", core.JournalRecord{Key: "mem_hier", Entries: []results.Entry{plainEntry}}, core.SweepAdaptive, true},
-		{"exhaustive-other-into-adaptive", core.JournalRecord{Key: "table2", Entries: []results.Entry{plainEntry}}, core.SweepAdaptive, false},
-		{"adaptive-into-exhaustive", core.JournalRecord{Key: "mem_hier", Entries: []results.Entry{adaptiveEntry}}, core.SweepExhaustive, true},
-		{"adaptive-into-adaptive", core.JournalRecord{Key: "mem_hier", Entries: []results.Entry{adaptiveEntry}}, core.SweepAdaptive, false},
-		{"exhaustive-into-exhaustive", core.JournalRecord{Key: "mem_hier", Entries: []results.Entry{plainEntry}}, core.SweepExhaustive, false},
-	}
-	for _, c := range cases {
-		err := core.CheckReplayMode(c.rec, c.mode)
-		if (err != nil) != c.wantErr {
-			t.Errorf("%s: CheckReplayMode = %v, wantErr=%v", c.name, err, c.wantErr)
-		}
-	}
-}

@@ -103,10 +103,10 @@ type unitLog struct {
 	resume  *JournalReplay
 	cache   UnitCache
 	journal *JournalWriter
-	// mode is the run's sweep mode; resume records from the other mode
-	// are refused (see CheckReplayMode). Cache keys need no check: the
-	// mode is part of the options fingerprint.
-	mode SweepMode
+	// config is the run's ConfigDigest: journaled records carry it, and
+	// resume records that carry another are refused. Cache keys need no
+	// check: they cover the same configuration.
+	config string
 }
 
 // lookup returns the recorded outcome of the (machine, key) unit when
@@ -117,7 +117,12 @@ type unitLog struct {
 func (l unitLog) lookup(machine, key string) (rec JournalRecord, kind EventKind, err error) {
 	if l.resume != nil {
 		if rec, ok := l.resume.Lookup(machine, key); ok {
-			return rec, ExperimentReplayed, CheckReplayMode(rec, l.mode)
+			if rec.Config != l.config {
+				return rec, ExperimentReplayed, fmt.Errorf("core: journal record %s/%s was written under other run options "+
+					"(configuration digest %.12q, this run %.12q); resume with the options that wrote it, or rerun from scratch",
+					machine, key, rec.Config, l.config)
+			}
+			return rec, ExperimentReplayed, nil
 		}
 	}
 	if l.cache != nil {
@@ -130,16 +135,19 @@ func (l unitLog) lookup(machine, key string) (rec JournalRecord, kind EventKind,
 
 // settle persists a unit that lookup announced as kind at its merge
 // point. A replayed unit is already in the journal. Anything else is
-// journaled, so an interrupted warm run resumes without consulting the
-// cache again; a freshly executed one (kind "") is then cached — a
-// stored but unjournaled unit is merely a warm entry for the re-run,
-// while no unit counts as done without its record.
+// journaled under the run's digest, so an interrupted warm run resumes
+// without consulting the cache again; a freshly executed one (kind "")
+// is then cached — a stored but unjournaled unit is merely a warm
+// entry for the re-run, while no unit counts as done without its
+// record.
 func (l unitLog) settle(rec JournalRecord, kind EventKind) error {
 	if kind == ExperimentReplayed {
 		return nil
 	}
 	if l.journal != nil {
-		if err := l.journal.Record(rec); err != nil {
+		journaled := rec
+		journaled.Config = l.config
+		if err := l.journal.Record(journaled); err != nil {
 			return err
 		}
 	}
@@ -186,6 +194,12 @@ func (s *Suite) plan(names []string, named bool) (*unitExec, Options, error) {
 	if err != nil {
 		return nil, opts, err
 	}
+	var config string
+	if s.Journal != nil || s.Resume != nil { // the digest keys journal records only
+		if config, err = ConfigDigest(opts, s.MaxRSD, s.QualityRetries); err != nil {
+			return nil, opts, err
+		}
+	}
 	exps := s.Experiments
 	if exps == nil {
 		exps = Experiments()
@@ -203,7 +217,7 @@ func (s *Suite) plan(names []string, named bool) (*unitExec, Options, error) {
 	return &unitExec{
 		units:  units,
 		groups: groups,
-		log:    unitLog{resume: s.Resume, cache: s.Cache, journal: s.Journal, mode: opts.SweepMode},
+		log:    unitLog{resume: s.Resume, cache: s.Cache, journal: s.Journal, config: config},
 		sink:   SinkOrDiscard(s.Events),
 		named:  named,
 		recs:   make([]JournalRecord, len(units)),
@@ -377,7 +391,8 @@ func (r *Runner) Run(ctx context.Context, db *results.DB) (map[string][]string, 
 // is written. The fleet coordinator calls it, so lookup, dispatch
 // order, settling, failure and machine events are the in-process run's.
 // s's per-attempt settings (Timeout, Retries, quality gate) belong to
-// whatever exec runs.
+// whatever exec runs; the quality gate also keys the journal
+// (ConfigDigest).
 func (s *Suite) RunRemote(ctx context.Context, db *results.DB, machines []string, width int,
 	exec func(ctx context.Context, u WorkUnit, missed time.Time) (JournalRecord, error), done func()) (map[string][]string, error) {
 	x, _, err := s.plan(machines, true)

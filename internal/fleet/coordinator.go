@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
 	"sync"
 	"time"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/results"
+	"repro/internal/rpcx"
 )
 
 // Observer sees the coordinator's scheduling activity out of band —
@@ -82,7 +82,7 @@ type Coordinator struct {
 	Events core.EventSink
 	// Workers is how many local worker processes to spawn (re-execs of
 	// the current binary). Connect lists remote worker daemons
-	// (Serve / `lmbench -fleet-listen`) to dial into the pool.
+	// (ServeWith / `lmbench -fleet-listen`) to dial into the pool.
 	Workers int
 	Connect []string
 	// Timeout, Retries, RetryBackoff, MaxRSD and QualityRetries are
@@ -114,21 +114,15 @@ type Coordinator struct {
 	// merge order, so cold and warm runs are byte-identical. See
 	// internal/unitcache.
 	Cache core.UnitCache
-	// PeerTimeout is the idle read deadline on remote worker
-	// connections: a daemon silent for this long — workers heartbeat
-	// every 5s while executing — is declared dead and its unit
-	// re-dispatched. Zero means the DialOptions default (60s); negative
-	// disables. While a remote worker sits idle the coordinator pings it
-	// every idlePingInterval so the daemon's own idle timeout doesn't
-	// reap a healthy session between units.
-	PeerTimeout time.Duration
-	// DialRetries and DialBackoff shape the capped-backoff retry when
-	// dialing Connect addresses (see DialOptions); zero means defaults.
-	DialRetries int
-	DialBackoff time.Duration
-	// WrapConn, when set, wraps every dialed remote connection — the
-	// chaos seam (netfaults installs its injector here).
-	WrapConn func(net.Conn) net.Conn
+	// Dial configures how Connect addresses are dialed (see DialWith):
+	// capped-backoff retries, the chaos seam (WrapConn), and the idle
+	// read deadline on remote worker connections. A daemon silent for
+	// PeerTimeout — workers heartbeat every 5s while executing — is
+	// declared dead and its unit re-dispatched; zero means 60s. While a
+	// remote worker sits idle the coordinator pings it every
+	// idlePingInterval so the daemon's own idle timeout doesn't reap a
+	// healthy session between units.
+	Dial rpcx.DialOptions
 	// Obs sees scheduling activity; nil means unobserved.
 	Obs Observer
 
@@ -177,7 +171,7 @@ type run struct {
 	open             map[*ticket]bool // tickets whose slot still waits
 	queued, inflight int
 	live, localLive  int
-	workers          []workerConn
+	workers          []*worker
 }
 
 // Run executes the suite on every machine through the worker pool and
@@ -237,7 +231,7 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 		// unblocks any pending recv, and the drive loops are joined.
 		cancel()
 		r.mu.Lock()
-		workers := append([]workerConn(nil), r.workers...)
+		workers := append([]*worker(nil), r.workers...)
 		r.mu.Unlock()
 		for _, w := range workers {
 			w.close()
@@ -249,6 +243,7 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	}()
 	return (&core.Suite{
 		Opts: c.Opts, Events: r.sink, Only: c.Only, Extended: c.Extended,
+		MaxRSD: c.MaxRSD, QualityRetries: c.QualityRetries,
 		Journal: c.Journal, Resume: c.Resume, Cache: c.Cache,
 	}).RunRemote(runCtx, db, c.Machines, width, r.exec, r.obs.UnitDone)
 }
@@ -267,8 +262,8 @@ func (c *Coordinator) WorkerPIDs() []int {
 	defer r.mu.Unlock()
 	var pids []int
 	for _, w := range r.workers {
-		if p := w.pid(); p > 0 {
-			pids = append(pids, p)
+		if w.pid > 0 {
+			pids = append(pids, w.pid)
 		}
 	}
 	return pids
@@ -314,10 +309,7 @@ func (r *run) grow() error {
 	if !r.dialed {
 		r.dialed = true
 		for _, addr := range r.c.Connect {
-			w, err := DialWith(r.ctx, addr, DialOptions{
-				Retries: r.c.DialRetries, Backoff: r.c.DialBackoff,
-				PeerTimeout: r.c.PeerTimeout, WrapConn: r.c.WrapConn,
-			})
+			w, err := DialWith(r.ctx, addr, r.c.Dial)
 			if err != nil {
 				return err
 			}
@@ -376,7 +368,7 @@ func (r *run) enqueue(t *ticket, since time.Time, delay time.Duration) {
 }
 
 // startWorker registers w in the pool and starts its drive loop.
-func (r *run) startWorker(w workerConn, local bool) {
+func (r *run) startWorker(w *worker, local bool) {
 	r.mu.Lock()
 	r.workers = append(r.workers, w)
 	r.live++
@@ -384,7 +376,7 @@ func (r *run) startWorker(w workerConn, local bool) {
 		r.localLive++
 	}
 	r.mu.Unlock()
-	r.obs.WorkerUp(w.id())
+	r.obs.WorkerUp(w.id)
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -401,7 +393,7 @@ var idlePingInterval = 10 * time.Second
 // the run ends or the worker dies. Remote workers are pinged while
 // idle; a failed ping retires the worker exactly as a failed dispatch
 // would, except there is no unit to re-queue.
-func (r *run) workerLoop(w workerConn, local bool) {
+func (r *run) workerLoop(w *worker, local bool) {
 	defer w.close()
 	var pingC <-chan time.Time
 	if !local {
@@ -414,7 +406,7 @@ func (r *run) workerLoop(w workerConn, local bool) {
 		case <-r.ctx.Done():
 			return
 		case <-pingC:
-			if err := w.send(&wireMsg{Type: msgPing}); err != nil {
+			if err := w.Send(&wireMsg{Type: msgPing}); err != nil {
 				r.lost(w, local, nil, err)
 				return
 			}
@@ -457,7 +449,7 @@ func (r *run) count(dq, df int) {
 // budget is spent. The pool then grows back — a local worker is
 // replaced — and a pool left without any worker fails every open unit
 // instead of hanging.
-func (r *run) lost(w workerConn, local bool, t *ticket, cause error) {
+func (r *run) lost(w *worker, local bool, t *ticket, cause error) {
 	r.mu.Lock()
 	r.live--
 	if local {
@@ -471,7 +463,7 @@ func (r *run) lost(w workerConn, local bool, t *ticket, cause error) {
 		attempts, delay = t.attempts, t.backoff
 	}
 	r.mu.Unlock()
-	r.obs.WorkerDown(w.id(), cause)
+	r.obs.WorkerDown(w.id, cause)
 	budget := r.c.UnitRetries
 	if budget <= 0 {
 		budget = defaultUnitRetries
@@ -508,8 +500,8 @@ func (r *run) lost(w workerConn, local bool, t *ticket, cause error) {
 // arrives. A non-nil error means the transport failed and the unit's
 // fate is unknown — the caller re-dispatches it; a unit whose
 // experiment failed is a terminal outcome, matching serial semantics.
-func (r *run) driveUnit(w workerConn, u core.WorkUnit) (outcome, error) {
-	err := w.send(&wireMsg{
+func (r *run) driveUnit(w *worker, u core.WorkUnit) (outcome, error) {
+	err := w.Send(&wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: u.Seq,
 		Machine: u.Machine, Key: u.Key, IDs: u.IDs,
 		Profile: r.wireProfiles[u.Machine],
@@ -522,8 +514,8 @@ func (r *run) driveUnit(w workerConn, u core.WorkUnit) (outcome, error) {
 	}
 	skipErr := ""
 	for {
-		m, err := w.recv()
-		if err != nil {
+		var m wireMsg
+		if err := w.Recv(&m); err != nil {
 			return outcome{}, err
 		}
 		switch m.Type {

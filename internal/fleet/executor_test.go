@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/results"
+	"repro/internal/rpcx"
 )
 
 // recorderSink captures the event stream.
@@ -49,8 +50,8 @@ func setProcs(t *testing.T, n int) {
 }
 
 // TestFleetRefusedResumeStartsNoWorker: a resume journal whose first
-// unit an exhaustive run must refuse fails the run before any worker
-// process starts.
+// unit the run must refuse — a record without the run's configuration
+// digest — fails the run before any worker process starts.
 func TestFleetRefusedResumeStartsNoWorker(t *testing.T) {
 	var buf bytes.Buffer
 	jw, err := core.NewJournalWriter(&buf)
@@ -75,7 +76,7 @@ func TestFleetRefusedResumeStartsNoWorker(t *testing.T) {
 		Workers: 2, Resume: replay, Obs: obs,
 	}
 	_, err = c.Run(context.Background(), &results.DB{})
-	if err == nil || !strings.Contains(err.Error(), "adaptive-sweep results") {
+	if err == nil || !strings.Contains(err.Error(), "written under other run options") {
 		t.Fatalf("err = %v, want the refused replay", err)
 	}
 	if up, _, _, _ := obs.counts(); up != 0 {
@@ -185,8 +186,9 @@ func scriptedWorker(t *testing.T, delay time.Duration) (addr string, stop func()
 	serve := func(c net.Conn) {
 		defer wg.Done()
 		defer c.Close()
+		s := rpcx.NewSession(c, c)
 		for {
-			m, err := readMsg(c)
+			m, err := recvMsg(s)
 			if err != nil {
 				return
 			}
@@ -197,7 +199,7 @@ func scriptedWorker(t *testing.T, delay time.Duration) (addr string, stop func()
 				time.Sleep(delay)
 			}
 			res := &wireMsg{Type: msgResult, Seq: m.Seq, Err: fmt.Sprintf("unit %d failed", m.Seq)}
-			if writeMsg(c, res) != nil {
+			if s.Send(res) != nil {
 				return
 			}
 		}
@@ -312,13 +314,14 @@ func TestFleetIdlePeerDeathFailsNextUnit(t *testing.T) {
 		}
 		// Answer the first unit, then hang up while idle.
 		defer c.Close()
+		s := rpcx.NewSession(c, c)
 		for {
-			m, err := readMsg(c)
+			m, err := recvMsg(s)
 			if err != nil {
 				return
 			}
 			if m.Type == msgUnit {
-				writeMsg(c, &wireMsg{Type: msgResult, Seq: m.Seq})
+				s.Send(&wireMsg{Type: msgResult, Seq: m.Seq})
 				return
 			}
 		}

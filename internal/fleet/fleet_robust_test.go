@@ -9,11 +9,12 @@ import (
 
 	"repro/internal/netfaults"
 	"repro/internal/results"
+	"repro/internal/rpcx"
 )
 
 // startDaemon boots ServeWith on an ephemeral port and returns its
 // address plus a shutdown func that cancels and waits for the drain.
-func startDaemon(t *testing.T, o ServeOptions) (addr string, shutdown func()) {
+func startDaemon(t *testing.T, o rpcx.ServeOptions) (addr string, shutdown func()) {
 	t.Helper()
 	ln, err := listenLoopback()
 	if err != nil {
@@ -74,7 +75,7 @@ func TestSilentRemotePeer(t *testing.T) {
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
 		Workers: 1, Connect: []string{ln.Addr().String()},
-		PeerTimeout: 500 * time.Millisecond,
+		Dial:        rpcx.DialOptions{PeerTimeout: 500 * time.Millisecond},
 		UnitRetries: 10,
 		Obs:         obs,
 	}
@@ -107,7 +108,7 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 		t.Skip("fleet run in -short mode")
 	}
 	want := serialBytes(t)
-	addr, shutdown := startDaemon(t, ServeOptions{Logf: t.Logf})
+	addr, shutdown := startDaemon(t, rpcx.ServeOptions{Logf: t.Logf})
 	defer shutdown()
 
 	inj := netfaults.New(netfaults.Plan{Seed: 11, DropRate: 0.3, TruncRate: 0.2, Budget: 3})
@@ -115,10 +116,12 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,
 		Workers: 1, Connect: []string{addr},
-		PeerTimeout: 2 * time.Second,
-		DialBackoff: 10 * time.Millisecond,
+		Dial: rpcx.DialOptions{
+			PeerTimeout: 2 * time.Second,
+			Backoff:     10 * time.Millisecond,
+			WrapConn:    func(c net.Conn) net.Conn { return inj.Conn(c) },
+		},
 		UnitRetries: 10,
-		WrapConn:    func(c net.Conn) net.Conn { return inj.Conn(c) },
 		Obs:         obs,
 	}
 	db := &results.DB{}
@@ -142,7 +145,7 @@ func TestDialWithRetry(t *testing.T) {
 	ln.Close() // free the port; nothing listens now
 
 	// One attempt against a dead port fails immediately.
-	if _, err := DialWith(context.Background(), addr, DialOptions{Retries: -1}); err == nil {
+	if _, err := DialWith(context.Background(), addr, rpcx.DialOptions{Retries: -1}); err == nil {
 		t.Fatal("single-attempt dial to dead port succeeded")
 	}
 
@@ -158,21 +161,22 @@ func TestDialWithRetry(t *testing.T) {
 			return
 		}
 		// Answer the first frame with an echo so the session proves out.
-		m, err := readMsg(c)
+		s := rpcx.NewSession(c, c)
+		m, err := recvMsg(s)
 		if err == nil {
-			_ = writeMsg(c, m)
+			_ = s.Send(m)
 		}
 		c.Close()
 	}()
-	w, err := DialWith(context.Background(), addr, DialOptions{Retries: 20, Backoff: 20 * time.Millisecond})
+	w, err := DialWith(context.Background(), addr, rpcx.DialOptions{Retries: 20, Backoff: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("DialWith never reached the late daemon: %v", err)
 	}
 	defer w.close()
-	if err := w.send(&wireMsg{Type: msgPing}); err != nil {
+	if err := w.Send(&wireMsg{Type: msgPing}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := w.recv(); err != nil || m.Type != msgPing {
+	if m, err := recvMsg(w); err != nil || m.Type != msgPing {
 		t.Fatalf("echo: %v %+v", err, m)
 	}
 
@@ -181,7 +185,7 @@ func TestDialWithRetry(t *testing.T) {
 	dead := ln3.Addr().String()
 	ln3.Close()
 	start := time.Now()
-	if _, err := DialWith(context.Background(), dead, DialOptions{Retries: -1}); err == nil {
+	if _, err := DialWith(context.Background(), dead, rpcx.DialOptions{Retries: -1}); err == nil {
 		t.Fatal("DialWith(Retries:-1) to dead port succeeded")
 	}
 	if time.Since(start) > 5*time.Second {
@@ -194,7 +198,7 @@ func TestDialWithRetry(t *testing.T) {
 // session that pings — as an idle coordinator does — outlives several
 // timeout windows.
 func TestDaemonIdleTimeoutAndKeepalive(t *testing.T) {
-	addr, shutdown := startDaemon(t, ServeOptions{IdleTimeout: 300 * time.Millisecond, Logf: t.Logf})
+	addr, shutdown := startDaemon(t, rpcx.ServeOptions{IdleTimeout: 300 * time.Millisecond, Logf: t.Logf})
 	defer shutdown()
 
 	// Silent session: reaped promptly.
@@ -214,9 +218,10 @@ func TestDaemonIdleTimeoutAndKeepalive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer alive.Close()
+	as := rpcx.NewSession(alive, alive)
 	deadline := time.Now().Add(1200 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if err := writeMsg(alive, &wireMsg{Type: msgPing}); err != nil {
+		if err := as.Send(&wireMsg{Type: msgPing}); err != nil {
 			t.Fatalf("keepalive session died: %v", err)
 		}
 		time.Sleep(100 * time.Millisecond)
@@ -228,11 +233,11 @@ func TestDaemonIdleTimeoutAndKeepalive(t *testing.T) {
 	}
 	o := fastOpts()
 	u.Opts = &o
-	if err := writeMsg(alive, u); err != nil {
+	if err := as.Send(u); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		m, err := readMsg(alive)
+		m, err := recvMsg(as)
 		if err != nil {
 			t.Fatalf("result after keepalives: %v", err)
 		}
@@ -256,25 +261,26 @@ func TestDrainFinishesBusyUnit(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- ServeWith(ctx, ln, ServeOptions{DrainTimeout: 60 * time.Second, Logf: t.Logf}) }()
+	go func() { done <- ServeWith(ctx, ln, rpcx.ServeOptions{DrainTimeout: 60 * time.Second, Logf: t.Logf}) }()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	cs := rpcx.NewSession(conn, conn)
 	u := &wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: 3,
 		Machine: testMachines[0], Key: "table2", IDs: []string{"table2"},
 	}
 	o := fastOpts()
 	u.Opts = &o
-	if err := writeMsg(conn, u); err != nil {
+	if err := cs.Send(u); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the first event frame — proof the session is busy — then
 	// pull the rug.
-	first, err := readMsg(conn)
+	first, err := recvMsg(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +303,7 @@ func TestDrainFinishesBusyUnit(t *testing.T) {
 	}
 	// The busy session still lands its result.
 	for {
-		m, err := readMsg(conn)
+		m, err := recvMsg(cs)
 		if err != nil {
 			t.Fatalf("frame during drain: %v", err)
 		}
@@ -330,9 +336,9 @@ func TestWorkerHeartbeatsDuringUnit(t *testing.T) {
 	// reader whose idle window is far shorter than the unit duration and
 	// let the event stream (which rides the same path as heartbeats)
 	// keep it alive.
-	addr, shutdown := startDaemon(t, ServeOptions{Logf: t.Logf})
+	addr, shutdown := startDaemon(t, rpcx.ServeOptions{Logf: t.Logf})
 	defer shutdown()
-	w, err := DialWith(context.Background(), addr, DialOptions{PeerTimeout: 2 * time.Second})
+	w, err := DialWith(context.Background(), addr, rpcx.DialOptions{PeerTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +349,11 @@ func TestWorkerHeartbeatsDuringUnit(t *testing.T) {
 	}
 	o := fastOpts()
 	u.Opts = &o
-	if err := w.send(u); err != nil {
+	if err := w.Send(u); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		m, err := w.recv()
+		m, err := recvMsg(w)
 		if err != nil {
 			t.Fatalf("recv with 2s idle deadline: %v", err)
 		}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/machines"
 	"repro/internal/ptime"
 	"repro/internal/results"
+	"repro/internal/rpcx"
 	"repro/internal/timing"
 )
 
@@ -64,6 +65,15 @@ func serialBytes(t *testing.T) []byte {
 }
 
 func listenLoopback() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+
+// recvMsg reads the next protocol message from s.
+func recvMsg(s interface{ Recv(any) error }) (*wireMsg, error) {
+	var m wireMsg
+	if err := s.Recv(&m); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
 
 func encode(t *testing.T, db *results.DB) []byte {
 	t.Helper()
@@ -138,10 +148,10 @@ func TestProtocolRoundTrip(t *testing.T) {
 		MaxRSD: 0.1, QualityRetries: 3,
 	}
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, in); err != nil {
+	if err := rpcx.WriteJSON(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readMsg(bytes.NewReader(buf.Bytes()))
+	out, err := recvMsg(rpcx.NewSession(&buf, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +167,18 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkerServesUnits drives the Work loop directly over in-memory
+// TestWorkerServesUnits drives the worker loop directly over in-memory
 // pipes: a well-formed unit produces entries, an unknown machine an
 // error frame, and a version mismatch kills the session.
 func TestWorkerServesUnits(t *testing.T) {
 	toWorker, unitW := io.Pipe()
 	resultR, fromWorker := io.Pipe()
 	workErr := make(chan error, 1)
-	go func() { workErr <- Work(context.Background(), toWorker, fromWorker) }()
-	s := newSession(resultR, unitW)
+	go func() { workErr <- work(context.Background(), rpcx.NewSession(toWorker, fromWorker)) }()
+	s := rpcx.NewSession(resultR, unitW)
 
 	opts := fastOpts()
-	if err := s.send(&wireMsg{
+	if err := s.Send(&wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: 1,
 		Machine: testMachines[0], Key: "tlb", IDs: []string{"table16"}, Opts: &opts,
 	}); err != nil {
@@ -176,7 +186,7 @@ func TestWorkerServesUnits(t *testing.T) {
 	}
 	var res *wireMsg
 	for {
-		m, err := s.recv()
+		m, err := recvMsg(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,10 +202,10 @@ func TestWorkerServesUnits(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 
-	if err := s.send(&wireMsg{Type: msgUnit, V: protoVersion, Seq: 2, Machine: "no-such-machine", Opts: &opts}); err != nil {
+	if err := s.Send(&wireMsg{Type: msgUnit, V: protoVersion, Seq: 2, Machine: "no-such-machine", Opts: &opts}); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := s.recv()
+	res2, err := recvMsg(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestWorkerServesUnits(t *testing.T) {
 		t.Fatalf("want unknown-machine error, got %+v", res2)
 	}
 
-	if err := s.send(&wireMsg{Type: msgUnit, V: protoVersion + 1, Seq: 3, Machine: testMachines[0], Opts: &opts}); err != nil {
+	if err := s.Send(&wireMsg{Type: msgUnit, V: protoVersion + 1, Seq: 3, Machine: testMachines[0], Opts: &opts}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-workErr; err == nil || !strings.Contains(err.Error(), "version") {
@@ -247,7 +257,7 @@ func TestServeMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- Serve(ctx, ln) }()
+	go func() { served <- ServeWith(ctx, ln, rpcx.ServeOptions{}) }()
 
 	db := &results.DB{}
 	c := &Coordinator{
@@ -372,9 +382,10 @@ func TestCoordinatorResume(t *testing.T) {
 }
 
 // TestNextBackoff: the pause schedule DialWith and re-dispatch follow
-// starts at the DialOptions default, doubles, and saturates at 30s.
+// starts at 100ms (rpcx.DialOptions' default first pause), doubles,
+// and saturates at 30s.
 func TestNextBackoff(t *testing.T) {
-	first := DialOptions{}.normalize().Backoff
+	first := 100 * time.Millisecond
 	if got := core.NextBackoff(0); got != first {
 		t.Errorf("first re-dispatch pause = %v, want the dial default %v", got, first)
 	}

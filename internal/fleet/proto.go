@@ -10,8 +10,9 @@
 // length-prefixed JSONL protocol. Workers are either re-executions of
 // the current binary speaking the protocol on stdin/stdout (spawned
 // automatically; any binary whose main calls lmbench.MaybeChild can
-// host them) or remote worker daemons reached over TCP (Serve/Dial),
-// framed with internal/rpcx's record-marking discipline in both cases.
+// host them) or remote worker daemons reached over TCP
+// (ServeWith/DialWith), framed by internal/rpcx's sessions in both
+// cases.
 //
 // Determinism: a unit's result is exactly what a serial Suite.Run
 // produces for that group — workers build the named machine fresh from
@@ -31,16 +32,11 @@
 package fleet
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/results"
-	"repro/internal/rpcx"
 )
 
 // protoVersion guards the wire protocol. Local workers are re-execs of
@@ -49,12 +45,6 @@ import (
 // silently divergent results. v2 added ping frames (idle keepalives and
 // in-unit heartbeats), which a v1 endpoint would reject as unexpected.
 const protoVersion = 2
-
-// maxFrameBytes bounds one protocol frame. The largest legitimate
-// payload — a Figure-1 series fragment with quality attrs — is a few
-// hundred kilobytes; 16MB keeps the bound far from real traffic while
-// still refusing a corrupt length prefix.
-const maxFrameBytes = 16 << 20
 
 // Message types.
 const (
@@ -70,9 +60,9 @@ const (
 	msgPing = "ping"
 )
 
-// wireMsg is one protocol frame: a JSON object, record-framed. A flat
-// struct with a type tag keeps the codec to one Marshal/Unmarshal and
-// the stream greppable.
+// wireMsg is one protocol frame: a JSON object, record-framed by an
+// rpcx.Session. A flat struct with a type tag keeps the codec to one
+// Marshal/Unmarshal and the stream greppable.
 type wireMsg struct {
 	Type string `json:"type"`
 	// V is the protocol version, set on unit dispatches.
@@ -109,39 +99,3 @@ type wireMsg struct {
 	// Event carries one forwarded suite event.
 	Event *core.Event `json:"event,omitempty"`
 }
-
-// writeMsg frames and sends one message.
-func writeMsg(w io.Writer, m *wireMsg) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("fleet: encode %s: %w", m.Type, err)
-	}
-	return rpcx.WriteFrame(w, b)
-}
-
-// readMsg receives and decodes one message.
-func readMsg(r io.Reader) (*wireMsg, error) {
-	b, err := rpcx.ReadFrame(r, maxFrameBytes)
-	if err != nil {
-		return nil, err
-	}
-	var m wireMsg
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("fleet: decode frame: %w", err)
-	}
-	return &m, nil
-}
-
-// session pairs a buffered reader with a writer for one protocol
-// endpoint.
-type session struct {
-	r *bufio.Reader
-	w io.Writer
-}
-
-func newSession(r io.Reader, w io.Writer) *session {
-	return &session{r: bufio.NewReader(r), w: w}
-}
-
-func (s *session) send(m *wireMsg) error   { return writeMsg(s.w, m) }
-func (s *session) recv() (*wireMsg, error) { return readMsg(s.r) }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/results"
+	"repro/internal/rpcx"
 )
 
 // WorkerEnv is the sentinel environment variable that turns a re-exec
@@ -32,7 +33,7 @@ func MaybeWorker() {
 	if os.Getenv(WorkerEnv) == "" {
 		return
 	}
-	if err := Work(context.Background(), os.Stdin, os.Stdout); err != nil {
+	if err := work(context.Background(), rpcx.NewSession(os.Stdin, os.Stdout)); err != nil {
 		fmt.Fprintln(os.Stderr, "lmbench fleet worker:", err)
 		os.Exit(1)
 	}
@@ -44,51 +45,31 @@ func MaybeWorker() {
 // not measurement duration.
 const heartbeatInterval = 5 * time.Second
 
-// Work serves one coordinator session: unit frames are read from r,
+// work serves one coordinator session: unit frames arrive on s,
 // events stream back as the suite runs, and one result frame answers
 // each unit. It returns nil when the coordinator closes the stream and
 // an error on a protocol or I/O failure. Machines are built fresh from
 // their profiles and cached per name; the suite resets them before
 // every attempt, so a reused machine is indistinguishable from a new
 // one (core.Resetter) and unit results match a serial run exactly.
-func Work(ctx context.Context, r io.Reader, w io.Writer) error {
-	return work(ctx, nil, func(bool) {}, r, w)
-}
-
-// work is Work plus the daemon's drain hooks: when drain closes, the
-// session finishes the unit it is executing (if any) and exits cleanly
-// instead of waiting for the next unit; setBusy brackets unit
-// execution so the daemon knows which sessions it may cut loose
-// immediately.
-func work(ctx context.Context, drain <-chan struct{}, setBusy func(bool), r io.Reader, w io.Writer) error {
-	s := newSession(r, w)
+// Under the worker daemon (ServeWith) s is busy only while it executes
+// a unit: when the daemon drains, the session finishes the unit it is
+// executing (if any) and exits cleanly instead of waiting for the next
+// one.
+func work(ctx context.Context, s *rpcx.Session) error {
 	cache := map[string]core.Machine{}
-	// Events and results share the write side; a mutex keeps frames
-	// whole even though the suite emits events on the run goroutine.
-	var wmu sync.Mutex
-	send := func(m *wireMsg) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return s.send(m)
-	}
-	draining := func() bool {
-		select {
-		case <-drain:
-			return true
-		default:
-			return false
-		}
-	}
 	for {
-		if draining() {
+		s.SetBusy(false)
+		if s.Draining() {
 			return nil
 		}
-		m, err := s.recv()
+		var m wireMsg
+		err := s.Recv(&m)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			if draining() {
+			if s.Draining() {
 				// The daemon cut an idle session loose; not a failure.
 				return nil
 			}
@@ -103,14 +84,12 @@ func work(ctx context.Context, drain <-chan struct{}, setBusy func(bool), r io.R
 		if m.V != protoVersion {
 			return fmt.Errorf("fleet: protocol version %d, worker speaks %d", m.V, protoVersion)
 		}
-		setBusy(true)
-		stop := startHeartbeat(send)
-		res := runUnit(ctx, m, cache, send)
+		s.SetBusy(true)
+		stop := startHeartbeat(s)
+		res := runUnit(ctx, &m, cache, s)
 		stop()
 		res.Type, res.Seq = msgResult, m.Seq
-		err = send(res)
-		setBusy(false)
-		if err != nil {
+		if err := s.Send(res); err != nil {
 			return err
 		}
 	}
@@ -120,7 +99,7 @@ func work(ctx context.Context, drain <-chan struct{}, setBusy func(bool), r io.R
 // the returned stop function is called. A failed ping just stops the
 // heartbeat — the unit's result frame (or the broken pipe it hits)
 // carries the session's fate.
-func startHeartbeat(send func(*wireMsg) error) (stop func()) {
+func startHeartbeat(s *rpcx.Session) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -133,7 +112,7 @@ func startHeartbeat(send func(*wireMsg) error) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				if send(&wireMsg{Type: msgPing}) != nil {
+				if s.Send(&wireMsg{Type: msgPing}) != nil {
 					return
 				}
 			}
@@ -146,7 +125,7 @@ func startHeartbeat(send func(*wireMsg) error) (stop func()) {
 }
 
 // runUnit executes one work unit and returns its result frame.
-func runUnit(ctx context.Context, m *wireMsg, cache map[string]core.Machine, send func(*wireMsg) error) *wireMsg {
+func runUnit(ctx context.Context, m *wireMsg, cache map[string]core.Machine, s *rpcx.Session) *wireMsg {
 	mach, err := machineFor(m.Machine, m.Profile, cache)
 	if err != nil {
 		return &wireMsg{Err: err.Error()}
@@ -164,7 +143,7 @@ func runUnit(ctx context.Context, m *wireMsg, cache map[string]core.Machine, sen
 		M: mach, Opts: opts, Only: only, Extended: m.Extended,
 		Timeout: m.Timeout, Retries: m.Retries, RetryBackoff: m.RetryBackoff,
 		MaxRSD: m.MaxRSD, QualityRetries: m.QualityRetries,
-		Events: forwardSink{seq: m.Seq, send: send},
+		Events: forwardSink{seq: m.Seq, s: s},
 		Cache:  &rec,
 	}
 	skipped, err := suite.Run(ctx, &results.DB{})
@@ -228,13 +207,13 @@ func machineFor(name string, wire *machines.Profile, cache map[string]core.Machi
 // carries the session's fate, and an event must never abort a
 // measurement.
 type forwardSink struct {
-	seq  int
-	send func(*wireMsg) error
+	seq int
+	s   *rpcx.Session
 }
 
 func (f forwardSink) Event(e core.Event) {
 	ev := e
-	_ = f.send(&wireMsg{Type: msgEvent, Seq: f.seq, Event: &ev})
+	_ = f.s.Send(&wireMsg{Type: msgEvent, Seq: f.seq, Event: &ev})
 }
 
 // MachineNamesIn maps benchmark targets to fleet-resolvable profile

@@ -20,7 +20,7 @@
 // Three installation points:
 //
 //   - Proxy: a standalone frame-level lossy proxy
-//     (`lmbench -chaos-proxy`) that sits between a publisher or fleet
+//     (`lmbench -chaos-net`) that sits between a publisher or fleet
 //     coordinator and a daemon, parsing rpcx record marks and faulting
 //     whole frames per direction. This is the shape the chaos smoke
 //     uses: real processes, real TCP, seeded loss in the middle.

@@ -2,9 +2,8 @@ package netfaults
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/binary"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -23,15 +22,8 @@ import (
 type Proxy struct {
 	Inj    *Injector
 	Target string
-	// MaxFrame bounds a relayed frame's size (<=0: the rpcx 1MB
-	// default is too small for store fragments; 16MB matches the
-	// fleet/ingest protocol limit).
-	MaxFrame int
 	// Logf, when set, receives one line per injected fault.
 	Logf func(format string, args ...any)
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
 }
 
 func (p *Proxy) logf(format string, args ...any) {
@@ -40,66 +32,45 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-func (p *Proxy) track(c net.Conn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conns == nil {
-		p.conns = make(map[net.Conn]struct{})
-	}
-	p.conns[c] = struct{}{}
-}
-
-func (p *Proxy) untrack(c net.Conn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.conns, c)
-}
-
-func (p *Proxy) closeAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for c := range p.conns {
-		c.Close()
-	}
+// proxyConn is an accepted client connection and its connection index,
+// which seeds its c2s and s2c fault streams.
+type proxyConn struct {
+	net.Conn
+	index int
 }
 
 // Serve accepts on ln until ctx is cancelled, proxying each connection
-// to p.Target with injected faults. Returns nil on cancellation.
+// to p.Target with injected faults, through rpcx.Serve. A connection's
+// reset decision and index are taken on the accept path, in accept
+// order, so a seed replays the same faults on the same connections. A
+// relay is never busy: cancel cuts every relay at once. Returns nil on
+// cancellation.
 func (p *Proxy) Serve(ctx context.Context, ln net.Listener) error {
 	accept := p.Inj.newStream("accept", 0)
-	stop := context.AfterFunc(ctx, func() {
-		ln.Close()
-		p.closeAll()
-	})
-	defer stop()
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
+	o := rpcx.ServeOptions{
+		// No deadlines: a relay's peers time their own session out, and
+		// the session's Conn stays the *proxyConn WrapConn returned.
+		IdleTimeout: -1, WriteTimeout: -1,
+		WrapConn: func(c net.Conn) net.Conn {
+			if accept.decideReset() {
+				p.Inj.nextConn()
+				p.logf("netfaults: proxy reset %s at accept", c.RemoteAddr())
+				reset(c)
 				return nil
 			}
-			return err
-		}
-		if accept.decideReset() {
-			p.Inj.nextConn()
-			p.logf("netfaults: proxy reset %s at accept", c.RemoteAddr())
-			reset(c)
-			continue
-		}
-		i := p.Inj.nextConn()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.relay(i, c)
-		}()
+			return &proxyConn{Conn: c, index: p.Inj.nextConn()}
+		},
 	}
+	return rpcx.Serve(ctx, ln, o, func(_ context.Context, s *rpcx.Session) error {
+		s.SetBusy(false)
+		p.relay(s.Conn.(*proxyConn))
+		return nil
+	})
 }
 
 // relay dials the target and pumps both directions until either side
 // fails or a fault tears the pair down.
-func (p *Proxy) relay(conn int, client net.Conn) {
+func (p *Proxy) relay(client *proxyConn) {
 	defer client.Close()
 	server, err := net.DialTimeout("tcp", p.Target, 10*time.Second)
 	if err != nil {
@@ -107,20 +78,16 @@ func (p *Proxy) relay(conn int, client net.Conn) {
 		return
 	}
 	defer server.Close()
-	p.track(client)
-	p.track(server)
-	defer p.untrack(client)
-	defer p.untrack(server)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		p.pump(p.Inj.newStream("c2s", conn), client, server)
+		p.pump(p.Inj.newStream("c2s", client.index), client, server)
 	}()
 	go func() {
 		defer wg.Done()
-		p.pump(p.Inj.newStream("s2c", conn), server, client)
+		p.pump(p.Inj.newStream("s2c", client.index), server, client)
 	}()
 	wg.Wait()
 }
@@ -129,14 +96,10 @@ func (p *Proxy) relay(conn int, client net.Conn) {
 // stream's fate to each. Any fault that severs the flow (drop, trunc,
 // relay error) closes both conns so the peers see it promptly.
 func (p *Proxy) pump(s *stream, src, dst net.Conn) {
-	max := p.MaxFrame
-	if max <= 0 {
-		max = 16 << 20
-	}
 	r := bufio.NewReader(src)
 	kill := func() { src.Close(); dst.Close() }
 	for {
-		frame, err := rpcx.ReadFrame(r, max)
+		frame, err := rpcx.ReadFrame(r, rpcx.MaxMessageBytes)
 		if err != nil {
 			kill()
 			return
@@ -176,23 +139,7 @@ func (p *Proxy) pump(s *stream, src, dst net.Conn) {
 // missing bytes until the connection closes under it and ReadFull
 // reports an unexpected EOF mid-record.
 func writeTruncated(dst net.Conn, frame []byte) {
-	var hdr [4]byte
-	const lastFragment = 1 << 31
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame))|lastFragment)
-	buf := append(hdr[:], frame[:len(frame)/2]...)
-	dst.Write(buf)
-}
-
-// ListenAndServe listens on addr (use ":0" for an ephemeral port),
-// reports the bound address through announce, and serves until ctx is
-// cancelled.
-func (p *Proxy) ListenAndServe(ctx context.Context, addr string, announce func(net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("netfaults: proxy listen: %w", err)
-	}
-	if announce != nil {
-		announce(ln.Addr())
-	}
-	return p.Serve(ctx, ln)
+	var rec bytes.Buffer
+	_ = rpcx.WriteFrame(&rec, frame)
+	dst.Write(rec.Bytes()[:4+len(frame)/2])
 }

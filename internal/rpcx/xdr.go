@@ -9,6 +9,10 @@
 // simply an expensive implementation." This package exists so the host
 // backend can reproduce that layering experiment (Tables 12 and 13)
 // with a real wire protocol rather than a stub.
+//
+// Its record framing also carries the suite's own control plane: the
+// session layer (Session, Serve, Dial) frames the JSON messages of the
+// fleet, the store ingest protocol and the chaos proxy.
 package rpcx
 
 import (

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/results"
+	"repro/internal/rpcx"
 )
 
 // FuzzManifestShard writes arbitrary bytes where a manifest belongs
@@ -128,7 +129,7 @@ func FuzzIngestStream(f *testing.F) {
 	f.Add([]byte("\x80\x00\x00\x02{}"))
 	// A valid publish frame followed by garbage.
 	var valid bytes.Buffer
-	_ = writeIngest(&valid, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: []string{"m"}})
+	_ = rpcx.WriteJSON(&valid, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: []string{"m"}})
 	f.Add(valid.Bytes())
 	f.Add(append(append([]byte{}, valid.Bytes()...), 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -137,7 +138,7 @@ func FuzzIngestStream(f *testing.F) {
 			t.Fatal(err)
 		}
 		var resp bytes.Buffer
-		HandleSession(bytes.NewReader(data), &resp, s)
+		_ = handleSession(rpcx.NewSession(bytes.NewReader(data), &resp), s)
 		runs, err := s.Runs()
 		if err != nil {
 			t.Fatalf("store unreadable after fuzzed session: %v", err)

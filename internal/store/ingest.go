@@ -1,29 +1,23 @@
 package store
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/rpcx"
 )
 
-// The ingestion protocol: how runs reach a store daemon. It reuses the
-// fleet's wire discipline — JSON messages, record-framed with
-// internal/rpcx's RFC-1831 marking — so a fleet coordinator or a local
-// run streams its database to `lmbench -store-listen` with the same
-// framing code that moved the fragments between workers in the first
-// place.
+// The ingestion protocol: how runs reach a store daemon. It rides the
+// session layer the fleet rides — internal/rpcx's JSON messages in
+// RFC-1831 record frames, served and dialed by rpcx — so a fleet
+// coordinator or a local run streams its database to `lmbench
+// -store-listen` with the same code that moved the fragments between
+// workers in the first place.
 //
 // One publish is a session:
 //
@@ -39,11 +33,6 @@ import (
 
 // ingestVersion guards the ingestion wire protocol.
 const ingestVersion = 1
-
-// maxFrameBytes bounds one ingest frame; a Figure-1 series fragment
-// with quality attrs is a few hundred KB, so 16MB is far from real
-// traffic while still refusing a corrupt length prefix.
-const maxFrameBytes = 16 << 20
 
 // fragmentEntries is how many entries a publishing client packs per
 // fragment frame.
@@ -83,79 +72,20 @@ type ingestMsg struct {
 	Err string `json:"error,omitempty"`
 }
 
-func writeIngest(w io.Writer, m *ingestMsg) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("store: encode %s: %w", m.Type, err)
-	}
-	return rpcx.WriteFrame(w, b)
-}
+// IngestOptions tunes the daemon side of the ingest loop; see
+// ServeIngest. The zero value selects production defaults.
+type IngestOptions = rpcx.ServeOptions
 
-func readIngest(r io.Reader) (*ingestMsg, error) {
-	b, err := rpcx.ReadFrame(r, maxFrameBytes)
-	if err != nil {
-		return nil, err
-	}
-	var m ingestMsg
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("store: decode frame: %w", err)
-	}
-	return &m, nil
-}
-
-// IngestOptions tunes the daemon side of the ingest loop. The zero
-// value selects production defaults.
-type IngestOptions struct {
-	// IdleTimeout is the per-read idle deadline on a session
-	// connection: a connect-then-silent peer fails its next read in
-	// this long instead of holding a daemon goroutine forever.
-	// Default 30s; negative disables.
-	IdleTimeout time.Duration
-	// WriteTimeout is the per-write deadline. Default 30s; negative
-	// disables.
-	WriteTimeout time.Duration
-	// DrainTimeout bounds the graceful drain after ctx is cancelled:
-	// the listener closes immediately, in-flight sessions get this
-	// long to finish their commit, then their connections are
-	// force-closed. Default 10s; negative drains without forcing.
-	DrainTimeout time.Duration
-	// WrapConn, when set, wraps every accepted connection — the chaos
-	// seam (netfaults installs its injector here).
-	WrapConn func(net.Conn) net.Conn
-	// Registry, when set, counts sessions and failures as
-	// lmbench_store_ingest_* families.
-	Registry *obs.Registry
-	// Logf, when set, receives one line per failed session.
-	Logf func(format string, args ...any)
-}
-
-func (o IngestOptions) normalize() IngestOptions {
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 30 * time.Second
-	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
-	if o.DrainTimeout == 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
-	return o
-}
-
-// Serve accepts publish sessions on ln until ctx is cancelled, with
-// default options. Each connection is one session; sessions run
-// concurrently (Put serializes the final store write). This is the
-// loop behind `lmbench -store-listen`.
-func Serve(ctx context.Context, ln net.Listener, s *Store) error {
-	return ServeIngest(ctx, ln, s, IngestOptions{})
-}
-
-// ServeIngest is Serve with explicit options. On ctx cancellation it
-// drains gracefully — stops accepting, lets in-flight commits finish
-// (bounded by DrainTimeout), waits for every session goroutine — and
-// returns nil.
+// ServeIngest accepts publish sessions on ln until ctx is cancelled,
+// through rpcx.Serve. Each connection is one session; sessions run
+// concurrently (Put serializes the final store write). A session is
+// busy for its whole life, so on cancel the listener closes and every
+// in-flight session gets DrainTimeout (default 10s) to land its
+// commit before it is force-closed; then ServeIngest returns nil. With
+// o.Registry set it counts sessions and failures as
+// lmbench_store_ingest_* families. This is the loop behind `lmbench
+// -store-listen`.
 func ServeIngest(ctx context.Context, ln net.Listener, s *Store, o IngestOptions) error {
-	o = o.normalize()
 	var sessions, failures *obs.Counter
 	if o.Registry != nil {
 		sessions = o.Registry.Counter("lmbench_store_ingest_sessions_total",
@@ -163,96 +93,33 @@ func ServeIngest(ctx context.Context, ln net.Listener, s *Store, o IngestOptions
 		failures = o.Registry.Counter("lmbench_store_ingest_failures_total",
 			"Publish sessions that ended in an error reply or wire failure.")
 	}
-
-	var (
-		mu    sync.Mutex
-		conns = make(map[net.Conn]struct{})
-		wg    sync.WaitGroup
-	)
-	stop := context.AfterFunc(ctx, func() { _ = ln.Close() })
-	defer stop()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				break // drain
-			}
-			return err
+	return rpcx.Serve(ctx, ln, o, func(_ context.Context, sess *rpcx.Session) error {
+		if sessions != nil {
+			sessions.Add(1)
 		}
-		if o.WrapConn != nil {
-			conn = o.WrapConn(conn)
+		err := handleSession(sess, s)
+		if err == nil {
+			return nil
 		}
-		mu.Lock()
-		conns[conn] = struct{}{}
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				_ = conn.Close()
-				mu.Lock()
-				delete(conns, conn)
-				mu.Unlock()
-			}()
-			if sessions != nil {
-				sessions.Add(1)
-			}
-			c := rpcx.WithDeadlines(conn, o.IdleTimeout, o.WriteTimeout)
-			if err := handleSession(c, c, s); err != nil {
-				if failures != nil {
-					failures.Add(1)
-				}
-				if o.Logf != nil {
-					o.Logf("store: ingest session from %s failed: %v", conn.RemoteAddr(), err)
-				}
-			}
-		}()
-	}
-
-	// Drain: give in-flight sessions DrainTimeout to land their
-	// commits, then cut them off.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	var force <-chan time.Time
-	if o.DrainTimeout > 0 {
-		t := time.NewTimer(o.DrainTimeout)
-		defer t.Stop()
-		force = t.C
-	}
-	select {
-	case <-done:
-	case <-force:
-		mu.Lock()
-		for c := range conns {
-			_ = c.Close()
+		if failures != nil {
+			failures.Add(1)
 		}
-		mu.Unlock()
-		<-done
-	}
-	return nil
+		return fmt.Errorf("store: ingest session from %s failed: %w", sess.Conn.RemoteAddr(), err)
+	})
 }
-
-// HandleSession runs one publish session over an arbitrary
-// reader/writer pair — exported for tests and for piping a session
-// over transports other than TCP.
-func HandleSession(r io.Reader, w io.Writer, s *Store) { _ = handleSession(r, w, s) }
 
 // handleSession consumes one publish session and replies with exactly
 // one published or error frame. A malformed session never panics; the
 // reply (or the connection teardown) carries the failure, and the
 // returned error mirrors it for the daemon's accounting.
-func handleSession(r io.Reader, w io.Writer, s *Store) error {
-	br := bufio.NewReader(r)
+func handleSession(sess *rpcx.Session, s *Store) error {
 	fail := func(err error) error {
-		_ = writeIngest(w, &ingestMsg{Type: msgError, Err: err.Error()})
+		_ = sess.Send(&ingestMsg{Type: msgError, Err: err.Error()})
 		return err
 	}
 
-	first, err := readIngest(br)
-	if err != nil {
+	var first ingestMsg
+	if err := sess.Recv(&first); err != nil {
 		return fail(fmt.Errorf("reading publish frame: %w", err))
 	}
 	if first.Type != msgPublish {
@@ -267,8 +134,8 @@ func handleSession(r io.Reader, w io.Writer, s *Store) error {
 
 	db := &results.DB{}
 	for {
-		m, err := readIngest(br)
-		if err != nil {
+		var m ingestMsg
+		if err := sess.Recv(&m); err != nil {
 			return fail(fmt.Errorf("reading fragment: %w", err))
 		}
 		switch m.Type {
@@ -298,55 +165,21 @@ func handleSession(r io.Reader, w io.Writer, s *Store) error {
 			if err != nil {
 				return fail(err)
 			}
-			if err := writeIngest(w, &ingestMsg{
+			return sess.Send(&ingestMsg{
 				Type:        msgPublished,
 				RunID:       stored.RunID,
 				ContentHash: stored.ContentHash,
 				Seq:         stored.Seq,
-			}); err != nil {
-				return err
-			}
-			return nil
+			})
 		default:
 			return fail(fmt.Errorf("unexpected %q frame inside publish session", m.Type))
 		}
 	}
 }
 
-// PublishOptions tunes the client side of a publish. The zero value
-// selects production defaults.
-type PublishOptions struct {
-	// Retries is how many times a failed session is retried (so
-	// Retries+1 attempts total). Default 4; negative disables retry.
-	Retries int
-	// Backoff is the initial retry delay, doubling per retry and
-	// saturating at 30s (the PR-1 discipline). Default 100ms.
-	Backoff time.Duration
-	// IdleTimeout is the per-read/write idle deadline on the session
-	// connection. Default 30s; negative disables.
-	IdleTimeout time.Duration
-	// WrapConn, when set, wraps the dialed connection — the chaos seam.
-	WrapConn func(net.Conn) net.Conn
-	// OnRetry, when set, is called before each retry sleep with the
-	// 1-based retry number and the error being retried.
-	OnRetry func(retry int, err error)
-}
-
-func (o PublishOptions) normalize() PublishOptions {
-	if o.Retries == 0 {
-		o.Retries = 4
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = 30 * time.Second
-	}
-	return o
-}
+// PublishOptions tunes the client side of a publish; see PublishWith.
+// The zero value selects production defaults.
+type PublishOptions = rpcx.DialOptions
 
 // publishRetryCount counts retried publish sessions process-wide, for
 // the lmbench_publish_retries_total metric.
@@ -356,102 +189,43 @@ var publishRetryCount atomic.Int64
 // process has performed.
 func PublishRetries() int64 { return publishRetryCount.Load() }
 
-// Publish streams db to the store daemon at addr as one publish
-// session (retrying with default options) and returns the stored
-// manifest. The store fills RunID and Seq; the client computes the
-// content hash locally so the daemon can verify end-to-end integrity,
-// and verifies the daemon's reply against the same hash in return.
-func Publish(ctx context.Context, addr string, m Manifest, db *results.DB) (Manifest, error) {
-	return PublishWith(ctx, addr, m, db, PublishOptions{})
-}
-
-// PublishWith is Publish with explicit options. Every failure short of
-// the parent context being cancelled is retried — safe by
-// construction: the run ID is content-addressed, so a session that
-// actually landed before its reply was lost makes the retry an
-// idempotent no-op that returns the already-stored manifest.
+// PublishWith streams db to the store daemon at addr as one publish
+// session through rpcx.Dial and returns the stored manifest. The store
+// fills RunID and Seq; the client computes the content hash locally so
+// the daemon can verify end-to-end integrity, and verifies the
+// daemon's reply against the same hash in return. Every failure short
+// of ctx being done — a refused dial, a torn session, a rejected or
+// corrupted reply — is retried (default 4 times, 30s idle timeout):
+// safe by construction, because the run ID is content-addressed, so a
+// session that actually landed before its reply was lost makes the
+// retry an idempotent no-op that returns the already-stored manifest.
 func PublishWith(ctx context.Context, addr string, m Manifest, db *results.DB, o PublishOptions) (Manifest, error) {
-	o = o.normalize()
-	backoff := o.Backoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if attempt > o.Retries {
-				return Manifest{}, fmt.Errorf("store: publish failed after %d attempt(s): %w", attempt, lastErr)
-			}
-			publishRetryCount.Add(1)
-			if o.OnRetry != nil {
-				o.OnRetry(attempt, lastErr)
-			}
-			select {
-			case <-ctx.Done():
-				return Manifest{}, ctx.Err()
-			case <-time.After(backoff):
-			}
-			backoff = core.NextBackoff(backoff)
-		}
-		got, err := publishOnce(ctx, addr, m, db, o)
-		if err == nil {
-			return got, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return Manifest{}, err
+	onRetry := o.OnRetry
+	o.OnRetry = func(n int, err error) {
+		publishRetryCount.Add(1)
+		if onRetry != nil {
+			onRetry(n, err)
 		}
 	}
-}
-
-// publishOnce runs a single publish session attempt.
-func publishOnce(ctx context.Context, addr string, m Manifest, db *results.DB, o PublishOptions) (Manifest, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	var got Manifest
+	err := rpcx.Dial(ctx, addr, o, func(sess *rpcx.Session) (err error) {
+		defer func() { _ = sess.Conn.Close() }()
+		got, err = publishSession(sess, m, db)
+		return err
+	})
 	if err != nil {
 		return Manifest{}, fmt.Errorf("store: publish: %w", err)
 	}
-	defer func() { _ = conn.Close() }()
-	if o.WrapConn != nil {
-		conn = o.WrapConn(conn)
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
-	defer stop()
-	// Deadline poisoning interrupts the I/O in flight at cancel time;
-	// the ctx guard stops subsequent calls from re-arming a fresh idle
-	// deadline over the poison.
-	c := &ctxConn{Conn: rpcx.WithDeadlines(conn, o.IdleTimeout, o.IdleTimeout), ctx: ctx}
-	return PublishSession(c, c, m, db)
+	return got, nil
 }
 
-// ctxConn fails Reads/Writes at call entry once ctx is done.
-type ctxConn struct {
-	net.Conn
-	ctx context.Context
-}
-
-func (c *ctxConn) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *ctxConn) Write(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
-// PublishSession runs the client side of one publish session over an
-// arbitrary reader/writer pair.
-func PublishSession(r io.Reader, w io.Writer, m Manifest, db *results.DB) (Manifest, error) {
+// publishSession runs the client side of one publish session.
+func publishSession(sess *rpcx.Session, m Manifest, db *results.DB) (Manifest, error) {
 	hash, err := ContentHash(db)
 	if err != nil {
 		return Manifest{}, err
 	}
-	if err := writeIngest(w, &ingestMsg{
+	if err := sess.Send(&ingestMsg{
 		Type: msgPublish, V: ingestVersion,
 		Label: m.Label, Machines: m.Machines,
 		Options: m.Options, CodeVersion: m.CodeVersion,
@@ -464,16 +238,16 @@ func PublishSession(r io.Reader, w io.Writer, m Manifest, db *results.DB) (Manif
 		if n > len(entries) {
 			n = len(entries)
 		}
-		if err := writeIngest(w, &ingestMsg{Type: msgFragment, Entries: entries[:n]}); err != nil {
+		if err := sess.Send(&ingestMsg{Type: msgFragment, Entries: entries[:n]}); err != nil {
 			return Manifest{}, err
 		}
 		entries = entries[n:]
 	}
-	if err := writeIngest(w, &ingestMsg{Type: msgCommit, ContentHash: hash}); err != nil {
+	if err := sess.Send(&ingestMsg{Type: msgCommit, ContentHash: hash}); err != nil {
 		return Manifest{}, err
 	}
-	reply, err := readIngest(bufio.NewReader(r))
-	if err != nil {
+	var reply ingestMsg
+	if err := sess.Recv(&reply); err != nil {
 		return Manifest{}, fmt.Errorf("store: publish reply: %w", err)
 	}
 	switch reply.Type {

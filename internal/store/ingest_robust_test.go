@@ -151,7 +151,7 @@ func TestPublishRetriesAcrossDaemonRestart(t *testing.T) {
 		if err != nil {
 			return
 		}
-		rpcx.ReadFrame(bufio.NewReader(c), maxFrameBytes)
+		rpcx.ReadFrame(bufio.NewReader(c), rpcx.MaxMessageBytes)
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.SetLinger(0)
 		}
@@ -214,7 +214,7 @@ func TestIngestDrainFinishesInFlight(t *testing.T) {
 	defer conn.Close()
 	// Open the session, then cancel the daemon while mid-publish.
 	m := testManifest("drained")
-	if err := writeIngest(conn, &ingestMsg{
+	if err := rpcx.WriteJSON(conn, &ingestMsg{
 		Type: msgPublish, V: ingestVersion,
 		Label: m.Label, Machines: m.Machines, Options: m.Options, CodeVersion: m.CodeVersion,
 	}); err != nil {
@@ -238,7 +238,7 @@ func TestIngestDrainFinishesInFlight(t *testing.T) {
 	// The in-flight session still completes.
 	db := testDB(t, 1)
 	for _, e := range db.Entries() {
-		if err := writeIngest(conn, &ingestMsg{Type: msgFragment, Entries: []results.Entry{e}}); err != nil {
+		if err := rpcx.WriteJSON(conn, &ingestMsg{Type: msgFragment, Entries: []results.Entry{e}}); err != nil {
 			t.Fatalf("fragment during drain: %v", err)
 		}
 	}
@@ -246,10 +246,10 @@ func TestIngestDrainFinishesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeIngest(conn, &ingestMsg{Type: msgCommit, ContentHash: hash}); err != nil {
+	if err := rpcx.WriteJSON(conn, &ingestMsg{Type: msgCommit, ContentHash: hash}); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := readIngest(bufio.NewReader(conn))
+	reply, err := recvIngest(bufio.NewReader(conn))
 	if err != nil {
 		t.Fatalf("reply during drain: %v", err)
 	}
@@ -284,14 +284,14 @@ func TestPublishReplyVerified(t *testing.T) {
 		defer c.Close()
 		br := bufio.NewReader(c)
 		for {
-			m, err := readIngest(br)
+			m, err := recvIngest(br)
 			if err != nil {
 				return
 			}
 			if m.Type == msgCommit {
 				// Lie about the run ID, as a byte flip on the reply
 				// frame could.
-				writeIngest(c, &ingestMsg{
+				rpcx.WriteJSON(c, &ingestMsg{
 					Type: msgPublished, RunID: strings.Repeat("f", 64), ContentHash: m.ContentHash, Seq: 1,
 				})
 				return

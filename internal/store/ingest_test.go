@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -10,6 +11,15 @@ import (
 	"repro/internal/results"
 	"repro/internal/rpcx"
 )
+
+// recvIngest reads one ingest message from r.
+func recvIngest(r io.Reader) (*ingestMsg, error) {
+	var m ingestMsg
+	if err := rpcx.ReadJSON(r, &m); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
 
 // TestPublishOverTCP runs the real daemon loop on a loopback listener
 // and publishes through the client: the stored object must be the
@@ -25,7 +35,7 @@ func TestPublishOverTCP(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- Serve(ctx, ln, s) }()
+	go func() { done <- ServeIngest(ctx, ln, s, IngestOptions{}) }()
 	defer func() {
 		cancel()
 		if err := <-done; err != nil {
@@ -38,7 +48,7 @@ func TestPublishOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Publish(ctx, ln.Addr().String(), testManifest("tcp"), db)
+	m, err := PublishWith(ctx, ln.Addr().String(), testManifest("tcp"), db, PublishOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestPublishOverTCP(t *testing.T) {
 	}
 
 	// Second publish of the same run: idempotent, same run ID.
-	again, err := Publish(ctx, ln.Addr().String(), testManifest("tcp"), db)
+	again, err := PublishWith(ctx, ln.Addr().String(), testManifest("tcp"), db, PublishOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +99,7 @@ func TestFragmentOrderIrrelevant(t *testing.T) {
 		var req bytes.Buffer
 		m := testManifest("frag")
 		writeFrame := func(msg *ingestMsg) {
-			if err := writeIngest(&req, msg); err != nil {
+			if err := rpcx.WriteJSON(&req, msg); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,8 +118,8 @@ func TestFragmentOrderIrrelevant(t *testing.T) {
 		writeFrame(&ingestMsg{Type: msgCommit, ContentHash: wantHash})
 
 		var resp bytes.Buffer
-		HandleSession(&req, &resp, s)
-		reply, err := readIngest(&resp)
+		_ = handleSession(rpcx.NewSession(&req, &resp), s)
+		reply, err := recvIngest(&resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +147,8 @@ func TestSessionRejects(t *testing.T) {
 		t.Helper()
 		var req, resp bytes.Buffer
 		build(&req)
-		HandleSession(&req, &resp, s)
-		reply, err := readIngest(&resp)
+		_ = handleSession(rpcx.NewSession(&req, &resp), s)
+		reply, err := recvIngest(&resp)
 		if err != nil {
 			t.Fatalf("no reply frame: %v", err)
 		}
@@ -147,33 +157,33 @@ func TestSessionRejects(t *testing.T) {
 	m := testManifest("x")
 
 	if r := session(func(b *bytes.Buffer) {
-		_ = writeIngest(b, &ingestMsg{Type: msgPublish, V: 99, Machines: m.Machines})
+		_ = rpcx.WriteJSON(b, &ingestMsg{Type: msgPublish, V: 99, Machines: m.Machines})
 	}); r.Type != msgError || !strings.Contains(r.Err, "version") {
 		t.Errorf("version mismatch not rejected: %+v", r)
 	}
 
 	if r := session(func(b *bytes.Buffer) {
-		_ = writeIngest(b, &ingestMsg{Type: msgPublish, V: ingestVersion})
+		_ = rpcx.WriteJSON(b, &ingestMsg{Type: msgPublish, V: ingestVersion})
 	}); r.Type != msgError || !strings.Contains(r.Err, "machines") {
 		t.Errorf("machine-less publish not rejected: %+v", r)
 	}
 
 	if r := session(func(b *bytes.Buffer) {
-		_ = writeIngest(b, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: m.Machines})
-		_ = writeIngest(b, &ingestMsg{Type: msgCommit, ContentHash: "not-the-hash"})
+		_ = rpcx.WriteJSON(b, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: m.Machines})
+		_ = rpcx.WriteJSON(b, &ingestMsg{Type: msgCommit, ContentHash: "not-the-hash"})
 	}); r.Type != msgError || !strings.Contains(r.Err, "content hash mismatch") {
 		t.Errorf("hash mismatch not rejected: %+v", r)
 	}
 
 	if r := session(func(b *bytes.Buffer) {
-		_ = writeIngest(b, &ingestMsg{Type: msgFragment})
+		_ = rpcx.WriteJSON(b, &ingestMsg{Type: msgFragment})
 	}); r.Type != msgError {
 		t.Errorf("fragment before publish not rejected: %+v", r)
 	}
 
 	if r := session(func(b *bytes.Buffer) {
-		_ = writeIngest(b, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: m.Machines})
-		_ = writeIngest(b, &ingestMsg{Type: msgPublished})
+		_ = rpcx.WriteJSON(b, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: m.Machines})
+		_ = rpcx.WriteJSON(b, &ingestMsg{Type: msgPublished})
 	}); r.Type != msgError {
 		t.Errorf("stray frame type not rejected: %+v", r)
 	}
@@ -200,10 +210,10 @@ func TestSessionRejects(t *testing.T) {
 // protocol uses.
 func TestIngestUsesRPCXFraming(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeIngest(&buf, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: []string{"m"}}); err != nil {
+	if err := rpcx.WriteJSON(&buf, &ingestMsg{Type: msgPublish, V: ingestVersion, Machines: []string{"m"}}); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := rpcx.ReadFrame(&buf, maxFrameBytes)
+	payload, err := rpcx.ReadFrame(&buf, rpcx.MaxMessageBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

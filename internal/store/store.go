@@ -88,21 +88,10 @@ type Manifest struct {
 }
 
 // Fingerprint canonicalizes harness options into a deterministic
-// string for run keying: the options are normalized (defaults filled
-// in, so "zero value" and "explicit default" fingerprint identically)
-// and JSON-encoded. core.Options contains no maps, so encoding/json
-// emits fields in fixed declaration order.
-func Fingerprint(o core.Options) (string, error) {
-	n, err := o.Normalize()
-	if err != nil {
-		return "", err
-	}
-	b, err := json.Marshal(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
+// string for run keying: core.Options.Fingerprint, the normalized
+// options (defaults filled in, so "zero value" and "explicit default"
+// fingerprint identically), JSON-encoded.
+func Fingerprint(o core.Options) (string, error) { return o.Fingerprint() }
 
 // CodeVersion identifies the running code for run manifests: the VCS
 // revision stamped into the build when present, else "dev". Builds

@@ -43,31 +43,20 @@ type PublishOptions = istore.PublishOptions
 // production defaults.
 type IngestOptions = istore.IngestOptions
 
-// PublishRun streams a database to a results-store daemon at addr
-// (see ServeStoreIngest); the returned manifest carries the
+// PublishRunWith streams a database to a results-store daemon at addr
+// (see ServeStoreIngestWith); the returned manifest carries the
 // daemon-assigned run identity. The store fills m's ContentHash,
 // Entries, RunID, Seq and Created. Transport failures are retried with
 // capped backoff — safe because runs are content-addressed, so a
 // half-landed publish is finished idempotently by the next attempt.
-func PublishRun(ctx context.Context, addr string, m Manifest, db *DB) (Manifest, error) {
-	return istore.Publish(ctx, addr, m, db)
-}
-
-// PublishRunWith is PublishRun with explicit retry/deadline options.
 func PublishRunWith(ctx context.Context, addr string, m Manifest, db *DB, o PublishOptions) (Manifest, error) {
 	return istore.PublishWith(ctx, addr, m, db, o)
 }
 
-// ServeStoreIngest accepts publish sessions on ln and ingests them
+// ServeStoreIngestWith accepts publish sessions on ln and ingests them
 // into s until ctx is cancelled — the daemon side of WithPublish and
-// PublishRun. Cancellation drains gracefully: in-flight commits
+// PublishRunWith. Cancellation drains gracefully: in-flight commits
 // finish (bounded by the drain budget) before it returns nil.
-func ServeStoreIngest(ctx context.Context, ln net.Listener, s *Store) error {
-	return istore.Serve(ctx, ln, s)
-}
-
-// ServeStoreIngestWith is ServeStoreIngest with explicit deadline,
-// drain and metrics options.
 func ServeStoreIngestWith(ctx context.Context, ln net.Listener, s *Store, o IngestOptions) error {
 	return istore.ServeIngest(ctx, ln, s, o)
 }
