@@ -40,16 +40,16 @@ test:
 golden-serial:
 	GOMAXPROCS=1 $(GO) test -run '^TestGoldenDatabaseByteIdentical$$' -count=1 .
 
-# The scheduler, timing harness, fault-injection wrapper, session
-# layer (every daemon's accept and drain loop), wire-chaos injector,
-# fleet coordinator, observability layer and results store
-# are the concurrency-sensitive packages; run them (including the
-# journal, resume, chaos, worker-kill, metrics-scrape, ingest,
-# HTTP-cache, drain and chaos-transport suites) under the race
+# The scheduler, timing harness, fault injection (the machine wrapper
+# and the wire injector and proxy), session layer (every daemon's
+# accept and drain loop), fleet coordinator, observability layer and
+# results store are the concurrency-sensitive packages; run them
+# (including the journal, resume, chaos, worker-kill, metrics-scrape,
+# ingest, HTTP-cache, drain and chaos-transport suites) under the race
 # detector, and the executor's tests — in process and through the
 # fleet — ten times over.
 race:
-	$(GO) test -race ./internal/core/... ./internal/timing/... ./internal/faults/... ./internal/rpcx/... ./internal/netfaults/... ./internal/obs/... ./internal/fleet/... ./internal/store/... ./internal/unitcache/... ./internal/calibrate/...
+	$(GO) test -race ./internal/core/... ./internal/timing/... ./internal/faults/... ./internal/rpcx/... ./internal/obs/... ./internal/fleet/... ./internal/store/... ./internal/unitcache/... ./internal/calibrate/...
 	$(GO) test -race -count=10 -run '^TestPool|^TestFleet(RefusedResume|JournalSequence|FailureMatches|IdlePeer)' ./internal/core/ ./internal/fleet/
 
 # chaos runs the fault-injection scheduler suite on its own, race-
@@ -150,7 +150,7 @@ profile:
 
 # verify is the tier-1 gate: everything must build, vet clean, pass
 # tests, the golden database must hash the same on the serial path,
-# the concurrent scheduler, wire-chaos injector, fleet
+# the concurrent scheduler, fault injection, fleet
 # coordinator, observability layer, results store and unit cache must
 # be race-clean, the bench harness must run, the -serve endpoints must
 # answer during a live run, a worker fleet must produce

@@ -11,8 +11,8 @@ import (
 	"net"
 
 	lmbench "repro"
+	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/netfaults"
 	"repro/internal/rpcx"
 )
 
@@ -92,12 +92,12 @@ func serveChaosProxy(ctx context.Context, planText, listenAddr, target string, q
 	if target == "" {
 		return fmt.Errorf("-chaos-net requires -chaos-target")
 	}
-	plan, err := netfaults.ParsePlan(planText)
+	plan, err := faults.ParseWirePlan(planText)
 	if err != nil {
 		return fmt.Errorf("-chaos-net: %w", err)
 	}
-	inj := netfaults.New(plan)
-	p := &netfaults.Proxy{Inj: inj, Target: target}
+	inj := faults.NewInjector(plan)
+	p := &faults.Proxy{Inj: inj, Target: target}
 	if !quiet {
 		p.Logf = func(format string, args ...any) {
 			fmt.Fprintf(stderr, "chaos: "+format+"\n", args...)

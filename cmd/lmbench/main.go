@@ -122,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cacheROFlag  = fs.Bool("unit-cache-readonly", false, "with -unit-cache, serve hits but never write to the cache")
 		cacheMaxFlag = fs.Int64("unit-cache-max-bytes", 0, "with -unit-cache, evict least-recently-used fragments beyond this size (0 = unlimited)")
 
-		chaosNetFlag    = fs.String("chaos-net", "", "run as a deterministic lossy proxy with this fault plan, e.g. 'seed=1,drop=0.1,trunc=0.05' (see internal/netfaults)")
+		chaosNetFlag    = fs.String("chaos-net", "", "run as a deterministic lossy proxy with this fault plan, e.g. 'seed=1,drop=0.1,trunc=0.05' (see internal/faults)")
 		chaosListenFlag = fs.String("chaos-listen", "127.0.0.1:0", "listen address for -chaos-net")
 		chaosTargetFlag = fs.String("chaos-target", "", "forward address for -chaos-net")
 

@@ -20,7 +20,7 @@ import (
 	"time"
 
 	lmbench "repro"
-	"repro/internal/netfaults"
+	"repro/internal/faults"
 	"repro/internal/results"
 )
 
@@ -140,12 +140,12 @@ func TestGoldenChaosPublishConverges(t *testing.T) {
 	// The lossy proxy in front of whichever daemon is alive: ≥10%
 	// frame-level fault rate, seeded, budgeted so chaos ends and the
 	// retries converge.
-	plan := netfaults.Plan{Seed: 42, DropRate: 0.08, TruncRate: 0.04, DupRate: 0.03, FlipRate: 0.03, Budget: 4}
+	plan := faults.WirePlan{Seed: 42, DropRate: 0.08, TruncRate: 0.04, DupRate: 0.03, FlipRate: 0.03, Budget: 4}
 	if plan.FrameFaultRate() < 0.10 {
 		t.Fatalf("plan fault rate %.2f < 0.10", plan.FrameFaultRate())
 	}
-	inj := netfaults.New(plan)
-	proxy := &netfaults.Proxy{Inj: inj, Target: daemonAddr, Logf: t.Logf}
+	inj := faults.NewInjector(plan)
+	proxy := &faults.Proxy{Inj: inj, Target: daemonAddr, Logf: t.Logf}
 	pln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

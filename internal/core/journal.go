@@ -56,12 +56,13 @@ type JournalRecord struct {
 }
 
 // ConfigDigest digests what a unit's result bytes take from the run's
-// configuration — the inputs a unit-cache key takes from it: the
-// options fingerprint (sweep mode included) and the quality gate's
-// canonical budget (MaxRSD, QualityBudget). Every journal record
-// carries its run's digest, so a journal written under other options
-// never replays into a run: its -fast records cannot fill a full-size
-// database, nor exhaustive sweeps an adaptive one.
+// configuration — the configuration input of a unit-cache key
+// (unitcache.KeyFor): the options fingerprint (sweep mode included)
+// and the quality gate's canonical budget (MaxRSD, QualityBudget).
+// Every journal record carries its run's digest, so a journal written
+// under other options never replays into a run: its -fast records
+// cannot fill a full-size database, nor exhaustive sweeps an adaptive
+// one.
 func ConfigDigest(o Options, maxRSD float64, qualityRetries int) (string, error) {
 	fp, err := o.Fingerprint()
 	if err != nil {

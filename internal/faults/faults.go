@@ -1,19 +1,41 @@
-// Package faults provides a deterministic, seeded fault-injection
-// wrapper around any core.Machine. It exists to prove the harness
-// itself: the suite scheduler's retries, backoff, timeouts,
-// cancellation and skip/merge semantics are exercised by a chaos test
-// suite that wraps simulated machines in every failure shape —
-// injected errors, latency spikes, stalls that trip per-experiment
-// deadlines, fail-N-then-succeed sequences, and primitives that
-// suddenly report ErrUnsupported. `lmbench -chaos <plan>` applies the
-// same wrapper to a real run for self-testing on live hosts.
+// Package faults is the suite's deterministic, seeded fault injection:
+// one plan dialect and two injection points, so the harness is proven
+// against a hostile machine and a hostile network alike.
 //
-// Determinism: all randomized decisions come from one seeded
-// rand.Rand per wrapped machine, consumed in primitive-call order.
-// The suite runs each machine's experiments sequentially, so a fixed
-// (seed, plan, workload) triple injects exactly the same faults at
-// exactly the same calls on every run — chaos tests assert exact
-// accounting, not distributions.
+//   - Machine primitives. Wrap puts a chaos layer around any
+//     core.Machine — injected errors, latency spikes, stalls that trip
+//     per-experiment deadlines, fail-N-then-succeed sequences, and
+//     primitives that suddenly report ErrUnsupported — to exercise the
+//     suite scheduler's retries, backoff, timeouts, cancellation and
+//     skip/merge semantics. `lmbench -chaos <plan>` applies it to a
+//     real run for self-testing on live hosts.
+//   - Wire frames. An Injector faults the distributed layer's rpcx
+//     record frames in flight — per-direction delay, dropped
+//     connections, frames truncated mid-record, duplicated frames, bit
+//     flips, and accept-then-reset — so the fleet transport and the
+//     store ingest path are proven to survive a hostile network. It
+//     installs through Conn (a dialed or accepted connection's writes),
+//     Accept (a server's accept hook) and Proxy (a standalone lossy
+//     proxy, `lmbench -chaos-net <plan>`).
+//
+// Both points read one plan syntax (ParsePlan, ParseWirePlan):
+// comma-separated key=value pairs, list values separated by ';', each
+// point accepting only its own keys. Rates lie in [0,1] and the rates
+// that split one draw sum to at most 1; Ops filters match name
+// prefixes; a Budget caps the injected faults so a chaotic run still
+// converges.
+//
+// Determinism: every randomized decision comes from a seeded stream,
+// so a fixed (seed, plan, workload) triple injects exactly the same
+// faults at exactly the same calls or frames on every run — chaos
+// tests assert exact accounting, not distributions. A wrapped machine
+// draws from one rand.Rand in primitive-call order (the suite runs each
+// machine's experiments sequentially) and draws nothing for a call its
+// filter skips, a fail-first-N call or a spent budget. A wire stream is
+// seeded by (seed, connection index, direction), consumed in frame
+// order, and consumes its draw whatever the filter or budget says. With
+// concurrent connections the accept order (and so the index) can vary,
+// but each connection's fault sequence is a pure function of its index.
 package faults
 
 import (
@@ -31,14 +53,123 @@ import (
 	"repro/internal/timing"
 )
 
-// ErrInjected marks failures manufactured by the wrapper; test code
-// distinguishes injected faults from real backend failures with
+// ErrInjected marks failures manufactured by an injection point — a
+// failed primitive, a dropped or truncated frame — so tests tell
+// injected faults from real backend or transport failures with
 // errors.Is.
 var ErrInjected = errors.New("faults: injected failure")
 
-// Plan describes what to inject. Rates are per primitive call and
-// drawn from one uniform sample per call, so ErrorRate + StallRate +
-// SpikeRate must not exceed 1.
+// parse reads the plan dialect into the fields of one plan:
+// comma-separated key=value pairs, list values separated by ';'. keys
+// maps each key the injection point declares to the field it sets (an
+// *int64, *float64, *time.Duration, *int or *[]string); any other key
+// is refused.
+func parse(s string, keys map[string]any) error {
+	for _, field := range strings.Split(s, ",") {
+		field = strings.TrimSpace(field)
+		if field == "" {
+			continue
+		}
+		k, v, ok := strings.Cut(field, "=")
+		if !ok {
+			return fmt.Errorf("faults: plan field %q is not key=value", field)
+		}
+		var err error
+		switch dst := keys[k].(type) {
+		case *int64:
+			*dst, err = strconv.ParseInt(v, 10, 64)
+		case *float64:
+			*dst, err = strconv.ParseFloat(v, 64)
+		case *time.Duration:
+			*dst, err = time.ParseDuration(v)
+		case *int:
+			*dst, err = strconv.Atoi(v)
+		case *[]string:
+			*dst = splitList(v)
+		default:
+			return fmt.Errorf("faults: unknown plan key %q", k)
+		}
+		if err != nil {
+			return fmt.Errorf("faults: plan field %q: %w", field, err)
+		}
+	}
+	return nil
+}
+
+func splitList(v string) []string {
+	var out []string
+	for _, s := range strings.Split(v, ";") {
+		if s = strings.TrimSpace(s); s != "" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// validate rejects a nonsensical plan, given its key table (see parse):
+// every rate must lie in [0,1], no duration or count may be negative,
+// and drawn — the sum of the rates that split one uniform draw — must
+// not exceed 1.
+func validate(keys map[string]any, drawn float64) error {
+	names := make([]string, 0, len(keys))
+	for k := range keys {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		switch v := keys[k].(type) {
+		case *float64:
+			if !(*v >= 0 && *v <= 1) { // NaN too
+				return fmt.Errorf("faults: %s %v outside [0,1]", k, *v)
+			}
+		case *time.Duration:
+			if *v < 0 {
+				return fmt.Errorf("faults: negative %s %v", k, *v)
+			}
+		case *int:
+			if *v < 0 {
+				return fmt.Errorf("faults: negative %s %d", k, *v)
+			}
+		}
+	}
+	if drawn > 1 {
+		return fmt.Errorf("faults: rates sharing one draw sum to %v > 1", drawn)
+	}
+	return nil
+}
+
+// matchAny reports whether op starts with one of prefixes.
+func matchAny(prefixes []string, op string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(op, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// budgetLeft reports whether a plan with the given budget (0 means
+// unlimited) may inject another fault after spent.
+func budgetLeft(budget, spent int) bool {
+	return budget == 0 || spent < budget
+}
+
+// pick splits [0,1) among rates in order and returns the index of the
+// one the uniform draw x falls in, or -1 when x lies past them all.
+func pick(x float64, rates ...float64) int {
+	sum := 0.0
+	for i, r := range rates {
+		sum += r
+		if x < sum {
+			return i
+		}
+	}
+	return -1
+}
+
+// Plan describes what to inject into machine primitives. Rates are per
+// primitive call and drawn from one uniform sample per call, so
+// ErrorRate + StallRate + SpikeRate must not exceed 1.
 type Plan struct {
 	// Seed initializes the wrapper's random stream.
 	Seed int64
@@ -73,29 +204,18 @@ type Plan struct {
 	Unsupported []string
 }
 
+// keys is the machine point's plan key table (see parse).
+func (p *Plan) keys() map[string]any {
+	return map[string]any{
+		"seed": &p.Seed, "err": &p.ErrorRate, "stall": &p.StallRate, "spike": &p.SpikeRate,
+		"stallfor": &p.StallFor, "spikefor": &p.SpikeFor, "failn": &p.FailFirstN,
+		"budget": &p.Budget, "ops": &p.Ops, "unsupported": &p.Unsupported,
+	}
+}
+
 // Validate rejects nonsensical plans.
 func (p Plan) Validate() error {
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{{"ErrorRate", p.ErrorRate}, {"StallRate", p.StallRate}, {"SpikeRate", p.SpikeRate}} {
-		if r.v < 0 || r.v > 1 {
-			return fmt.Errorf("faults: %s %v outside [0,1]", r.name, r.v)
-		}
-	}
-	if sum := p.ErrorRate + p.StallRate + p.SpikeRate; sum > 1 {
-		return fmt.Errorf("faults: rates sum to %v > 1", sum)
-	}
-	if p.StallFor < 0 || p.SpikeFor < 0 {
-		return errors.New("faults: negative stall or spike duration")
-	}
-	if p.FailFirstN < 0 {
-		return fmt.Errorf("faults: negative FailFirstN %d", p.FailFirstN)
-	}
-	if p.Budget < 0 {
-		return fmt.Errorf("faults: negative Budget %d", p.Budget)
-	}
-	return nil
+	return validate(p.keys(), p.ErrorRate+p.StallRate+p.SpikeRate)
 }
 
 // normalize fills defaults.
@@ -109,67 +229,16 @@ func (p Plan) normalize() Plan {
 	return p
 }
 
-// ParsePlan parses the CLI plan syntax: comma-separated key=value
-// pairs, e.g.
+// ParsePlan parses the machine point's plan, e.g.
 //
 //	seed=42,err=0.2,stall=0.05,stallfor=2s,spike=0.1,spikefor=10ms,
 //	failn=2,budget=50,ops=net;os.null_write,unsupported=disk
-//
-// List values use ';' as the separator.
 func ParsePlan(s string) (Plan, error) {
 	var p Plan
-	for _, field := range strings.Split(s, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return p, fmt.Errorf("faults: plan field %q is not key=value", field)
-		}
-		var err error
-		switch k {
-		case "seed":
-			p.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "err":
-			p.ErrorRate, err = strconv.ParseFloat(v, 64)
-		case "stall":
-			p.StallRate, err = strconv.ParseFloat(v, 64)
-		case "spike":
-			p.SpikeRate, err = strconv.ParseFloat(v, 64)
-		case "stallfor":
-			p.StallFor, err = time.ParseDuration(v)
-		case "spikefor":
-			p.SpikeFor, err = time.ParseDuration(v)
-		case "failn":
-			p.FailFirstN, err = strconv.Atoi(v)
-		case "budget":
-			p.Budget, err = strconv.Atoi(v)
-		case "ops":
-			p.Ops = splitList(v)
-		case "unsupported":
-			p.Unsupported = splitList(v)
-		default:
-			return p, fmt.Errorf("faults: unknown plan key %q", k)
-		}
-		if err != nil {
-			return p, fmt.Errorf("faults: plan field %q: %w", field, err)
-		}
-	}
-	if err := p.Validate(); err != nil {
+	if err := parse(s, p.keys()); err != nil {
 		return p, err
 	}
-	return p, nil
-}
-
-func splitList(v string) []string {
-	var out []string
-	for _, s := range strings.Split(v, ";") {
-		if s = strings.TrimSpace(s); s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
+	return p, p.Validate()
 }
 
 // OpStats counts what happened to one primitive.
@@ -323,15 +392,6 @@ func (f *Machine) Stats() Stats {
 	return out
 }
 
-func matchAny(prefixes []string, op string) bool {
-	for _, p := range prefixes {
-		if strings.HasPrefix(op, p) {
-			return true
-		}
-	}
-	return false
-}
-
 // inject is the single decision point every wrapped primitive calls
 // before delegating. It returns a non-nil error when the call should
 // fail instead of running.
@@ -354,31 +414,30 @@ func (f *Machine) inject(op string) error {
 		f.mu.Unlock()
 		return fmt.Errorf("faults: %s: %w", op, core.ErrUnsupported)
 	}
-	if st.Calls <= f.plan.FailFirstN && f.budgetLeftLocked() {
+	if !budgetLeft(f.plan.Budget, f.total.Faults()) {
+		f.mu.Unlock()
+		return nil
+	}
+	if st.Calls <= f.plan.FailFirstN {
 		st.Errors++
 		f.total.Errors++
 		n := st.Calls
 		f.mu.Unlock()
 		return fmt.Errorf("faults: %s: failure %d of %d: %w", op, n, f.plan.FailFirstN, ErrInjected)
 	}
-	if !f.budgetLeftLocked() {
-		f.mu.Unlock()
-		return nil
-	}
-	x := f.rng.Float64()
-	switch {
-	case x < f.plan.ErrorRate:
+	switch pick(f.rng.Float64(), f.plan.ErrorRate, f.plan.StallRate, f.plan.SpikeRate) {
+	case 0:
 		st.Errors++
 		f.total.Errors++
 		f.mu.Unlock()
 		return fmt.Errorf("faults: %s: %w", op, ErrInjected)
-	case x < f.plan.ErrorRate+f.plan.StallRate:
+	case 1:
 		st.Stalls++
 		f.total.Stalls++
 		ctx := f.ctx
 		f.mu.Unlock()
 		return f.stall(ctx)
-	case x < f.plan.ErrorRate+f.plan.StallRate+f.plan.SpikeRate:
+	case 2:
 		st.Spikes++
 		f.total.Spikes++
 		f.mu.Unlock()
@@ -387,11 +446,6 @@ func (f *Machine) inject(op string) error {
 	}
 	f.mu.Unlock()
 	return nil
-}
-
-// budgetLeftLocked reports whether another fault may be injected.
-func (f *Machine) budgetLeftLocked() bool {
-	return f.plan.Budget == 0 || f.total.Errors+f.total.Stalls+f.total.Spikes < f.plan.Budget
 }
 
 // stall hangs like a wedged primitive: it returns the context error

@@ -3,6 +3,9 @@ package faults
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,43 +26,56 @@ func sim(t *testing.T, name string) core.Machine {
 	return m
 }
 
-func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("seed=42,err=0.2,stall=0.05,stallfor=2s,spike=0.1,spikefor=10ms,failn=2,budget=50,ops=net;os.null_write,unsupported=disk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Plan{
-		Seed: 42, ErrorRate: 0.2, StallRate: 0.05, SpikeRate: 0.1,
-		StallFor: 2 * time.Second, SpikeFor: 10 * time.Millisecond,
-		FailFirstN: 2, Budget: 50,
-	}
-	if p.Seed != want.Seed || p.ErrorRate != want.ErrorRate || p.StallRate != want.StallRate ||
-		p.SpikeRate != want.SpikeRate || p.StallFor != want.StallFor || p.SpikeFor != want.SpikeFor ||
-		p.FailFirstN != want.FailFirstN || p.Budget != want.Budget {
-		t.Errorf("parsed %+v, want %+v", p, want)
-	}
-	if len(p.Ops) != 2 || p.Ops[0] != "net" || p.Ops[1] != "os.null_write" {
-		t.Errorf("Ops = %v", p.Ops)
-	}
-	if len(p.Unsupported) != 1 || p.Unsupported[0] != "disk" {
-		t.Errorf("Unsupported = %v", p.Unsupported)
-	}
+// parseCase is one row of a plan-parser table; a nil want means the
+// parser must refuse the input.
+type parseCase struct {
+	in   string
+	want any
+}
 
-	for _, bad := range []string{
-		"err=1.5",           // rate out of range
-		"err=0.6,stall=0.6", // rates sum past 1
-		"bogus=1",           // unknown key
-		"err",               // not key=value
-		"failn=-1",          // negative
-		"stallfor=notaduration",
-	} {
-		if _, err := ParsePlan(bad); err == nil {
-			t.Errorf("ParsePlan(%q) accepted nonsense", bad)
+// checkParse runs one injection point's parser over its table and
+// checks that it refuses the other point's keys as unknown.
+func checkParse(t *testing.T, parse func(string) (any, error), cases []parseCase, foreign []string) {
+	t.Helper()
+	for _, c := range cases {
+		got, err := parse(c.in)
+		switch {
+		case c.want == nil && err == nil:
+			t.Errorf("%T plan %q accepted", got, c.in)
+		case c.want != nil && (err != nil || !reflect.DeepEqual(got, c.want)):
+			t.Errorf("%T plan %q: parsed %+v, %v; want %+v", got, c.in, got, err, c.want)
 		}
 	}
-	// Empty plan is valid (no injection).
-	if _, err := ParsePlan(""); err != nil {
-		t.Errorf("empty plan rejected: %v", err)
+	for _, k := range foreign {
+		if got, err := parse(k); err == nil || !strings.Contains(err.Error(), "unknown plan key") {
+			t.Errorf("%T plan %q: err = %v, want an unknown plan key", got, k, err)
+		}
+	}
+}
+
+// TestParsePlan covers every key of the machine plan, its refusals,
+// and its refusal of the wire plan's keys.
+func TestParsePlan(t *testing.T) {
+	checkParse(t, func(s string) (any, error) { return ParsePlan(s) }, []parseCase{
+		{"seed=42,err=0.2,stall=0.05,stallfor=2s,spike=0.1,spikefor=10ms,failn=2,budget=50,ops=net;os.null_write,unsupported=disk", Plan{
+			Seed: 42, ErrorRate: 0.2, StallRate: 0.05, SpikeRate: 0.1,
+			StallFor: 2 * time.Second, SpikeFor: 10 * time.Millisecond,
+			FailFirstN: 2, Budget: 50, Ops: []string{"net", "os.null_write"}, Unsupported: []string{"disk"},
+		}},
+		// An empty plan is valid (no injection).
+		{"", Plan{}},
+		{"err=1.5", nil},           // rate out of range
+		{"spike=NaN", nil},         // not a rate
+		{"err=0.6,stall=0.6", nil}, // rates sum past 1
+		{"bogus=1", nil},           // unknown key
+		{"err", nil},               // not key=value
+		{"failn=-1", nil},          // negative
+		{"stallfor=notaduration", nil},
+	}, []string{"delay=0", "delayfor=1ms", "drop=0", "trunc=0", "dup=0", "flip=0", "reset=0"})
+
+	// Zero durations take their defaults.
+	if m := (Plan{}).normalize(); m.StallFor != time.Second || m.SpikeFor != 5*time.Millisecond {
+		t.Errorf("machine defaults: stall %v, spike %v; want 1s, 5ms", m.StallFor, m.SpikeFor)
 	}
 }
 
@@ -93,6 +109,56 @@ func TestDeterministicInjection(t *testing.T) {
 	}
 	if errs < 50 || errs > 110 {
 		t.Errorf("injected %d/200 errors at rate 0.4", errs)
+	}
+}
+
+// TestMachineDrawContract pins the machine point's determinism: one
+// rng drawn in primitive-call order, once per targeted call, and never
+// for a filtered op, a fail-first-N call or a spent budget.
+func TestMachineDrawContract(t *testing.T) {
+	plan := Plan{Seed: 3, ErrorRate: 0.4, SpikeRate: 0.2, SpikeFor: time.Microsecond, FailFirstN: 2, Budget: 10, Ops: []string{"os"}}
+	f := Wrap(sim(t, "Linux/i686"), plan)
+	ref := rand.New(rand.NewSource(plan.Seed))
+	injected := 0
+	for call := 1; call <= 40; call++ {
+		if err := f.Net().PipeRoundTrip(); err != nil {
+			t.Fatalf("filtered op failed: %v", err)
+		}
+		want := "pass"
+		switch {
+		case injected == plan.Budget:
+		case call <= plan.FailFirstN:
+			want = "error"
+		default:
+			switch x := ref.Float64(); {
+			case x < plan.ErrorRate:
+				want = "error"
+			case x < plan.ErrorRate+plan.SpikeRate:
+				want = "spike"
+			}
+		}
+		if want != "pass" {
+			injected++
+		}
+		spikes := f.Stats().Spikes
+		got := "pass"
+		switch err := f.OS().NullWrite(); {
+		case errors.Is(err, ErrInjected):
+			got = "error"
+		case err != nil:
+			t.Fatal(err)
+		case f.Stats().Spikes > spikes:
+			got = "spike"
+		}
+		if got != want {
+			t.Fatalf("call %d: %s, want %s", call, got, want)
+		}
+	}
+	if injected != plan.Budget {
+		t.Fatalf("%d faults injected; the budget of %d was never spent", injected, plan.Budget)
+	}
+	if f.rng.Float64() != ref.Float64() {
+		t.Fatal("the wrapper drew other than once per targeted call within the budget")
 	}
 }
 

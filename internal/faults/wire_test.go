@@ -1,4 +1,4 @@
-package netfaults
+package faults
 
 import (
 	"bufio"
@@ -6,6 +6,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math/bits"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -13,42 +15,34 @@ import (
 	"repro/internal/rpcx"
 )
 
-func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("seed=7,delay=0.05,delayfor=8ms,drop=0.1,trunc=0.2,dup=0.03,flip=0.02,reset=0.4,budget=9,ops=c2s;accept")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Plan{
-		Seed: 7, DelayRate: 0.05, DelayFor: 8 * time.Millisecond,
-		DropRate: 0.1, TruncRate: 0.2, DupRate: 0.03, FlipRate: 0.02,
-		ResetRate: 0.4, Budget: 9, Ops: []string{"c2s", "accept"},
-	}
-	if p.Seed != want.Seed || p.DelayRate != want.DelayRate || p.DelayFor != want.DelayFor ||
-		p.DropRate != want.DropRate || p.TruncRate != want.TruncRate || p.DupRate != want.DupRate ||
-		p.FlipRate != want.FlipRate || p.ResetRate != want.ResetRate || p.Budget != want.Budget ||
-		len(p.Ops) != 2 || p.Ops[0] != "c2s" || p.Ops[1] != "accept" {
-		t.Fatalf("parsed %+v, want %+v", p, want)
-	}
+// TestParseWirePlan covers every key of the wire plan, its refusals,
+// and its refusal of the machine plan's keys.
+func TestParseWirePlan(t *testing.T) {
+	checkParse(t, func(s string) (any, error) { return ParseWirePlan(s) }, []parseCase{
+		{"seed=7,delay=0.05,delayfor=8ms,drop=0.1,trunc=0.2,dup=0.03,flip=0.02,reset=0.4,budget=9,ops=c2s;accept", WirePlan{
+			Seed: 7, DelayRate: 0.05, DelayFor: 8 * time.Millisecond,
+			DropRate: 0.1, TruncRate: 0.2, DupRate: 0.03, FlipRate: 0.02,
+			ResetRate: 0.4, Budget: 9, Ops: []string{"c2s", "accept"},
+		}},
+		// An empty plan is valid (no injection).
+		{"", WirePlan{}},
+		{"drop=1.5", nil},          // rate out of range
+		{"drop=0.6,flip=0.6", nil}, // rates sum past 1
+		{"nonsense=1", nil},        // unknown key
+		{"drop", nil},              // not key=value
+		{"budget=-1", nil},         // negative
+		// The reset draw is its own: it does not count against the
+		// frame-fault rates' sum.
+		{"drop=0.6,reset=0.6", WirePlan{DropRate: 0.6, ResetRate: 0.6}},
+	}, []string{"err=0", "stall=0", "spike=0", "stallfor=1s", "spikefor=1ms", "failn=0", "unsupported=disk"})
+
+	p, _ := ParseWirePlan("delay=0.05,drop=0.1,trunc=0.2,dup=0.03,flip=0.02,reset=0.4")
 	if got := p.FrameFaultRate(); got != 0.4 {
-		t.Fatalf("FrameFaultRate = %v, want 0.4", got)
+		t.Errorf("FrameFaultRate = %v, want 0.4", got)
 	}
-	if _, err := ParsePlan("drop=1.5"); err == nil {
-		t.Fatal("rate > 1 accepted")
-	}
-	if _, err := ParsePlan("drop=0.6,flip=0.6"); err == nil {
-		t.Fatal("rates summing > 1 accepted")
-	}
-	if _, err := ParsePlan("nonsense=1"); err == nil {
-		t.Fatal("unknown key accepted")
-	}
-	if _, err := ParsePlan("drop"); err == nil {
-		t.Fatal("non key=value field accepted")
-	}
-	if _, err := ParsePlan("budget=-1"); err == nil {
-		t.Fatal("negative budget accepted")
-	}
-	if p, err := ParsePlan(""); err != nil || p.FrameFaultRate() != 0 {
-		t.Fatalf("empty plan: %+v, %v", p, err)
+	// A zero delay takes its default.
+	if w := (WirePlan{}).normalize(); w.DelayFor != 5*time.Millisecond {
+		t.Errorf("wire default delay %v, want 5ms", w.DelayFor)
 	}
 }
 
@@ -75,7 +69,7 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 }
 
 func TestConnDropAndBudget(t *testing.T) {
-	j := New(Plan{Seed: 1, DropRate: 1, Budget: 1})
+	j := NewInjector(WirePlan{Seed: 1, DropRate: 1, Budget: 1})
 	client, server := tcpPair(t)
 	c := j.Conn(client)
 	if _, err := c.Write([]byte("doomed")); !errors.Is(err, ErrInjected) {
@@ -97,7 +91,7 @@ func TestConnDropAndBudget(t *testing.T) {
 
 func TestConnDupAndFlip(t *testing.T) {
 	// Deterministic single-fault plans: dup=1 duplicates every frame.
-	j := New(Plan{Seed: 1, DupRate: 1, Budget: 1})
+	j := NewInjector(WirePlan{Seed: 1, DupRate: 1, Budget: 1})
 	client, server := tcpPair(t)
 	c := j.Conn(client)
 	msg := []byte("hello frame")
@@ -115,7 +109,7 @@ func TestConnDupAndFlip(t *testing.T) {
 		t.Fatalf("dup delivered %q", got.Bytes())
 	}
 
-	jf := New(Plan{Seed: 1, FlipRate: 1, Budget: 1})
+	jf := NewInjector(WirePlan{Seed: 1, FlipRate: 1, Budget: 1})
 	clientF, serverF := tcpPair(t)
 	cf := jf.Conn(clientF)
 	buf := make([]byte, len(msg))
@@ -143,7 +137,7 @@ func TestConnDupAndFlip(t *testing.T) {
 }
 
 func TestConnTruncate(t *testing.T) {
-	j := New(Plan{Seed: 1, TruncRate: 1, Budget: 1})
+	j := NewInjector(WirePlan{Seed: 1, TruncRate: 1, Budget: 1})
 	client, server := tcpPair(t)
 	c := j.Conn(client)
 	var frame bytes.Buffer
@@ -163,25 +157,65 @@ func TestConnTruncate(t *testing.T) {
 	}
 }
 
-func TestListenerReset(t *testing.T) {
-	j := New(Plan{Seed: 1, ResetRate: 1, Budget: 1})
+// bufConn is a net.Conn whose writes land in w; nothing else of it is
+// used.
+type bufConn struct {
+	net.Conn
+	w io.Writer
+}
+
+func (c *bufConn) Write(p []byte) (int, error) { return c.w.Write(p) }
+
+// TestConnFlipSparesRecordMark: a frame written through Conn under a
+// flip reaches its peer as the same record one payload bit off. A flip
+// that hit the record mark would stall or misframe the peer instead of
+// handing it the corruption an end-to-end content hash must catch.
+func TestConnFlipSparesRecordMark(t *testing.T) {
+	payload := []byte("twenty-nine bytes of payload!")
+	for seed := int64(1); seed <= 200; seed++ {
+		var wire bytes.Buffer
+		c := NewInjector(WirePlan{Seed: seed, FlipRate: 1, Budget: 1}).Conn(&bufConn{w: &wire})
+		if err := rpcx.WriteFrame(c, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := rpcx.ReadFrame(&wire, 0)
+		if err != nil || len(got) != len(payload) {
+			t.Errorf("seed %d: peer read %q, %v; want the payload one bit off", seed, got, err)
+			continue
+		}
+		off := 0
+		for i := range got {
+			off += bits.OnesCount8(got[i] ^ payload[i])
+		}
+		if off != 1 {
+			t.Errorf("seed %d: payload %d bits off, want 1", seed, off)
+		}
+	}
+}
+
+// TestAcceptReset: the accept hook, installed as a session server's
+// WrapConn, resets the first connection (budget 1) and lets the next
+// through wrapped; both count as connections.
+func TestAcceptReset(t *testing.T) {
+	j := NewInjector(WirePlan{Seed: 1, ResetRate: 1, Budget: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := j.Listener(ln)
-	defer fl.Close()
-	// Echo server on whatever the listener lets through.
+	// Echo server on whatever the accept hook lets through.
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
 	go func() {
-		for {
-			c, err := fl.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				io.Copy(c, c)
-			}()
+		served <- rpcx.Serve(ctx, ln, rpcx.ServeOptions{WrapConn: j.Accept}, func(_ context.Context, s *rpcx.Session) error {
+			s.SetBusy(false)
+			_, err := io.Copy(s.Conn, s.Conn)
+			return err
+		})
+	}()
+	defer func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
 		}
 	}()
 	// First connection is reset (budget 1). The RST can surface at
@@ -210,14 +244,14 @@ func TestListenerReset(t *testing.T) {
 	if _, err := io.ReadFull(c2, buf); err != nil || string(buf) != "ok" {
 		t.Fatalf("accepted conn: %q, %v", buf, err)
 	}
-	if st := j.Stats(); st.Resets != 1 {
+	if st := j.Stats(); st.Resets != 1 || st.Conns != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // runProxySession pushes n frames through a proxy to an echo server
 // and returns the injector stats and how many echoes came back intact.
-func runProxySession(t *testing.T, plan Plan, n int) (Stats, int) {
+func runProxySession(t *testing.T, plan WirePlan, n int) (WireStats, int) {
 	t.Helper()
 	// Echo server speaking rpcx frames: one reply per session, the
 	// session's single request. A request the proxy duplicated is read
@@ -248,7 +282,7 @@ func runProxySession(t *testing.T, plan Plan, n int) (Stats, int) {
 		}
 	}()
 
-	inj := New(plan)
+	inj := NewInjector(plan)
 	p := &Proxy{Inj: inj, Target: srvLn.Addr().String(), Logf: t.Logf}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -288,7 +322,7 @@ func runProxySession(t *testing.T, plan Plan, n int) (Stats, int) {
 }
 
 func TestProxyCleanRelay(t *testing.T) {
-	st, intact := runProxySession(t, Plan{Seed: 42}, 8)
+	st, intact := runProxySession(t, WirePlan{Seed: 42}, 8)
 	if intact != 8 {
 		t.Fatalf("clean proxy delivered %d/8", intact)
 	}
@@ -304,7 +338,7 @@ func TestProxyCleanRelay(t *testing.T) {
 func TestProxyChaosThenConverge(t *testing.T) {
 	// Heavy chaos with a budget: once the budget drains, every
 	// remaining session must succeed.
-	plan := Plan{Seed: 3, DropRate: 0.2, TruncRate: 0.2, DupRate: 0.1, FlipRate: 0.1, ResetRate: 0.3, Budget: 6}
+	plan := WirePlan{Seed: 3, DropRate: 0.2, TruncRate: 0.2, DupRate: 0.1, FlipRate: 0.1, ResetRate: 0.3, Budget: 6}
 	st, intact := runProxySession(t, plan, 40)
 	if st.Faults() != 6 {
 		t.Fatalf("faults = %d, want budget 6 (stats %+v)", st.Faults(), st)
@@ -316,7 +350,7 @@ func TestProxyChaosThenConverge(t *testing.T) {
 }
 
 func TestProxyDeterminism(t *testing.T) {
-	plan := Plan{Seed: 11, DropRate: 0.15, TruncRate: 0.1, DupRate: 0.1, FlipRate: 0.1, ResetRate: 0.1}
+	plan := WirePlan{Seed: 11, DropRate: 0.15, TruncRate: 0.1, DupRate: 0.1, FlipRate: 0.1, ResetRate: 0.1}
 	a, _ := runProxySession(t, plan, 25)
 	b, _ := runProxySession(t, plan, 25)
 	if a != b {
@@ -332,7 +366,7 @@ func TestProxyDeterminism(t *testing.T) {
 func TestOpsFilter(t *testing.T) {
 	// Faults restricted to s2c: client→server frames always arrive, so
 	// the echo server always echoes; only replies can be lost.
-	plan := Plan{Seed: 5, DropRate: 0.5, ResetRate: 0.5, Ops: []string{"s2c"}}
+	plan := WirePlan{Seed: 5, DropRate: 0.5, ResetRate: 0.5, Ops: []string{"s2c"}}
 	st, _ := runProxySession(t, plan, 20)
 	if st.Resets != 0 {
 		t.Fatalf("accept resets fired despite ops filter: %+v", st)
@@ -342,9 +376,68 @@ func TestOpsFilter(t *testing.T) {
 	}
 }
 
+// TestWireDrawContract pins the wire point's determinism: a stream is
+// seeded by (seed, connection index, direction) and draws once per
+// frame whatever the op filter or the budget says, and a flip draws
+// its two positions.
+func TestWireDrawContract(t *testing.T) {
+	// The seed derivation is frozen: another would move every fault.
+	if a, b := streamSeed(7, 3, "c2s"), streamSeed(1, 0, "accept"); a != 227825273 || b != 156277514 {
+		t.Fatalf("streamSeed moved: %d, %d", a, b)
+	}
+	payload := []byte("twenty-nine bytes of payload!")
+	var rec bytes.Buffer
+	if err := rpcx.WriteFrame(&rec, payload); err != nil {
+		t.Fatal(err)
+	}
+	plan := WirePlan{Seed: 7, DropRate: 0.2, FlipRate: 0.4, Budget: 4, Ops: []string{"c2s"}}
+	for _, op := range []string{"c2s", "s2c"} { // targeted, then filtered out
+		j := NewInjector(plan)
+		s := j.newStream(op, 3)
+		ref := rand.New(rand.NewSource(streamSeed(plan.Seed, 3, op)))
+		injected := 0
+		for frame := 0; frame < 30; frame++ {
+			x := ref.Float64()
+			want := actNone
+			if op == "c2s" && injected < plan.Budget {
+				switch {
+				case x < plan.DropRate:
+					want = actDrop
+				case x < plan.DropRate+plan.FlipRate:
+					want = actFlip
+				}
+			}
+			wantBytes := rec.Bytes()
+			switch want {
+			case actDrop:
+				injected++
+				wantBytes = nil
+			case actFlip:
+				injected++
+				wantBytes = append([]byte(nil), wantBytes...)
+				i, bit := ref.Intn(len(payload)), ref.Intn(8)
+				wantBytes[4+i] ^= 1 << bit
+			}
+			act := s.decide()
+			var got bytes.Buffer
+			_, _ = s.apply(&got, rec.Bytes(), act)
+			if act != want || !bytes.Equal(got.Bytes(), wantBytes) {
+				t.Fatalf("%s frame %d: %v delivering %q, want %v delivering %q", op, frame, act, got.Bytes(), want, wantBytes)
+			}
+		}
+		if s.rng.Float64() != ref.Float64() {
+			t.Fatalf("%s: the stream drew other than once per frame and twice per flip", op)
+		}
+	}
+	j := NewInjector(plan)
+	if j.accept.Float64() != rand.New(rand.NewSource(streamSeed(plan.Seed, 0, "accept"))).Float64() {
+		t.Fatal("the accept stream is not seeded by (seed, 0, \"accept\")")
+	}
+}
+
 func TestStreamDeterminism(t *testing.T) {
-	j1 := New(Plan{Seed: 9, DropRate: 0.3, FlipRate: 0.3})
-	j2 := New(Plan{Seed: 9, DropRate: 0.3, FlipRate: 0.3})
+	j1 := NewInjector(WirePlan{Seed: 9, DropRate: 0.3, FlipRate: 0.3})
+	j2 := NewInjector(WirePlan{Seed: 9, DropRate: 0.3, FlipRate: 0.3})
 	s1 := j1.newStream("write", 0)
 	s2 := j2.newStream("write", 0)
 	for i := 0; i < 200; i++ {
@@ -363,37 +456,5 @@ func TestStreamDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("c2s and s2c streams are identical")
-	}
-}
-
-func TestWithDeadlinesIdleTimeout(t *testing.T) {
-	client, server := tcpPair(t)
-	dc := rpcx.WithDeadlines(server, 150*time.Millisecond, 150*time.Millisecond)
-	// Active peer: two reads separated by more than the idle timeout,
-	// each served promptly — the per-call arming must not fire early.
-	go func() {
-		client.Write([]byte("a"))
-		time.Sleep(100 * time.Millisecond)
-		client.Write([]byte("b"))
-	}()
-	buf := make([]byte, 1)
-	for i := 0; i < 2; i++ {
-		if _, err := io.ReadFull(dc, buf); err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	// Silent peer: the next read times out instead of blocking forever.
-	start := time.Now()
-	_, err := dc.Read(buf)
-	if err == nil {
-		t.Fatal("read from silent peer succeeded")
-	}
-	var ne net.Error
-	if !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("timeout took far too long")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netfaults"
+	"repro/internal/faults"
 	"repro/internal/results"
 	"repro/internal/rpcx"
 )
@@ -111,7 +111,7 @@ func TestFleetChaosByteIdentical(t *testing.T) {
 	addr, shutdown := startDaemon(t, rpcx.ServeOptions{Logf: t.Logf})
 	defer shutdown()
 
-	inj := netfaults.New(netfaults.Plan{Seed: 11, DropRate: 0.3, TruncRate: 0.2, Budget: 3})
+	inj := faults.NewInjector(faults.WirePlan{Seed: 11, DropRate: 0.3, TruncRate: 0.2, Budget: 3})
 	obs := &testObserver{}
 	c := &Coordinator{
 		Machines: testMachines, Opts: fastOpts(), Only: testOnly,

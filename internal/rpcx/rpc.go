@@ -161,8 +161,8 @@ const lastFragment = 1 << 31
 
 // writeRecord sends one record-marked message. Header and payload go
 // out in a single Write so a record is one syscall on an unbuffered
-// conn and — load-bearing for the netfaults wrappers — one Write call
-// is exactly one frame.
+// conn and — load-bearing for the wire-fault injector, faults.Injector
+// — one Write call is exactly one frame.
 func writeRecord(w io.Writer, p []byte) error {
 	buf := make([]byte, 4+len(p))
 	binary.BigEndian.PutUint32(buf, uint32(len(p))|lastFragment)

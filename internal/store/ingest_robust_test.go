@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netfaults"
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/results"
 	"repro/internal/rpcx"
@@ -53,7 +53,7 @@ func TestPublishChaosConverges(t *testing.T) {
 	addr, shutdown := startIngest(t, s, IngestOptions{Registry: reg, Logf: logf})
 	defer shutdown()
 
-	inj := netfaults.New(netfaults.Plan{Seed: 7, DropRate: 0.25, TruncRate: 0.25, Budget: 3})
+	inj := faults.NewInjector(faults.WirePlan{Seed: 7, DropRate: 0.25, TruncRate: 0.25, Budget: 3})
 	before := PublishRetries()
 	db := testDB(t, 1)
 	got, err := PublishWith(context.Background(), addr, testManifest("chaotic"), db, PublishOptions{

@@ -125,7 +125,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 			ok = hex.EncodeToString(sum[:]) == name
 		}
 		if !ok {
-			if err := s.quarantine(filepath.Join(objDir, name), "object-"+name); err != nil {
+			if err := Quarantine(s.dir, filepath.Join(objDir, name), "object-"+name); err != nil {
 				return rep, err
 			}
 			rep.CorruptObjects = append(rep.CorruptObjects, name)
@@ -158,7 +158,7 @@ func (s *Store) Scrub() (ScrubReport, error) {
 			bad = fmt.Sprintf("object %s missing or corrupt", m.ContentHash)
 		}
 		if bad != "" {
-			if err := s.quarantine(path, "run-"+name); err != nil {
+			if err := Quarantine(s.dir, path, "run-"+name); err != nil {
 				return rep, err
 			}
 			rep.CorruptManifests = append(rep.CorruptManifests, name+" ("+bad+")")
@@ -196,11 +196,13 @@ func (s *Store) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// quarantine moves a damaged shard into quarantine/ under a stable
-// name, appending a numeric suffix if a previous scrub already parked
-// one by that name.
-func (s *Store) quarantine(path, name string) error {
-	qdir := filepath.Join(s.dir, "quarantine")
+// Quarantine moves the damaged file at path into root's quarantine/
+// directory under a stable name, appending a numeric suffix if one by
+// that name is already parked there. Nothing is ever deleted: the
+// evidence stays for post-mortem. Store.Scrub parks corrupt shards here
+// and the unit cache its corrupt fragments.
+func Quarantine(root, path, name string) error {
+	qdir := filepath.Join(root, "quarantine")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return err
 	}

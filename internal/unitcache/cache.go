@@ -14,17 +14,17 @@
 //     units recompute;
 //   - the experiment group key (core.ExperimentGroup.Key), the unit of
 //     execution, journaling and replay;
-//   - the normalized-options fingerprint (store.Fingerprint). Nothing
-//     in it says how wide a run executes — the suite's worker count is
-//     GOMAXPROCS, proven byte-identical at any value — so every width
-//     shares keys. SweepMode is part of it: adaptive sweeps produce
-//     different bytes (synthetic interpolated points, sweep.* attrs)
-//     than exhaustive ones, so the two modes get disjoint key spaces
-//     and a warm cache from one mode can never poison a run in the
-//     other;
-//   - the quality-gate parameters (MaxRSD, QualityRetries): the gate
-//     stamps quality.* attrs into accepted entries, so enabling it
-//     changes result bytes;
+//   - the run's configuration digest (core.ConfigDigest), the one a
+//     journal record carries: the normalized-options fingerprint and
+//     the quality gate's canonical budget. Nothing in the options says
+//     how wide a run executes — the suite's worker count is GOMAXPROCS,
+//     proven byte-identical at any value — so every width shares keys.
+//     SweepMode is part of them: adaptive sweeps produce different
+//     bytes (synthetic interpolated points, sweep.* attrs) than
+//     exhaustive ones, so the two modes get disjoint key spaces and a
+//     warm cache from one mode can never poison a run in the other. The
+//     gate (MaxRSD, QualityRetries) stamps quality.* attrs into
+//     accepted entries, so enabling it changes result bytes;
 //   - the simulator code version (store.CodeVersion, the vcs.revision
 //     stamped into the build): a rebuilt world never serves stale
 //     physics.
@@ -40,10 +40,10 @@
 // payload, then the payload (the unit's core.JournalRecord as JSON).
 // Loads re-hash and re-validate; any mismatch — torn write, bit rot,
 // hand-edited file — is a miss, and the offending file is moved to
-// quarantine/ (never deleted, matching store.Scrub policy) before the
-// unit recomputes. Writes go through store.WriteFileAtomic, the same
-// stage→fsync→rename path store objects use, so a crash mid-store
-// leaves no torn fragment.
+// quarantine/ by store.Quarantine (never deleted, as store.Scrub
+// quarantines) before the unit recomputes. Writes go through
+// store.WriteFileAtomic, the same stage→fsync→rename path store objects
+// use, so a crash mid-store leaves no torn fragment.
 //
 // Machines outside the simulated catalog (the host backend) have no
 // profile fingerprint and no determinism; their units bypass the cache
@@ -109,9 +109,7 @@ type Config struct {
 	MaxBytes int64
 	// MaxRSD and QualityRetries mirror the suite's quality gate: the
 	// gate stamps quality.* attrs into result entries, so its
-	// parameters are key inputs. QualityRetries is canonicalized to
-	// the budget the suite runs with (core.QualityBudget), and MaxRSD to
-	// zero when the gate is off.
+	// parameters are key inputs, canonicalized by core.ConfigDigest.
 	MaxRSD         float64
 	QualityRetries int
 	// Obs sees hits, misses, stores and evictions; nil means
@@ -153,7 +151,7 @@ type Cache struct {
 	dir         string
 	cfg         Config
 	obs         Observer
-	optionsFP   string
+	config      string // core.ConfigDigest of the run's options and quality gate
 	codeVersion string
 
 	// keys memoizes per-machine key prefixes (profile fingerprints are
@@ -169,17 +167,13 @@ type Cache struct {
 }
 
 // Open opens (creating if needed) the unit cache rooted at dir, keyed
-// for runs with the given options. The options are normalized and
-// fingerprinted once here — every Lookup and Store against this handle
+// for runs with the given options. The options and the quality gate
+// are digested once here — every Lookup and Store against this handle
 // shares them — so one Cache serves exactly one run configuration.
 func Open(dir string, opts core.Options, cfg Config) (*Cache, error) {
-	fp, err := store.Fingerprint(opts)
+	config, err := core.ConfigDigest(opts, cfg.MaxRSD, cfg.QualityRetries)
 	if err != nil {
 		return nil, fmt.Errorf("unitcache: %w", err)
-	}
-	cfg.QualityRetries = core.QualityBudget(cfg.MaxRSD, cfg.QualityRetries)
-	if cfg.MaxRSD <= 0 {
-		cfg.MaxRSD = 0
 	}
 	for _, d := range []string{dir, filepath.Join(dir, "units")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -188,7 +182,7 @@ func Open(dir string, opts core.Options, cfg Config) (*Cache, error) {
 	}
 	c := &Cache{
 		dir: dir, cfg: cfg, obs: cfg.Obs,
-		optionsFP:   fp,
+		config:      config,
 		codeVersion: store.CodeVersion(),
 		keys:        map[string]string{},
 	}
@@ -211,16 +205,16 @@ func (c *Cache) Stats() Stats {
 }
 
 // KeyFor derives the cache key for one work unit from its raw key
-// inputs. Exported so invalidation tests can assert exactly which
-// input changes move the key.
-func KeyFor(profileFP, groupKey, optionsFP, codeVersion string, maxRSD float64, qualityRetries int) string {
+// inputs, config being the run's core.ConfigDigest. Exported so
+// invalidation tests can assert exactly which input changes move the
+// key.
+func KeyFor(profileFP, groupKey, config, codeVersion string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "lmbench-unit/v1\n")
+	fmt.Fprintf(h, "lmbench-unit/v2\n")
 	fmt.Fprintf(h, "profile %s\n", profileFP)
 	fmt.Fprintf(h, "group %s\n", groupKey)
-	fmt.Fprintf(h, "options %s\n", optionsFP)
+	fmt.Fprintf(h, "config %s\n", config)
 	fmt.Fprintf(h, "version %s\n", codeVersion)
-	fmt.Fprintf(h, "quality %g %d\n", maxRSD, qualityRetries)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -253,7 +247,7 @@ func (c *Cache) keyFor(machine, groupKey string) (string, bool) {
 	if fp == "" {
 		return "", false
 	}
-	return KeyFor(fp, groupKey, c.optionsFP, c.codeVersion, c.cfg.MaxRSD, c.cfg.QualityRetries), true
+	return KeyFor(fp, groupKey, c.config, c.codeVersion), true
 }
 
 func (c *Cache) unitPath(key string) string {
@@ -279,8 +273,9 @@ func (c *Cache) Lookup(machine, groupKey string) (core.JournalRecord, bool) {
 	rec, err := decodeFragment(data)
 	if err != nil || rec.Machine != machine || rec.Key != groupKey {
 		// Never trust, never delete: move the bad fragment aside for
-		// post-mortem and recompute the unit.
-		c.quarantine(path, key)
+		// post-mortem and recompute the unit. Best effort — quarantine
+		// trouble must not fail a lookup.
+		_ = store.Quarantine(c.dir, path, key)
 		c.misses.Add(1)
 		c.obs.CacheMiss()
 		return core.JournalRecord{}, false
@@ -386,27 +381,6 @@ func (c *Cache) evictLocked(keep string) error {
 		c.obs.CacheEvicted(evicted, freed)
 	}
 	return nil
-}
-
-// quarantine moves a failed fragment into quarantine/, mirroring
-// store.Scrub: numeric suffixes avoid clobbering earlier evidence, and
-// nothing is ever deleted. Best effort — quarantine trouble must not
-// fail a lookup.
-func (c *Cache) quarantine(path, name string) {
-	qdir := filepath.Join(c.dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return
-	}
-	dst := filepath.Join(qdir, name)
-	for i := 1; ; i++ {
-		if _, err := os.Lstat(dst); errors.Is(err, os.ErrNotExist) {
-			break
-		} else if err != nil {
-			return
-		}
-		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", name, i))
-	}
-	_ = os.Rename(path, dst)
 }
 
 // encodeFragment renders rec in the self-verifying on-disk format:

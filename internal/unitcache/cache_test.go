@@ -123,13 +123,22 @@ func TestKeyInvalidation(t *testing.T) {
 	if fp0 == fp1 {
 		t.Fatal("distinct profiles share a fingerprint")
 	}
-	base := KeyFor(fp0, "table2", `{"MemSize":8388608}`, "abc123", 0, 0)
+	digest := func(o core.Options, maxRSD float64, qualityRetries int) string {
+		t.Helper()
+		d, err := core.ConfigDigest(o, maxRSD, qualityRetries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	config := digest(core.Options{MemSize: 8 << 20}, 0, 0)
+	base := KeyFor(fp0, "table2", config, "abc123")
 	for name, other := range map[string]string{
-		"profile":      KeyFor(fp1, "table2", `{"MemSize":8388608}`, "abc123", 0, 0),
-		"group":        KeyFor(fp0, "table7", `{"MemSize":8388608}`, "abc123", 0, 0),
-		"options":      KeyFor(fp0, "table2", `{"MemSize":4194304}`, "abc123", 0, 0),
-		"code version": KeyFor(fp0, "table2", `{"MemSize":8388608}`, "def456", 0, 0),
-		"quality gate": KeyFor(fp0, "table2", `{"MemSize":8388608}`, "abc123", 0.05, 2),
+		"profile":      KeyFor(fp1, "table2", config, "abc123"),
+		"group":        KeyFor(fp0, "table7", config, "abc123"),
+		"options":      KeyFor(fp0, "table2", digest(core.Options{MemSize: 4 << 20}, 0, 0), "abc123"),
+		"code version": KeyFor(fp0, "table2", config, "def456"),
+		"quality gate": KeyFor(fp0, "table2", digest(core.Options{MemSize: 8 << 20}, 0.05, 2), "abc123"),
 	} {
 		if other == base {
 			t.Errorf("changing the %s did not change the key", name)
