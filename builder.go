@@ -205,20 +205,22 @@ func WithUnitCacheLimit(maxBytes int64) Option {
 }
 
 // WithMetrics exports the run's live state into reg, for a /metrics
-// endpoint (see Server): the suite's event metrics and harness
-// counters, plus the metric families of every part the run wires —
-// the journal, the unit cache, the fleet, the adaptive sweep planner,
-// publish retries and fault-injected machines. Metrics stay out of
+// endpoint (see Server): the suite's event and harness metrics, plus
+// the metric families of every part the run wires — the journal, the
+// unit cache, the fleet, publish retries and fault-injected machines.
+// Every family counts this run alone, from its own events, attempt
+// probes and parts; the harness families see in-process attempts only,
+// since probes never cross a process boundary. Metrics stay out of
 // band: they never touch a timed interval or the results database.
 //
-// The suite's families and the harness counters are registered when
-// New applies the option, so a server started before Run already
-// exposes them; the rest register as Run wires their parts.
+// The suite's event and harness families are registered when New
+// applies the option, so a server started before Run already exposes
+// them; the adaptive planner's register with the first planned sweep,
+// the rest as Run wires their parts.
 func WithMetrics(reg *Registry) Option {
 	return func(b *Bench) {
 		b.metrics = reg
 		b.sinks = append(b.sinks, obs.NewMetricsSink(reg))
-		obs.RegisterHarness(reg)
 	}
 }
 
@@ -470,13 +472,14 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 	defer closeJournal()
 
 	var fleetObs fleet.Observer
+	var onPublishRetry func(int, error)
 	cfg := unitcache.Config{
 		ReadOnly: b.cacheReadOnly,
 		MaxBytes: b.cacheMaxBytes,
 		MaxRSD:   b.maxRSD, QualityRetries: b.qualityRetries,
 	}
 	if b.metrics != nil {
-		fleetObs, cfg.Obs = b.registerMetrics(journal)
+		fleetObs, cfg.Obs, onPublishRetry = b.registerMetrics(journal)
 	}
 	var cache *unitcache.Cache
 	if b.cacheDir != "" {
@@ -558,7 +561,7 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 	}
 	if b.publishAddr != "" {
 		m, err := istore.PublishWith(ctx, b.publishAddr, rep.manifest, db,
-			istore.PublishOptions{Retries: b.publishRetries})
+			istore.PublishOptions{Retries: b.publishRetries, OnRetry: onPublishRetry})
 		if err != nil {
 			return nil, fmt.Errorf("lmbench: publish to %s: %w", b.publishAddr, err)
 		}
@@ -569,8 +572,9 @@ func (b *Bench) Run(ctx context.Context) (*Report, error) {
 
 // registerMetrics exports the metric families of the parts this run
 // wires beyond the suite itself, and returns the observers the fleet
-// and the unit cache report to (nil for a part the run does not use).
-func (b *Bench) registerMetrics(journal *core.JournalWriter) (fo fleet.Observer, co unitcache.Observer) {
+// and the unit cache report to and the publish's retry hook (nil for a
+// part the run does not use).
+func (b *Bench) registerMetrics(journal *core.JournalWriter) (fo fleet.Observer, co unitcache.Observer, onPublishRetry func(int, error)) {
 	reg := b.metrics
 	if b.fleet() {
 		fo = obs.NewFleetMetrics(reg)
@@ -578,11 +582,10 @@ func (b *Bench) registerMetrics(journal *core.JournalWriter) (fo fleet.Observer,
 	if b.cacheDir != "" {
 		co = obs.NewCacheMetrics(reg)
 	}
-	if b.opts.SweepMode == SweepAdaptive {
-		obs.RegisterSweepPlanner(reg)
-	}
 	if b.publishAddr != "" {
-		obs.RegisterPublishRetries(reg, istore.PublishRetries)
+		retries := reg.Counter("lmbench_publish_retries_total",
+			"Publish attempts retried after a transport failure.")
+		onPublishRetry = func(int, error) { retries.Inc() }
 	}
 	if journal != nil {
 		obs.RegisterJournal(reg, journal)
@@ -599,7 +602,7 @@ func (b *Bench) registerMetrics(journal *core.JournalWriter) (fo fleet.Observer,
 			return
 		})
 	}
-	return fo, co
+	return fo, co, onPublishRetry
 }
 
 // runCalibration is Run's WithCalibrateTarget branch: fit the single

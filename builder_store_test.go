@@ -7,6 +7,8 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -99,7 +101,8 @@ func TestRunIDIgnoresGOMAXPROCS(t *testing.T) {
 // TestWithPublishStreamsToDaemon: WithPublish lands the run in a
 // remote store over the ingestion protocol, under the same RunID a
 // local WithStore run computes — network publish and local store are
-// the same keying.
+// the same keying. The daemon refuses the first session, so the
+// publish retries once, and the run's registry counts that retry.
 func TestWithPublishStreamsToDaemon(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
@@ -110,9 +113,17 @@ func TestWithPublishStreamsToDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var refused atomic.Bool
+	refuseFirst := func(c net.Conn) net.Conn {
+		if refused.CompareAndSwap(false, true) {
+			_ = c.Close()
+			return nil
+		}
+		return c
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- ServeStoreIngestWith(ctx, ln, s, IngestOptions{}) }()
+	go func() { done <- ServeStoreIngestWith(ctx, ln, s, IngestOptions{WrapConn: refuseFirst}) }()
 	defer func() {
 		cancel()
 		if err := <-done; err != nil {
@@ -120,9 +131,17 @@ func TestWithPublishStreamsToDaemon(t *testing.T) {
 		}
 	}()
 
-	rep, err := New(storeRunOpts(t, WithPublish(ln.Addr().String()), WithRunLabel("published"))...).Run(ctx)
+	reg := NewRegistry()
+	rep, err := New(storeRunOpts(t, WithPublish(ln.Addr().String()), WithRunLabel("published"), WithMetrics(reg))...).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var exposition bytes.Buffer
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(exposition.String(), "\nlmbench_publish_retries_total 1\n") {
+		t.Errorf("the run's registry does not count its one publish retry:\n%s", exposition.String())
 	}
 	m, db, err := s.DB(rep.RunID)
 	if err != nil {

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 )
 
@@ -138,5 +140,66 @@ func TestWithMetricsWiresEveryPart(t *testing.T) {
 	snap := progress.Snapshot()
 	if len(snap.Machines) != 1 || snap.Machines[0].Planned != 2 || snap.Machines[0].Done != 2 {
 		t.Errorf("progress = %+v, want 2 planned and done", snap.Machines)
+	}
+}
+
+// TestMetricsCountTheirOwnRun: a registry counts the run it is wired
+// to and no other. Three identical adaptive runs, each with a fresh
+// registry — two in process, then one on a 2-worker fleet — read the
+// same planner counts, and those are the sweep.points_* attrs of the
+// run's own database. The harness families count in-process attempts
+// only: probes never cross a process boundary.
+func TestMetricsCountTheirOwnRun(t *testing.T) {
+	// value reads one unlabeled series from the exposition ("" when
+	// the family is absent).
+	value := func(reg *Registry, family string) string {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, family+" "); ok {
+				return v
+			}
+		}
+		return ""
+	}
+	var first [2]string
+	for i, workers := range []int{0, 0, 2} {
+		m, err := NewSimMachine("Linux/i686")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		rep, err := New(WithMachine(m), WithOptions(core.FastOptions()), WithOnly("figure1", "table7"),
+			WithSweepMode(SweepAdaptive), WithMetrics(reg), WithFleet(workers)).Run(context.Background())
+		if err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		var measured, synthetic int
+		for _, e := range rep.DB.Entries() {
+			n, _ := strconv.Atoi(e.Attrs["sweep.points_measured"])
+			k, _ := strconv.Atoi(e.Attrs["sweep.points_synthetic"])
+			measured, synthetic = measured+n, synthetic+k
+		}
+		if measured == 0 {
+			t.Fatalf("run %d measured no sweep points", i+1)
+		}
+		got := [2]string{value(reg, "lmbench_sweep_points_measured_total"), value(reg, "lmbench_sweep_points_skipped_total")}
+		if want := [2]string{strconv.Itoa(measured), strconv.Itoa(synthetic)}; got != want {
+			t.Errorf("run %d: registry reads measured/skipped %v, its database %v", i+1, got, want)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("run %d: registry reads measured/skipped %v, run 1 read %v", i+1, got, first)
+		}
+		wantLoops := "1"
+		if workers > 0 {
+			wantLoops = "0"
+		}
+		if got := value(reg, "lmbench_harness_benchloops_total"); got != wantLoops {
+			t.Errorf("run %d (fleet %d): lmbench_harness_benchloops_total %q, want %s", i+1, workers, got, wantLoops)
+		}
 	}
 }

@@ -64,6 +64,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"sync/atomic"
 	"syscall"
 
 	lmbench "repro"
@@ -253,6 +254,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			options = append(options, lmbench.WithSweepMode(lmbench.SweepMode(*sweepFlag)))
 		}
 	})
+	// The sweep: line sums the planner decisions the run's finished
+	// events carry, fleet workers' included.
+	var sweep sweepTally
+	if *sweepFlag == string(lmbench.SweepAdaptive) {
+		options = append(options, lmbench.WithSink(&sweep))
+	}
 	if journal := *journalFlag + *resumeFlag; journal != "" { // at most one is set
 		options = append(options, lmbench.WithJournal(journal))
 	}
@@ -364,8 +371,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "unit-cache: %s\n", rep.Cache)
 		}
 		if *sweepFlag == string(lmbench.SweepAdaptive) {
-			measured, skipped := core.ReadSweepStats()
-			fmt.Fprintf(stderr, "sweep: measured=%d skipped=%d\n", measured, skipped)
+			fmt.Fprintf(stderr, "sweep: measured=%d skipped=%d\n", sweep.measured.Load(), sweep.skipped.Load())
 		}
 		for _, m := range targets {
 			if ids := rep.Skipped[m.Name()]; len(ids) > 0 {
@@ -403,6 +409,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	return f.Close()
+}
+
+// sweepTally sums the adaptive sweep planner's decisions off the run's
+// finished events (Event.Sweep).
+type sweepTally struct{ measured, skipped atomic.Int64 }
+
+func (t *sweepTally) Event(e lmbench.Event) {
+	t.measured.Add(e.Sweep["points_measured"])
+	t.skipped.Add(e.Sweep["points_skipped"])
 }
 
 // buildTargets builds the -machine selection: the host, every

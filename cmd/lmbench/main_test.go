@@ -168,6 +168,32 @@ func TestCalibrationHonoursSweep(t *testing.T) {
 	}
 }
 
+// TestSweepLineCountsItsOwnRun: the sweep: line sums the planner
+// decisions of its own run, so two identical runs in one process print
+// the same line.
+func TestSweepLineCountsItsOwnRun(t *testing.T) {
+	var lines []string
+	for i := 0; i < 2; i++ {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-machine", "Linux/i686", "-fast", "-only", "figure1", "-sweep", "adaptive"}, &stdout, &stderr); err != nil {
+			t.Fatalf("run %d: %v\n%s", i+1, err, stderr.String())
+		}
+		line := ""
+		for _, l := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(l, "sweep: ") {
+				line = l
+			}
+		}
+		lines = append(lines, line)
+	}
+	if lines[0] == "" || strings.Contains(lines[0], "measured=0 ") {
+		t.Fatalf("first run's sweep line = %q, want measured points", lines[0])
+	}
+	if lines[1] != lines[0] {
+		t.Errorf("second run printed %q, first %q", lines[1], lines[0])
+	}
+}
+
 // TestFlagsTranslateToBuilder: a CLI run writes exactly the bytes the
 // equivalent lmbench.New composition produces.
 func TestFlagsTranslateToBuilder(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -46,38 +45,6 @@ const (
 	plannerMinFull    = 5    // columns this short are measured exhaustively
 	plannerMaxRounds  = 32   // hard stop; bisection converges in O(log n)
 )
-
-// Cumulative planner activity, exported for scrape-time metric
-// closures (obs.RegisterSweepPlanner). Skipped points are grid points
-// an adaptive sweep filled synthetically instead of measuring;
-// exhaustive sweeps touch neither counter.
-var (
-	sweepPointsMeasured atomic.Int64
-	sweepPointsSkipped  atomic.Int64
-)
-
-// ReadSweepStats reports the cumulative number of sweep grid points
-// measured and skipped (filled synthetically) by adaptive planning in
-// this process.
-func ReadSweepStats() (measured, skipped int64) {
-	return sweepPointsMeasured.Load(), sweepPointsSkipped.Load()
-}
-
-// sweepCollector accumulates one attempt's planner activity; the suite
-// attaches one to the experiment context and copies the totals onto
-// the finished event (Event.Sweep) for the trace and metrics sinks.
-type sweepCollector struct {
-	measured atomic.Int64
-	skipped  atomic.Int64
-	rounds   atomic.Int64
-}
-
-type sweepCollectorKey struct{}
-
-// withSweepCollector attaches c to ctx for the duration of an attempt.
-func withSweepCollector(ctx context.Context, c *sweepCollector) context.Context {
-	return context.WithValue(ctx, sweepCollectorKey{}, c)
-}
 
 // sweepColumn is a half-open range [Start, End) of contiguous grid
 // indices forming one monotone curve (one stride of the Figure-1
@@ -268,14 +235,7 @@ func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepCol
 			}
 		}
 	}
-	skipped := n - rep.measured
-	sweepPointsMeasured.Add(int64(rep.measured))
-	sweepPointsSkipped.Add(int64(skipped))
-	if c, ok := ctx.Value(sweepCollectorKey{}).(*sweepCollector); ok {
-		c.measured.Add(int64(rep.measured))
-		c.skipped.Add(int64(skipped))
-		c.rounds.Add(int64(rounds))
-	}
+	ledgerFrom(ctx).addSweep(rep.measured, n-rep.measured, rounds)
 	return rep, nil
 }
 

@@ -92,8 +92,8 @@ func machineLane(m Machine, setup func(Machine) (evalFunc, error)) *lane {
 
 // eval prepares the instance if it is new and runs argument i on it.
 // A clone's simulator activity inside an attempt belongs to the
-// attempt, which counts only its own machine's (see simCollector).
-func (in *instance) eval(ctx context.Context, l *lane, i int, sims *simCollector) error {
+// attempt, which counts only its own machine's (see ledger).
+func (in *instance) eval(ctx context.Context, l *lane, i int, led *ledger) error {
 	if in.run == nil {
 		m, run, err := l.prepare(in.w)
 		if err != nil {
@@ -102,12 +102,12 @@ func (in *instance) eval(ctx context.Context, l *lane, i int, sims *simCollector
 		in.m, in.run = m, run
 	}
 	ss, ok := in.m.(SimStatser)
-	if !ok || sims == nil || in.w == 0 {
+	if !ok || led == nil || in.w == 0 {
 		return in.run(ctx, i)
 	}
 	before := ss.SimStats()
 	err := in.run(ctx, i)
-	sims.add(simDelta(ss.SimStats(), before))
+	led.addSim(simDelta(ss.SimStats(), before))
 	return err
 }
 
@@ -151,7 +151,7 @@ func (ps positions) run(ctx context.Context, width int) (int, error) {
 		err error
 	}
 	n := len(ps.idx)
-	sims := simCollectorFrom(ctx)
+	led := ledgerFrom(ctx)
 	slots := slotsFrom(ctx)
 	if slots == nil {
 		slots = make(chan struct{}, max(width, 1)-1)
@@ -283,9 +283,9 @@ func (ps positions) run(ctx context.Context, width int) (int, error) {
 		if l.exclusive || (busy == 1 && pos == n-1) {
 			// Nothing else may, or is left to, run beside it: run it on
 			// the calling goroutine.
-			settle(result{pos, in, in.eval(jctx, l, ps.idx[pos], sims)})
+			settle(result{pos, in, in.eval(jctx, l, ps.idx[pos], led)})
 		} else {
-			go func() { done <- result{pos, in, in.eval(jctx, l, ps.idx[pos], sims)} }()
+			go func() { done <- result{pos, in, in.eval(jctx, l, ps.idx[pos], led)} }()
 		}
 		advance()
 	}
@@ -329,39 +329,64 @@ func slotsFrom(ctx context.Context) chan struct{} {
 	return c
 }
 
-// simCollector sums the simulator activity of the clones the sweeps
-// inside one attempt ran; the attempt adds its own machine's activity
-// and reports the sum as the finished event's Sim counters, so they do
-// not depend on how many clones shared the work.
-type simCollector struct {
-	mu  sync.Mutex
-	sum map[string]int64
+// ledger is one attempt's account of the work behind its entries: the
+// simulator activity of its machine and of the clones its sweeps ran
+// on, and the adaptive planner's decisions. The suite attaches one to
+// the attempt's context and reports its sums as the finished event's
+// Sim and Sweep counters, so they do not depend on how many clones
+// shared the work.
+type ledger struct {
+	mu         sync.Mutex
+	sim, sweep map[string]int64
 }
 
-type simCollectorKey struct{}
+type ledgerKey struct{}
 
-func withSimCollector(ctx context.Context, c *simCollector) context.Context {
-	return context.WithValue(ctx, simCollectorKey{}, c)
+func withLedger(ctx context.Context, l *ledger) context.Context {
+	return context.WithValue(ctx, ledgerKey{}, l)
 }
 
-func simCollectorFrom(ctx context.Context) *simCollector {
-	c, _ := ctx.Value(simCollectorKey{}).(*simCollector)
-	return c
+// ledgerFrom returns the attempt's ledger, or nil outside an attempt.
+func ledgerFrom(ctx context.Context) *ledger {
+	l, _ := ctx.Value(ledgerKey{}).(*ledger)
+	return l
 }
 
-// add folds counter deltas into the sum; a nil collector drops them.
-func (c *simCollector) add(d map[string]int64) {
-	if c == nil || len(d) == 0 {
+// addSim folds simulator counter deltas into the ledger; a nil ledger
+// drops them.
+func (l *ledger) addSim(d map[string]int64) {
+	if l == nil || len(d) == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sum == nil {
-		c.sum = make(map[string]int64, len(d))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sim = fold(l.sim, d)
+}
+
+// addSweep folds one planned sweep's decisions into the ledger; a nil
+// ledger drops them.
+func (l *ledger) addSweep(measured, skipped, rounds int) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sweep = fold(l.sweep, map[string]int64{
+		"points_measured": int64(measured),
+		"points_skipped":  int64(skipped),
+		"rounds":          int64(rounds),
+	})
+}
+
+// fold adds d into sum, which it makes on first use.
+func fold(sum, d map[string]int64) map[string]int64 {
+	if sum == nil {
+		sum = make(map[string]int64, len(d))
 	}
 	for k, v := range d {
-		c.sum[k] += v
+		sum[k] += v
 	}
+	return sum
 }
 
 // simDelta is the nonzero change of each counter from before to after.

@@ -349,13 +349,13 @@ func (s *Suite) runExperiment(ctx context.Context, m Machine, sink EventSink, ex
 // sample statistics are summarized for the gate. Sinks implementing
 // AttemptProber additionally get a timing.Probe installed on the
 // context, so observability can see individual harness batches — out
-// of band, never inside a timed interval. On simulated machines the
-// first returned map carries the experiment's activity-counter delta
-// (SimStatser) for the event stream, summed over m and the clones its
-// sweeps ran on; the second carries the adaptive
-// sweep planner's decision counters, collected via the attempt context
-// exactly like the recorder, and stays nil for exhaustive sweeps and
-// non-sweep experiments.
+// of band, never inside a timed interval. The attempt's ledger rides
+// the context as well and fills the two returned maps for the event
+// stream: on simulated machines the first carries the experiment's
+// activity-counter delta (SimStatser), summed over m and the clones
+// its sweeps ran on; the second carries the adaptive sweep planner's
+// decision counters and stays nil for exhaustive sweeps and non-sweep
+// experiments.
 func (s *Suite) attempt(ctx context.Context, m Machine, sink EventSink, exp Experiment, opts Options, rec *timing.Recorder, attempt int) ([]results.Entry, qualitySummary, map[string]int64, map[string]int64, error) {
 	if timing.IsRealTime(m.Clock()) {
 		wallMu.Lock()
@@ -391,17 +391,11 @@ func (s *Suite) attempt(ctx context.Context, m Machine, sink EventSink, exp Expe
 		cb.BindContext(runCtx)
 		defer cb.BindContext(context.Background())
 	}
-	var sw *sweepCollector
-	if opts.SweepMode == SweepAdaptive {
-		sw = &sweepCollector{}
-		runCtx = withSweepCollector(runCtx, sw)
-	}
+	led := &ledger{}
+	runCtx = withLedger(runCtx, led)
 	var simBefore map[string]int64
-	var sims *simCollector
 	ss, hasSim := m.(SimStatser)
 	if hasSim {
-		sims = &simCollector{}
-		runCtx = withSimCollector(runCtx, sims)
 		simBefore = ss.SimStats()
 	}
 	entries, err := exp.Run(runCtx, m, opts)
@@ -409,22 +403,10 @@ func (s *Suite) attempt(ctx context.Context, m Machine, sink EventSink, exp Expe
 	if rec != nil && err == nil {
 		q = summarizeQuality(rec)
 	}
-	var sim map[string]int64
 	if hasSim && err == nil {
-		sims.add(simDelta(ss.SimStats(), simBefore))
-		sim = sims.sum
+		led.addSim(simDelta(ss.SimStats(), simBefore))
 	}
-	var sweep map[string]int64
-	if sw != nil && err == nil {
-		if m, sk := sw.measured.Load(), sw.skipped.Load(); m > 0 || sk > 0 {
-			sweep = map[string]int64{
-				"points_measured": m,
-				"points_skipped":  sk,
-				"rounds":          sw.rounds.Load(),
-			}
-		}
-	}
-	return entries, q, sim, sweep, err
+	return entries, q, led.sim, led.sweep, err
 }
 
 // qualitySummary condenses the measurements of one attempt for the

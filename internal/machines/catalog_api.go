@@ -23,7 +23,7 @@ const (
 	SourceFile = "file"
 	// SourceCalibrated marks profiles produced by the calibration loop
 	// (internal/calibrate): the embedded profiles/calibrated data files
-	// and anything registered via AddCalibrated.
+	// and anything registered via Add(p, SourceCalibrated).
 	SourceCalibrated = "calibrated"
 )
 
@@ -130,11 +130,6 @@ func (c *Catalog) Add(p Profile, source string) error {
 		return fmt.Errorf("machines: unknown profile source %q", source)
 	}
 	return c.add(CatalogEntry{Profile: p, Source: source})
-}
-
-// AddCalibrated registers a profile produced by the calibration loop.
-func (c *Catalog) AddCalibrated(p Profile) error {
-	return c.add(CatalogEntry{Profile: p, Source: SourceCalibrated})
 }
 
 // LoadFile loads one profile data file into the catalog and returns

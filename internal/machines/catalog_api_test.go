@@ -101,8 +101,8 @@ func TestCatalogAddValidates(t *testing.T) {
 	if err := c.Add(Profile{Name: "x"}, "weird"); err == nil {
 		t.Error("Add accepted an unknown source")
 	}
-	if err := c.AddCalibrated(Profile{Name: "x"}); err != nil {
-		t.Errorf("AddCalibrated: %v", err)
+	if err := c.Add(Profile{Name: "x"}, SourceCalibrated); err != nil {
+		t.Errorf("Add(p, SourceCalibrated): %v", err)
 	}
 	e, ok := c.Entry("x")
 	if !ok || e.Source != SourceCalibrated {

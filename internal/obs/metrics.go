@@ -202,8 +202,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // CounterFunc registers a counter whose value is read from fn at
-// scrape time — the bridge to counters maintained elsewhere (the
-// timing harness's atomic counters, journal bytes, fault totals).
+// scrape time — the bridge to counters a part of the run keeps itself
+// (a journal's bytes, a fault injector's totals).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f := r.family(name, help, kindCounter, "")
 	f.get("", func() any { return fn })

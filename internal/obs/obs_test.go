@@ -37,6 +37,7 @@ func TestMetricsSinkAggregatesEvents(t *testing.T) {
 	s.Event(event(core.ExperimentStarted, "m1", "table2", 2, 0, 0))
 	fin := event(core.ExperimentFinished, "m1", "table2", 2, 2*time.Second, 4)
 	fin.Sim = map[string]int64{"mem_accesses": 123, "tlb_misses": 7}
+	fin.Sweep = map[string]int64{"points_measured": 45, "points_skipped": 59, "rounds": 7}
 	s.Event(fin)
 	s.Event(event(core.ExperimentStarted, "m2", "table7", 1, 0, 0))
 	s.Event(event(core.ExperimentSkipped, "m2", "table7", 1, 0, 0))
@@ -65,6 +66,10 @@ func TestMetricsSinkAggregatesEvents(t *testing.T) {
 		`lmbench_sim_tlb_misses_total{machine="m1"} 7`,
 		"lmbench_harness_batches_total 1",
 		"lmbench_harness_calibration_batches_total 1",
+		"lmbench_harness_benchloops_total 1",
+		"lmbench_harness_clock_resolution_seconds 1e-12",
+		"lmbench_sweep_points_measured_total 45",
+		"lmbench_sweep_points_skipped_total 59",
 		`lmbench_experiment_duration_seconds_count{machine="m1"} 1`,
 	} {
 		if !strings.Contains(out, want) {

@@ -53,17 +53,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ListenAndServe serves on addr until ctx is cancelled, then shuts
-// down gracefully. It returns the bound address on a channel-free
-// contract: Start for the common case of serving in the background.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return ServeHTTP(ctx, ln, s.Handler())
-}
-
 // Start begins serving on addr in the background and returns the
 // actual bound address (useful with ":0"). The server stops when ctx
 // is cancelled; stop() waits for shutdown to complete.

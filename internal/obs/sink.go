@@ -7,8 +7,9 @@ import (
 )
 
 // Metric names exported by MetricsSink. The per-machine families carry
-// a machine label; harness- and sample-level families are global.
-// README's "Observability" section documents the full catalog.
+// a machine label; harness-, sample- and planner-level families are
+// global. Every family counts the run the sink's events and probes come
+// from. README's "Observability" section documents the full catalog.
 const (
 	metricStarted   = "lmbench_experiments_started_total"
 	metricFinished  = "lmbench_experiments_finished_total"
@@ -24,6 +25,7 @@ const (
 	metricSim       = "lmbench_sim_"
 	metricBatches   = "lmbench_harness_batches_total"
 	metricBatchSecs = "lmbench_harness_batch_span_seconds"
+	metricSweep     = "lmbench_sweep_points_"
 )
 
 // MetricsSink aggregates the suite's event stream and harness probes
@@ -45,6 +47,8 @@ type MetricsSink struct {
 	running                    *GaugeVec
 	duration                   *HistogramVec
 	timedBatches, calibBatches *Counter
+	benchLoops                 *Counter
+	resolution                 *Gauge
 	batchSpan                  *Histogram
 }
 
@@ -71,6 +75,10 @@ func NewMetricsSink(reg *Registry) *MetricsSink {
 			"Timed measurement batches the harness completed."),
 		calibBatches: reg.Counter("lmbench_harness_calibration_batches_total",
 			"Auto-scaling (untimed) batches the harness completed."),
+		benchLoops: reg.Counter("lmbench_harness_benchloops_total",
+			"BenchLoop measurements whose batch size settled."),
+		resolution: reg.Gauge("lmbench_harness_clock_resolution_seconds",
+			"Clock resolution the latest BenchLoop measurement compensated for."),
 		batchSpan: reg.Histogram(metricBatchSecs,
 			"Per-batch elapsed time by the harness clock (virtual on simulated machines).", spanBounds),
 	}
@@ -90,6 +98,12 @@ func (s *MetricsSink) Event(e core.Event) {
 		for key, delta := range e.Sim {
 			s.reg.CounterVec(metricSim+key+"_total",
 				"Simulator activity counter "+key+".", "machine").With(e.Machine).Add(delta)
+		}
+		if len(e.Sweep) > 0 {
+			s.reg.Counter(metricSweep+"measured_total",
+				"Sweep grid points measured by the adaptive planner.").Add(e.Sweep["points_measured"])
+			s.reg.Counter(metricSweep+"skipped_total",
+				"Sweep grid points skipped (interpolated) by the adaptive planner.").Add(e.Sweep["points_skipped"])
 		}
 	case core.ExperimentRetried:
 		s.retried.With(e.Machine).Inc()
@@ -114,7 +128,7 @@ func (s *MetricsSink) Event(e core.Event) {
 }
 
 // AttemptProbe implements core.AttemptProber: every attempt feeds the
-// harness batch counters. The probe is the sink itself — counters are
+// harness families. The probe is the sink itself — counters are
 // atomic, so no per-attempt state is needed.
 func (s *MetricsSink) AttemptProbe(machine, experiment string, attempt int) timing.Probe {
 	return (*metricsProbe)(s)
@@ -124,7 +138,10 @@ func (s *MetricsSink) AttemptProbe(machine, experiment string, attempt int) timi
 // so the Probe methods don't clutter the sink's public API surface.
 type metricsProbe MetricsSink
 
-func (p *metricsProbe) Calibrated(n int64, resolution ptime.Duration) {}
+func (p *metricsProbe) Calibrated(n int64, resolution ptime.Duration) {
+	p.benchLoops.Inc()
+	p.resolution.Set(resolution.Seconds())
+}
 
 func (p *metricsProbe) Sample(elapsed ptime.Duration, n int64, timed bool) {
 	if timed {
@@ -135,59 +152,11 @@ func (p *metricsProbe) Sample(elapsed ptime.Duration, n int64, timed bool) {
 	p.batchSpan.Observe(elapsed.Seconds())
 }
 
-// RegisterHarness exports the timing package's process-global harness
-// counters (BenchLoops completed, resolution estimates, the latest
-// resolution) into reg at scrape time.
-func RegisterHarness(reg *Registry) {
-	reg.CounterFunc("lmbench_harness_benchloops_total",
-		"Completed BenchLoop measurements.", func() float64 {
-			return float64(timing.ReadHarnessStats().BenchLoops)
-		})
-	reg.CounterFunc("lmbench_harness_resolution_estimates_total",
-		"Clock-resolution estimations performed.", func() float64 {
-			return float64(timing.ReadHarnessStats().ResolutionEstimates)
-		})
-	reg.GaugeFunc("lmbench_harness_clock_resolution_seconds",
-		"Most recent clock-resolution estimate.", func() float64 {
-			return timing.ReadHarnessStats().LastResolution.Seconds()
-		})
-}
-
-// RegisterSweepPlanner exports the adaptive sweep planner's
-// process-global decision counters (core.ReadSweepStats): grid points
-// actually measured and grid points skipped (filled by interpolation).
-// Exhaustive sweeps touch neither, so both families stay zero unless
-// a run uses -sweep adaptive.
-func RegisterSweepPlanner(reg *Registry) {
-	reg.CounterFunc("lmbench_sweep_points_measured_total",
-		"Sweep grid points measured by the adaptive planner.", func() float64 {
-			m, _ := core.ReadSweepStats()
-			return float64(m)
-		})
-	reg.CounterFunc("lmbench_sweep_points_skipped_total",
-		"Sweep grid points skipped (interpolated) by the adaptive planner.", func() float64 {
-			_, s := core.ReadSweepStats()
-			return float64(s)
-		})
-}
-
 // RegisterJournal exports a journal writer's durable byte counter.
 func RegisterJournal(reg *Registry, jw *core.JournalWriter) {
 	reg.CounterFunc("lmbench_journal_bytes_total",
 		"Bytes of journal records durably written.", func() float64 {
 			return float64(jw.BytesWritten())
-		})
-}
-
-// RegisterPublishRetries exports the publish retry total. count is
-// called at scrape time and returns the process-global count of
-// publish attempts retried after a transport failure (see
-// store.PublishRetries); taking a closure keeps obs independent of the
-// store package.
-func RegisterPublishRetries(reg *Registry, count func() int64) {
-	reg.CounterFunc("lmbench_publish_retries_total",
-		"Publish attempts retried after a transport failure.", func() float64 {
-			return float64(count())
 		})
 }
 

@@ -1,37 +1,18 @@
 package obs
 
-// Tests for the adaptive-sweep observability surface: the planner
-// counter families exported by RegisterSweepPlanner and the planner
-// child span TraceSink derives from Event.Sweep.
+// Tests for the adaptive-sweep trace surface: the planner child span
+// TraceSink derives from Event.Sweep. MetricsSink's planner counter
+// families are checked in TestMetricsSinkAggregatesEvents.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
-
-func TestRegisterSweepPlannerFamilies(t *testing.T) {
-	reg := NewRegistry()
-	RegisterSweepPlanner(reg)
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"lmbench_sweep_points_measured_total",
-		"lmbench_sweep_points_skipped_total",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
-}
 
 // TestTraceSinkPlannerSpan pins the planner child span: a finished
 // event carrying sweep counters emits one extra span under the

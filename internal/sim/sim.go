@@ -38,14 +38,6 @@ func (c *Clock) Advance(d ptime.Duration) {
 	}
 }
 
-// AdvanceTo moves the clock forward to t if t is in the future (used by
-// components that track their own busy-until times, e.g. the disk).
-func (c *Clock) AdvanceTo(t ptime.Duration) {
-	if t > c.now {
-		c.now = t
-	}
-}
-
 // CPUConfig describes the processor cost model.
 type CPUConfig struct {
 	// MHz is the clock rate, as in Table 1.

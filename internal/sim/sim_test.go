@@ -23,19 +23,6 @@ func TestClockAdvance(t *testing.T) {
 	}
 }
 
-func TestClockAdvanceTo(t *testing.T) {
-	var c Clock
-	c.Advance(10)
-	c.AdvanceTo(5) // in the past: no-op
-	if c.Now() != 10 {
-		t.Errorf("AdvanceTo past moved clock: %v", c.Now())
-	}
-	c.AdvanceTo(20)
-	if c.Now() != 20 {
-		t.Errorf("AdvanceTo future = %v, want 20", c.Now())
-	}
-}
-
 func TestCPUCycleTime(t *testing.T) {
 	var c Clock
 	cpu := NewCPU(&c, CPUConfig{MHz: 300})

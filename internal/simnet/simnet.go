@@ -168,15 +168,6 @@ func (n *Net) driverTime(nbytes int64, pktSize int, loopback bool) ptime.Duratio
 // receive side: write syscall, copy to socket buffer, checksum, driver,
 // context switch, read syscall, checksum, copy out.
 func (n *Net) TCPSendLocal(src, dst uint64, nbytes int64) error {
-	return n.sendLocal(src, dst, nbytes, n.tcpStack)
-}
-
-// UDPSendLocal is TCPSendLocal over the UDP path.
-func (n *Net) UDPSendLocal(src, dst uint64, nbytes int64) error {
-	return n.sendLocal(src, dst, nbytes, n.udpStack)
-}
-
-func (n *Net) sendLocal(src, dst uint64, nbytes int64, stack ptime.Duration) error {
 	if nbytes <= 0 {
 		return errors.New("simnet: transfer needs positive size")
 	}
@@ -189,14 +180,14 @@ func (n *Net) sendLocal(src, dst uint64, nbytes int64, stack ptime.Duration) err
 		}
 		// Sender.
 		n.o.Syscall()
-		n.advance(stack)
+		n.advance(n.tcpStack)
 		mem.StreamCopy(src+uint64(off), n.kbuf, chunk)
 		n.advance(n.checksumTime(chunk, true))
 		n.advance(n.driverTime(chunk, 0, true))
 		n.o.ContextSwitch()
 		// Receiver.
 		n.o.Syscall()
-		n.advance(stack)
+		n.advance(n.tcpStack)
 		n.advance(n.checksumTime(chunk, true))
 		mem.StreamCopy(n.kbuf, dst+uint64(off), chunk)
 	}

@@ -20,9 +20,6 @@ func (o *OS) NewPipe() *Pipe {
 	return &Pipe{o: o, kbuf: o.mem.Alloc(int64(o.cfg.PipeBufBytes))}
 }
 
-// BufSize returns the kernel buffer size.
-func (p *Pipe) BufSize() int { return p.o.cfg.PipeBufBytes }
-
 // Transfer moves n bytes from the writer's buffer at src to the
 // reader's buffer at dst, charging per-chunk: a write syscall, a bcopy
 // into the kernel, a context switch to the reader, a read syscall, and

@@ -256,8 +256,4 @@ func TestConfigDefaults(t *testing.T) {
 	if o.Config().PipeBufBytes != 64<<10 {
 		t.Error("Config accessor broken")
 	}
-	p := o.NewPipe()
-	if p.BufSize() != 64<<10 {
-		t.Error("BufSize broken")
-	}
 }

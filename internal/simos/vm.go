@@ -51,12 +51,6 @@ func (o *OS) NewVM(physBytes int64, pageBytes int64, disk *simdisk.Disk) (*VM, e
 	}, nil
 }
 
-// PageBytes returns the page size.
-func (vm *VM) PageBytes() int64 { return vm.pageBytes }
-
-// PhysBytes returns the modeled physical memory.
-func (vm *VM) PhysBytes() int64 { return vm.physPages * vm.pageBytes }
-
 // Touch references one page: a cheap memory access when resident, a
 // major fault otherwise.
 func (vm *VM) Touch(page int64) {

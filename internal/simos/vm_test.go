@@ -69,9 +69,6 @@ func TestVMLRUEviction(t *testing.T) {
 	if vm.Faults != faults+1 {
 		t.Error("page 0 should have been evicted")
 	}
-	if vm.PageBytes() != 4096 || vm.PhysBytes() != 4*4096 {
-		t.Errorf("geometry: %d, %d", vm.PageBytes(), vm.PhysBytes())
-	}
 }
 
 // TestVMProbeSemantics replays the §3.1 probe logic: per-touch time

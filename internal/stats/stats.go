@@ -1,6 +1,6 @@
 // Package stats provides the small statistics kit used throughout the
-// benchmark suite: order statistics, central moments, harmonic means,
-// least-squares fitting, and plateau (step) detection on measured curves.
+// benchmark suite: order statistics, the mean, robust spread, rank
+// correlation, and plateau (step) detection on measured curves.
 //
 // lmbench's reporting policy is built on order statistics rather than
 // means: the paper compensates for run-to-run variability (up to 30% on
@@ -64,47 +64,6 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// HarmonicMean returns the harmonic mean of xs. All samples must be
-// positive; the harmonic mean is the correct way to average rates
-// (e.g. MB/s over equal byte counts).
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: harmonic mean requires positive samples")
-		}
-		sum += 1 / x
-	}
-	return float64(len(xs)) / sum, nil
-}
-
-// Variance returns the unbiased sample variance of xs.
-// It requires at least two samples.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, errors.New("stats: variance requires at least two samples")
-	}
-	mean, _ := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1), nil
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
 }
 
 // Median returns the median of xs.
@@ -225,53 +184,6 @@ func RelSpread(xs []float64) (float64, error) {
 	}
 	med, _ := Median(xs)
 	return (med - min) / min, nil
-}
-
-// LinearFit holds the result of a least-squares line fit y = Slope*x +
-// Intercept, with R2 the coefficient of determination.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// FitLine performs an ordinary least-squares fit of ys against xs.
-// The slices must be the same length and contain at least two points.
-func FitLine(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, errors.New("stats: mismatched fit inputs")
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, errors.New("stats: fit requires at least two points")
-	}
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy, syy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return LinearFit{}, errors.New("stats: degenerate fit (constant x)")
-	}
-	slope := (n*sxy - sx*sy) / den
-	intercept := (sy - slope*sx) / n
-	// R^2 = 1 - SSres/SStot.
-	meanY := sy / n
-	var ssRes, ssTot float64
-	for i := range xs {
-		pred := slope*xs[i] + intercept
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
-		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
-	}
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	}
-	return LinearFit{Slope: slope, Intercept: intercept, R2: r2}, nil
 }
 
 // SpearmanRank returns Spearman's rank correlation coefficient between

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/results"
@@ -181,14 +180,6 @@ func handleSession(sess *rpcx.Session, s *Store) error {
 // The zero value selects production defaults.
 type PublishOptions = rpcx.DialOptions
 
-// publishRetryCount counts retried publish sessions process-wide, for
-// the lmbench_publish_retries_total metric.
-var publishRetryCount atomic.Int64
-
-// PublishRetries returns the number of publish session retries this
-// process has performed.
-func PublishRetries() int64 { return publishRetryCount.Load() }
-
 // PublishWith streams db to the store daemon at addr as one publish
 // session through rpcx.Dial and returns the stored manifest. The store
 // fills RunID and Seq; the client computes the content hash locally so
@@ -200,13 +191,6 @@ func PublishRetries() int64 { return publishRetryCount.Load() }
 // session that actually landed before its reply was lost makes the
 // retry an idempotent no-op that returns the already-stored manifest.
 func PublishWith(ctx context.Context, addr string, m Manifest, db *results.DB, o PublishOptions) (Manifest, error) {
-	onRetry := o.OnRetry
-	o.OnRetry = func(n int, err error) {
-		publishRetryCount.Add(1)
-		if onRetry != nil {
-			onRetry(n, err)
-		}
-	}
 	var got Manifest
 	err := rpcx.Dial(ctx, addr, o, func(sess *rpcx.Session) (err error) {
 		defer func() { _ = sess.Conn.Close() }()

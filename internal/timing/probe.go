@@ -2,7 +2,6 @@ package timing
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/ptime"
 )
@@ -43,44 +42,4 @@ func WithProbe(ctx context.Context, p Probe) context.Context {
 func ProbeFrom(ctx context.Context) Probe {
 	p, _ := ctx.Value(probeKey{}).(Probe)
 	return p
-}
-
-// Package-level harness counters. They are always on: one atomic add
-// between batches costs nanoseconds and never lands inside a timed
-// interval, so the numbers a metrics scrape sees are exactly the work
-// the harness did, with zero perturbation of what it measured.
-var harness struct {
-	benchLoops   atomic.Int64
-	samples      atomic.Int64
-	calibrations atomic.Int64
-	resolutions  atomic.Int64
-	lastRes      atomic.Int64
-}
-
-// HarnessStats is a snapshot of the harness's cumulative activity,
-// for the observability layer's /metrics endpoint.
-type HarnessStats struct {
-	// BenchLoops counts completed BenchLoop/BenchLoopCtx calibrations
-	// (each produces one Measurement).
-	BenchLoops int64
-	// Samples counts timed measurement batches.
-	Samples int64
-	// CalibrationBatches counts auto-scaling (untimed-result) batches.
-	CalibrationBatches int64
-	// ResolutionEstimates counts EstimateResolution calls.
-	ResolutionEstimates int64
-	// LastResolution is the most recent resolution estimate.
-	LastResolution ptime.Duration
-}
-
-// ReadHarnessStats returns the current counter values. Counters are
-// process-global and monotonic; callers diff snapshots for rates.
-func ReadHarnessStats() HarnessStats {
-	return HarnessStats{
-		BenchLoops:          harness.benchLoops.Load(),
-		Samples:             harness.samples.Load(),
-		CalibrationBatches:  harness.calibrations.Load(),
-		ResolutionEstimates: harness.resolutions.Load(),
-		LastResolution:      ptime.Duration(harness.lastRes.Load()),
-	}
 }

@@ -211,28 +211,3 @@ func TestProbeCallsAreOutOfBand(t *testing.T) {
 		t.Errorf("probe saw %d samples, %d calibrations; want >=3 and 1", samples, calibrated)
 	}
 }
-
-func TestHarnessStatsCount(t *testing.T) {
-	before := ReadHarnessStats()
-	clk := &opClock{}
-	_, err := BenchLoop(clk, Options{MinSampleTime: ptime.Microsecond, Samples: 4}, func(n int64) error {
-		clk.chargeOp(200*ptime.Nanosecond, n)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := ReadHarnessStats()
-	if d := after.BenchLoops - before.BenchLoops; d < 1 {
-		t.Errorf("BenchLoops delta = %d, want >= 1", d)
-	}
-	if d := after.Samples - before.Samples; d < 4 {
-		t.Errorf("Samples delta = %d, want >= 4", d)
-	}
-	if d := after.CalibrationBatches - before.CalibrationBatches; d < 1 {
-		t.Errorf("CalibrationBatches delta = %d, want >= 1", d)
-	}
-	if d := after.ResolutionEstimates - before.ResolutionEstimates; d < 1 {
-		t.Errorf("ResolutionEstimates delta = %d, want >= 1", d)
-	}
-}

@@ -121,10 +121,8 @@ type ExactResolver interface {
 // for sane ones: the returned value is the minimum positive delta, and
 // every delta of a quantized clock equals its quantum.
 func EstimateResolution(c Clock) ptime.Duration {
-	harness.resolutions.Add(1)
 	if er, ok := c.(ExactResolver); ok {
 		if r := er.ExactResolution(); r > 0 {
-			harness.lastRes.Store(int64(r))
 			return r
 		}
 	}
@@ -164,7 +162,6 @@ func EstimateResolution(c Clock) ptime.Duration {
 		// Treat it as exact.
 		best = 1
 	}
-	harness.lastRes.Store(int64(best))
 	return best
 }
 
@@ -294,7 +291,6 @@ func BenchLoopCtx(ctx context.Context, c Clock, opts Options, op func(n int64) e
 		if err != nil {
 			return Measurement{}, err
 		}
-		harness.calibrations.Add(1)
 		if probe != nil {
 			probe.Sample(elapsed, n, false)
 		}
@@ -342,7 +338,6 @@ func BenchLoopCtx(ctx context.Context, c Clock, opts Options, op func(n int64) e
 		if err != nil {
 			return Measurement{}, err
 		}
-		harness.samples.Add(1)
 		if probe != nil {
 			probe.Sample(elapsed, n, true)
 		}
@@ -351,7 +346,6 @@ func BenchLoopCtx(ctx context.Context, c Clock, opts Options, op func(n int64) e
 			best = elapsed
 		}
 	}
-	harness.benchLoops.Add(1)
 	m := Measurement{PerOp: best.DivN(n), N: n, Samples: samples}
 	if rec := RecorderFrom(ctx); rec != nil {
 		rec.Record(m)

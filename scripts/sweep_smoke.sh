@@ -1,19 +1,21 @@
 #!/bin/sh
 # sweep_smoke.sh proves adaptive sweep planning end to end through the
 # CLI: an adaptive run reports real point savings on the memory-sweep
-# experiments, is byte-identical at GOMAXPROCS 1 and 4, and the modes
-# that must not compose (adaptive+chaos, adaptive resume of an
-# exhaustive journal) are refused. Driven by `make sweep-smoke`.
+# experiments, is byte-identical at GOMAXPROCS 1 and 4 and on a
+# 2-worker fleet (whose sweep: line counts the workers' planning), and
+# the modes that must not compose (adaptive+chaos, adaptive resume of
+# an exhaustive journal) are refused. Driven by `make sweep-smoke`.
 set -eu
 
 GO=${GO:-go}
 bin=$(mktemp -t lmbench-sweep.XXXXXX)
 adp1=$(mktemp -t lmbench-sweep-a1.XXXXXX)
 adp4=$(mktemp -t lmbench-sweep-a4.XXXXXX)
+adpf=$(mktemp -t lmbench-sweep-af.XXXXXX)
 jnl=$(mktemp -t lmbench-sweep-jnl.XXXXXX)
 log=$(mktemp -t lmbench-sweep-log.XXXXXX)
 cleanup() {
-    rm -f "$bin" "$adp1" "$adp4" "$jnl" "$log"
+    rm -f "$bin" "$adp1" "$adp4" "$adpf" "$jnl" "$log"
 }
 trap cleanup EXIT INT TERM
 
@@ -56,6 +58,21 @@ if [ "$a1" != "$a4" ]; then
     exit 1
 fi
 
+# A 2-worker fleet plans in its worker processes: its database is
+# byte-identical, and its sweep: line, summed from the events the
+# workers send back, reads the same counts as the in-process run.
+"$bin" -machine 'Linux/i686' -only figure1,table6 -sweep adaptive -fleet-workers 2 -out "$adpf" > /dev/null 2> "$log"
+af=$(sum "$adpf")
+if [ "$a1" != "$af" ]; then
+    echo "sweep-smoke: FLEET ADAPTIVE DIVERGED: GOMAXPROCS=1 $a1 != fleet $af" >&2
+    exit 1
+fi
+fleet_line=$(grep '^sweep: ' "$log" || true)
+if [ "$fleet_line" != "sweep: measured=$measured skipped=$skipped" ]; then
+    echo "sweep-smoke: fleet sweep line \"$fleet_line\" != \"sweep: measured=$measured skipped=$skipped\"" >&2
+    exit 1
+fi
+
 # Adaptive + chaos must be refused: injected noise would steer the
 # planner's transition detection.
 if "$bin" -machine 'Linux/i686' -only figure1 -sweep adaptive -chaos 'seed=1,err=0.3' > /dev/null 2> "$log"; then
@@ -83,4 +100,4 @@ if ! grep -q 'written under other run options' "$log"; then
     exit 1
 fi
 
-echo "sweep-smoke: ok (measured=$measured skipped=$skipped, GOMAXPROCS 1 and 4 byte-identical $a1, chaos and cross-mode resume refused)"
+echo "sweep-smoke: ok (measured=$measured skipped=$skipped, GOMAXPROCS 1 and 4 and a 2-worker fleet byte-identical $a1, chaos and cross-mode resume refused)"
