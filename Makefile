@@ -36,9 +36,11 @@ test:
 
 # golden-serial pins the serial path: the suite runs its experiment
 # groups and sweep points GOMAXPROCS-wide on simulated machines, so
-# `make test` hashes the parallel path and this target the serial one.
+# `make test` hashes the parallel path and this target the serial one,
+# for the golden evaluation and for the §7 extension databases (the
+# chase-sweep kernel under Figure 1 and the memory-variant sweep).
 golden-serial:
-	GOMAXPROCS=1 $(GO) test -run '^TestGoldenDatabaseByteIdentical$$' -count=1 .
+	GOMAXPROCS=1 $(GO) test -run '^(TestGoldenDatabaseByteIdentical|TestExtensionDatabasesByteIdentical)$$' -count=1 .
 
 # The scheduler, timing harness, fault injection (the machine wrapper
 # and the wire injector and proxy), session layer (every daemon's

@@ -35,6 +35,36 @@ type Hierarchy struct {
 	LineSize int64
 }
 
+// Staircase tolerances. A point joins the current plateau while it is
+// within stepRelTol of the plateau's running level, or within stepAbsTol
+// ns of it near zero; neighbouring plateaus whose levels lie within
+// stepMergeTol of each other are one level split by noise. The Table-6
+// extraction, the adaptive sweep planner and the TLB probe read steps
+// with these same tolerances, so the planner refines exactly where the
+// extraction looks.
+const (
+	stepRelTol   = 0.25
+	stepAbsTol   = 2.0
+	stepMergeTol = 0.30
+)
+
+// Plateaus segments a latency staircase into its plateaus, inner
+// first.
+func Plateaus(ys []float64) []stats.Plateau {
+	return stats.MergePlateaus(stats.Plateaus(ys, stepRelTol, stepAbsTol), stepMergeTol)
+}
+
+// Flat reports whether values whose range (max minus min) is spread,
+// around a typical value level, lie on one plateau: spread is within
+// the step tolerance, max(stepAbsTol, stepRelTol·|level|).
+func Flat(spread, level float64) bool {
+	tol := stepRelTol * math.Abs(level)
+	if tol < stepAbsTol {
+		tol = stepAbsTol
+	}
+	return spread <= tol
+}
+
 // ExtractHierarchy analyses a lat_mem_rd series (Point{X: array size,
 // X2: stride, Y: ns/load}).
 //
@@ -69,7 +99,7 @@ func ExtractHierarchy(series []results.Point) (Hierarchy, error) {
 	for i, p := range pts {
 		ys[i] = p.Y
 	}
-	plats := stats.MergePlateaus(stats.Plateaus(ys, 0.25, 2), 0.30)
+	plats := Plateaus(ys)
 
 	h := Hierarchy{}
 	for i, pl := range plats {

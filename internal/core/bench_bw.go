@@ -41,43 +41,15 @@ func BWMem(ctx context.Context, m Machine, opts Options) ([]results.Entry, error
 	var out []results.Entry
 	cases := []struct {
 		name string
-		op   func(n int64) error
+		op   func() error
 	}{
-		{"bw_mem.bcopy_libc", func(n int64) error {
-			for i := int64(0); i < n; i++ {
-				if err := mem.Copy(dst, src, size); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"bw_mem.bcopy_unrolled", func(n int64) error {
-			for i := int64(0); i < n; i++ {
-				if err := mem.CopyUnrolled(dst, src, size); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"bw_mem.read", func(n int64) error {
-			for i := int64(0); i < n; i++ {
-				if err := mem.ReadSum(src, size); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"bw_mem.write", func(n int64) error {
-			for i := int64(0); i < n; i++ {
-				if err := mem.Write(dst, size); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
+		{"bw_mem.bcopy_libc", func() error { return mem.Copy(dst, src, size) }},
+		{"bw_mem.bcopy_unrolled", func() error { return mem.CopyUnrolled(dst, src, size) }},
+		{"bw_mem.read", func() error { return mem.ReadSum(src, size) }},
+		{"bw_mem.write", func() error { return mem.Write(dst, size) }},
 	}
 	for _, c := range cases {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, c.op)
+		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(c.op))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
@@ -96,35 +68,24 @@ func BWIPC(ctx context.Context, m Machine, opts Options) ([]results.Entry, error
 		return nil, err
 	}
 	net := m.Net()
-
-	pipeMeas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, func(n int64) error {
-		for i := int64(0); i < n; i++ {
-			if err := net.PipeTransfer(opts.PipeBytes); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bw_ipc.pipe: %w", err)
+	cases := []struct {
+		name  string
+		bytes int64
+		op    func(n int64) error
+	}{
+		{"bw_ipc.pipe", opts.PipeBytes, net.PipeTransfer},
+		{"bw_ipc.tcp", opts.TCPBytes, net.TCPTransfer},
 	}
-	tcpMeas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, func(n int64) error {
-		for i := int64(0); i < n; i++ {
-			if err := net.TCPTransfer(opts.TCPBytes); err != nil {
-				return err
-			}
+	var out []results.Entry
+	for _, c := range cases {
+		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error { return c.op(c.bytes) }))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bw_ipc.tcp: %w", err)
+		out = append(out, entry(m, c.name, "MB/s", bwOf(meas, c.bytes),
+			map[string]string{"chunk": fmt.Sprint(c.bytes)}))
 	}
-	return []results.Entry{
-		entry(m, "bw_ipc.pipe", "MB/s", bwOf(pipeMeas, opts.PipeBytes),
-			map[string]string{"chunk": fmt.Sprint(opts.PipeBytes)}),
-		entry(m, "bw_ipc.tcp", "MB/s", bwOf(tcpMeas, opts.TCPBytes),
-			map[string]string{"chunk": fmt.Sprint(opts.TCPBytes)}),
-	}, nil
+	return out, nil
 }
 
 // BWRemoteTCP is Table 4: TCP bandwidth over real media. Backends
@@ -136,16 +97,10 @@ func BWRemoteTCP(ctx context.Context, m Machine, opts Options) ([]results.Entry,
 	}
 	net := m.Net()
 	var out []results.Entry
-	for _, medium := range net.Media() {
-		med := medium
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, func(n int64) error {
-			for i := int64(0); i < n; i++ {
-				if err := net.RemoteTCPTransfer(med, opts.TCPBytes); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+	for _, med := range net.Media() {
+		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
+			return net.RemoteTCPTransfer(med, opts.TCPBytes)
+		}))
 		if err != nil {
 			return nil, fmt.Errorf("bw_tcp_remote.%s: %w", med, err)
 		}
@@ -171,31 +126,23 @@ func BWFile(ctx context.Context, m Machine, opts Options) ([]results.Entry, erro
 	}
 	defer func() { _ = fs.Cleanup() }()
 
-	readMeas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, func(n int64) error {
-		for i := int64(0); i < n; i++ {
-			if err := fs.ReadCached(name, 0, opts.FileSize); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bw_file.read: %w", err)
-	}
-	mmapMeas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, func(n int64) error {
-		for i := int64(0); i < n; i++ {
-			if err := fs.MmapRead(name, 0, opts.FileSize); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("bw_file.mmap: %w", err)
-	}
 	attrs := map[string]string{"size": fmt.Sprint(opts.FileSize)}
-	return []results.Entry{
-		entry(m, "bw_file.read", "MB/s", bwOf(readMeas, opts.FileSize), attrs),
-		entry(m, "bw_file.mmap", "MB/s", bwOf(mmapMeas, opts.FileSize), attrs),
-	}, nil
+	cases := []struct {
+		name string
+		op   func(file string, off, n int64) error
+	}{
+		{"bw_file.read", fs.ReadCached},
+		{"bw_file.mmap", fs.MmapRead},
+	}
+	var out []results.Entry
+	for _, c := range cases {
+		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
+			return c.op(name, 0, opts.FileSize)
+		}))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.name, err)
+		}
+		out = append(out, entry(m, c.name, "MB/s", bwOf(meas, opts.FileSize), attrs))
+	}
+	return out, nil
 }

@@ -145,16 +145,14 @@ func LatRemote(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 	}
 	net := m.Net()
 	var out []results.Entry
-	for _, medium := range net.Media() {
-		med := medium
+	for _, med := range net.Media() {
 		for _, udp := range []bool{false, true} {
 			proto := "tcp"
 			if udp {
 				proto = "udp"
 			}
-			isUDP := udp
 			meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-				return net.RemoteRoundTrip(med, isUDP)
+				return net.RemoteRoundTrip(med, udp)
 			}))
 			if err != nil {
 				return nil, fmt.Errorf("lat_net_remote.%s.%s: %w", med, proto, err)
@@ -183,32 +181,31 @@ func LatFS(ctx context.Context, m Machine, opts Options) ([]results.Entry, error
 	}
 	defer func() { _ = fs.Cleanup() }()
 
-	createD, err := timing.Once(m.Clock(), func() error {
-		for _, f := range names {
-			if err := fs.Create(f); err != nil {
-				return err
+	// each times one pass of op over every name and returns the time
+	// per file.
+	each := func(op func(file string) error) (float64, error) {
+		d, err := timing.Once(m.Clock(), func() error {
+			for _, f := range names {
+				if err := op(f); err != nil {
+					return err
+				}
 			}
-		}
-		return nil
-	})
+			return nil
+		})
+		return d.DivN(int64(n)).Microseconds(), err
+	}
+	create, err := each(fs.Create)
 	if err != nil {
 		return nil, fmt.Errorf("lat_fs.create: %w", err)
 	}
-	deleteD, err := timing.Once(m.Clock(), func() error {
-		for _, f := range names {
-			if err := fs.Delete(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	del, err := each(fs.Delete)
 	if err != nil {
 		return nil, fmt.Errorf("lat_fs.delete: %w", err)
 	}
 	attrs := map[string]string{"files": fmt.Sprint(n)}
 	return []results.Entry{
-		entry(m, "lat_fs.create", "us", createD.DivN(int64(n)).Microseconds(), attrs),
-		entry(m, "lat_fs.delete", "us", deleteD.DivN(int64(n)).Microseconds(), attrs),
+		entry(m, "lat_fs.create", "us", create, attrs),
+		entry(m, "lat_fs.delete", "us", del, attrs),
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/analysis"
 	"repro/internal/ptime"
@@ -16,19 +17,15 @@ var ChaseStrides = []int64{8, 16, 32, 64, 128, 256, 512}
 // MemLatencySweep is §6.2 / Figure 1: back-to-back-load latency over
 // array sizes and strides. "The benchmark varies two parameters, array
 // size and array stride. ... The time reported is pure latency time"
-// (one load-instruction cycle subtracted).
-//
-// Every point starts from cold caches, so points are independent and
-// the sweep fans out across cloned machines when the backend allows
-// (see runSweep); results land in sweep order either way, so the
-// output is byte-identical to a serial run.
+// (one load-instruction cycle subtracted). It builds the (stride ×
+// size) grid, one column per stride, and measures it through
+// chaseSweep with a load cap of 1<<21.
 func MemLatencySweep(ctx context.Context, m Machine, opts Options) ([]results.Entry, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	type point struct{ size, stride int64 }
-	var pts []point
+	var pts []chasePoint
 	var cols []sweepColumn
 	for _, stride := range ChaseStrides {
 		start := len(pts)
@@ -36,13 +33,48 @@ func MemLatencySweep(ctx context.Context, m Machine, opts Options) ([]results.En
 			if size < 2*stride {
 				continue
 			}
-			pts = append(pts, point{size, stride})
+			pts = append(pts, chasePoint{size: size, stride: stride})
 		}
 		cols = append(cols, sweepColumn{Start: start, End: len(pts)})
 	}
+	series, rep, err := chaseSweep(ctx, m, opts, pts, cols, 1<<21)
+	if err != nil {
+		return nil, err
+	}
+	return []results.Entry{{
+		Benchmark: "lat_mem_rd",
+		Machine:   m.Name(),
+		Unit:      "ns",
+		Series:    series,
+		Attrs:     rep.annotate(map[string]string{"maxsize": fmt.Sprint(opts.MaxChaseSize)}, 0, len(pts)),
+	}}, nil
+}
+
+// chasePoint is one point of a chase sweep: a chase of the given
+// workload over the first size bytes of the region at stride.
+type chasePoint struct {
+	size, stride int64
+	variant      ChaseVariant
+}
+
+// chaseSweep is the one chase-latency kernel under Figure 1 and the §7
+// memory-variant sweep. Each point flushes the caches, warms its chase
+// one lap, then takes the best of two timed walks of twice a lap's
+// loads (at least 4096, at most maxLoads) and reports ns per load with
+// the load cycle subtracted; every point thus starts cold and depends
+// on the machine and the point alone, so the points run on the
+// executor across m and its clones and land in point order,
+// byte-identical to a serial run. An exhaustive sweep measures every
+// point; an adaptive one plans cols through adaptiveSweep, whose report
+// marks the synthetic points (nil when exhaustive).
+func chaseSweep(ctx context.Context, m Machine, opts Options, pts []chasePoint, cols []sweepColumn, maxLoads int64) ([]results.Point, *sweepReport, error) {
 	series := make([]results.Point, len(pts))
-	setup := func(m Machine) (func(context.Context, int) error, error) {
+	set := func(i int, y float64) {
+		series[i] = results.Point{X: float64(pts[i].size), X2: float64(pts[i].stride), Y: y}
+	}
+	l := machineLane(m, func(m Machine) (evalFunc, error) {
 		mem := m.Mem()
+		ext, _ := mem.(MemExtOps)
 		region, err := mem.Alloc(opts.MaxChaseSize)
 		if err != nil {
 			return nil, err
@@ -54,7 +86,13 @@ func MemLatencySweep(ctx context.Context, m Machine, opts Options) ([]results.En
 			if err := mem.FlushCaches(); err != nil && !IsUnsupported(err) {
 				return err
 			}
-			ch, err := mem.NewChase(region, p.size, p.stride)
+			var ch Chase
+			var err error
+			if p.variant == ChaseClean {
+				ch, err = mem.NewChase(region, p.size, p.stride)
+			} else {
+				ch, err = ext.NewChaseVariant(region, p.size, p.stride, p.variant)
+			}
 			if err != nil {
 				return err
 			}
@@ -62,46 +100,22 @@ func MemLatencySweep(ctx context.Context, m Machine, opts Options) ([]results.En
 			if err := ch.Walk(lap); err != nil { // warm
 				return err
 			}
-			loads := 2 * lap
-			if loads < 4096 {
-				loads = 4096
-			}
-			if loads > 1<<21 {
-				loads = 1 << 21
-			}
+			loads := min(max(2*lap, 4096), maxLoads)
 			// Min of two timed runs against run-to-run variability.
 			best, err := timing.MinOnce(clock, 2, func() error { return ch.Walk(loads) })
 			if err != nil {
 				return err
 			}
-			ns := best.DivN(loads).Nanoseconds() - overhead
-			if ns < 0 {
-				ns = 0
-			}
-			series[i] = results.Point{X: float64(p.size), X2: float64(p.stride), Y: ns}
+			set(i, max(best.DivN(loads).Nanoseconds()-overhead, 0))
 			return nil
 		}, nil
-	}
-	var rep *sweepReport
+	})
 	if opts.SweepMode == SweepAdaptive {
-		rep, err = adaptiveSweep(ctx, m, opts, cols, setup,
-			func(i int) float64 { return series[i].Y },
-			func(i int, y float64) {
-				series[i] = results.Point{X: float64(pts[i].size), X2: float64(pts[i].stride), Y: y}
-			})
-		if err != nil {
-			return nil, err
-		}
-	} else if err := runSweep(ctx, m, len(pts), setup); err != nil {
-		return nil, err
+		rep, err := adaptiveSweep(ctx, l, cols, func(i int) float64 { return series[i].Y }, set)
+		return series, rep, err
 	}
-	return []results.Entry{{
-		Benchmark: "lat_mem_rd",
-		Machine:   m.Name(),
-		Unit:      "ns",
-		Series:    series,
-		Attrs:     rep.annotate(map[string]string{"maxsize": fmt.Sprint(opts.MaxChaseSize)}, 0, len(pts)),
-	}}, nil
+	_, err := positions{idx: seq(len(pts)), lane: func(int) *lane { return l }}.run(ctx, runtime.GOMAXPROCS(0))
+	return series, nil, err
 }
 
 // CacheParams is Table 6: cache and memory latencies and sizes
@@ -151,14 +165,7 @@ func CtxSweep(ctx context.Context, m Machine, opts Options) ([]results.Entry, er
 			return 0, err
 		}
 		defer func() { _ = ring.Close() }()
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, func(n int64) error {
-			for i := int64(0); i < n; i++ {
-				if err := ring.Pass(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(ring.Pass))
 		if err != nil {
 			return 0, err
 		}

@@ -9,6 +9,13 @@
 // Because the harness reads time only through timing.Clock, the same
 // benchmark code measures a virtual 1995 DEC Alpha and the live Linux
 // box it runs on.
+//
+// Each measurement rule has one copy: every timed interval is
+// timing.Once (BenchLoop times its batches through it), every BenchLoop
+// body is loop(op), every point of the Figure-1 and §7 memory-variant
+// chase sweeps is measured by chaseSweep, and every latency staircase
+// (Table 6, the sweep planner, the TLB probe) is segmented by
+// analysis.Plateaus.
 package core
 
 import (

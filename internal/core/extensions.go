@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/ptime"
 	"repro/internal/results"
 	"repro/internal/stats"
@@ -159,6 +160,16 @@ func ExtMemSize(ctx context.Context, m Machine, opts Options) ([]results.Entry, 
 		return nil, fmt.Errorf("memsize: %w", ErrUnsupported)
 	}
 	page := pt.ProbePageBytes()
+	// perPage populates pages [0, n) (the probe program "clears the
+	// memory"), then strides through them again, timed, and returns
+	// the time per page.
+	perPage := func(n int64) (ptime.Duration, error) {
+		if err := pt.TouchPages(n); err != nil {
+			return 0, err
+		}
+		d, err := timing.Once(m.Clock(), func() error { return pt.TouchPages(n) })
+		return d.DivN(n), err
+	}
 	const fewMicroseconds = 10 * ptime.Microsecond
 	const capBytes = int64(1) << 31 // 2GB probe ceiling (generous for 1995)
 	good := int64(0)
@@ -167,16 +178,11 @@ func ExtMemSize(ctx context.Context, m Machine, opts Options) ([]results.Entry, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// First pass populates (the probe program "clears the
-		// memory"); the timed pass strides through it again.
-		if err := pt.TouchPages(n); err != nil {
-			return nil, err
-		}
-		d, err := timing.Once(m.Clock(), func() error { return pt.TouchPages(n) })
+		d, err := perPage(n)
 		if err != nil {
 			return nil, err
 		}
-		if d.DivN(n) > fewMicroseconds {
+		if d > fewMicroseconds {
 			thrash = n
 			break
 		}
@@ -188,16 +194,11 @@ func ExtMemSize(ctx context.Context, m Machine, opts Options) ([]results.Entry, 
 		// Once past physical memory, every touch is a major fault, so
 		// the per-touch time at 2x the knee is the page-fault service
 		// time (page-sized read from the paging device).
-		n := 2 * thrash
-		if err := pt.TouchPages(n); err != nil {
-			return nil, err
-		}
-		d, err := timing.Once(m.Clock(), func() error { return pt.TouchPages(n) })
+		d, err := perPage(2 * thrash)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, entry(m, "lat_pagefault", "us",
-			d.DivN(n).Microseconds(), nil))
+		out = append(out, entry(m, "lat_pagefault", "us", d.Microseconds(), nil))
 	}
 	return out, nil
 }
@@ -215,8 +216,7 @@ func ExtStream(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 	}
 	bytes := opts.MemSize
 	var out []results.Entry
-	for _, k := range []StreamKind{StreamCopy, StreamScale, StreamAdd, StreamTriad} {
-		kind := k
+	for _, kind := range []StreamKind{StreamCopy, StreamScale, StreamAdd, StreamTriad} {
 		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
 			return so.RunStreamKernel(kind, bytes)
 		}))
@@ -232,9 +232,9 @@ func ExtStream(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 
 // ExtMemVariants measures dirty-read and write latency next to the
 // clean read chase, at a line-defeating stride across sizes, and
-// reports the memory-plateau values. Like MemLatencySweep, every point
-// starts from cold caches, so the (variant × size) grid fans out across
-// cloned machines byte-identically.
+// reports the memory-plateau values. It builds the (variant × size)
+// grid, one column per variant, and measures it through chaseSweep,
+// the Figure-1 kernel, with a load cap of 1<<20.
 func ExtMemVariants(ctx context.Context, m Machine, opts Options) ([]results.Entry, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
@@ -243,90 +243,35 @@ func ExtMemVariants(ctx context.Context, m Machine, opts Options) ([]results.Ent
 	if _, ok := m.Mem().(MemExtOps); !ok {
 		return nil, fmt.Errorf("memvar: %w", ErrUnsupported)
 	}
-	const stride = 128
-	variants := []ChaseVariant{ChaseClean, ChaseDirty, ChaseWrite}
-	type point struct {
-		variant ChaseVariant
-		size    int64
+	const minSize = 4 << 10
+	if opts.MaxChaseSize < minSize {
+		return nil, fmt.Errorf("memvar: MaxChaseSize %d is below the sweep's smallest size %d", opts.MaxChaseSize, minSize)
 	}
-	var pts []point
+	variants := []ChaseVariant{ChaseClean, ChaseDirty, ChaseWrite}
+	var pts []chasePoint
 	var cols []sweepColumn
-	perVariant := 0
 	for _, v := range variants {
 		start := len(pts)
-		n := 0
-		for size := int64(4 << 10); size <= opts.MaxChaseSize; size *= 2 {
-			pts = append(pts, point{v, size})
-			n++
+		for size := int64(minSize); size <= opts.MaxChaseSize; size *= 2 {
+			pts = append(pts, chasePoint{size: size, stride: 128, variant: v})
 		}
-		perVariant = n
 		cols = append(cols, sweepColumn{Start: start, End: len(pts)})
 	}
-	series := make([]results.Point, len(pts))
-	setup := func(m Machine) (func(context.Context, int) error, error) {
-		mem := m.Mem()
-		ext := mem.(MemExtOps)
-		region, err := mem.Alloc(opts.MaxChaseSize)
-		if err != nil {
-			return nil, err
-		}
-		clock := m.Clock()
-		overhead := mem.LoadOverheadNS()
-		return func(ctx context.Context, i int) error {
-			p := pts[i]
-			if err := mem.FlushCaches(); err != nil && !IsUnsupported(err) {
-				return err
-			}
-			ch, err := ext.NewChaseVariant(region, p.size, stride, p.variant)
-			if err != nil {
-				return err
-			}
-			lap := ch.Length()
-			if err := ch.Walk(lap); err != nil {
-				return err
-			}
-			loads := 2 * lap
-			if loads < 4096 {
-				loads = 4096
-			}
-			if loads > 1<<20 {
-				loads = 1 << 20
-			}
-			best, err := timing.MinOnce(clock, 2, func() error { return ch.Walk(loads) })
-			if err != nil {
-				return err
-			}
-			ns := best.DivN(loads).Nanoseconds() - overhead
-			if ns < 0 {
-				ns = 0
-			}
-			series[i] = results.Point{X: float64(p.size), X2: stride, Y: ns}
-			return nil
-		}, nil
-	}
-	var rep *sweepReport
-	if opts.SweepMode == SweepAdaptive {
-		rep, err = adaptiveSweep(ctx, m, opts, cols, setup,
-			func(i int) float64 { return series[i].Y },
-			func(i int, y float64) {
-				series[i] = results.Point{X: float64(pts[i].size), X2: stride, Y: y}
-			})
-		if err != nil {
-			return nil, err
-		}
-	} else if err := runSweep(ctx, m, len(pts), setup); err != nil {
+	series, rep, err := chaseSweep(ctx, m, opts, pts, cols, 1<<20)
+	if err != nil {
 		return nil, err
 	}
 	var out []results.Entry
 	for vi, variant := range variants {
-		vs := series[vi*perVariant : (vi+1)*perVariant]
+		c := cols[vi]
+		vs := series[c.Start:c.End]
 		name := "lat_mem_rd_" + variant.String()
 		if variant == ChaseWrite {
 			name = "lat_mem_wr"
 		}
 		out = append(out, results.Entry{
 			Benchmark: name, Machine: m.Name(), Unit: "ns", Series: vs,
-			Attrs: rep.annotate(nil, vi*perVariant, (vi+1)*perVariant),
+			Attrs: rep.annotate(nil, c.Start, c.End),
 		})
 		// The memory plateau: the largest-size point.
 		out = append(out, entry(m, name+".mem", "ns", vs[len(vs)-1].Y, nil))
@@ -383,7 +328,7 @@ func ExtTLB(ctx context.Context, m Machine, opts Options) ([]results.Entry, erro
 	for i, p := range series {
 		ys[i] = p.Y
 	}
-	plats := stats.MergePlateaus(stats.Plateaus(ys, 0.25, 2), 0.30)
+	plats := analysis.Plateaus(ys)
 	if len(plats) >= 2 {
 		// The TLB size is where the first plateau ends; the miss cost
 		// is the first step's height (later rises mix in cache-capacity

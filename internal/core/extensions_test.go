@@ -66,6 +66,26 @@ func TestExtMemVariantsDirtyCostsMore(t *testing.T) {
 	}
 }
 
+// TestExtMemVariantsRejectsTinyChaseSize: a MaxChaseSize below the
+// sweep's smallest size (4 KB) leaves every variant without points;
+// the run must fail with an error naming the option, in both sweep
+// modes, rather than index an empty series.
+func TestExtMemVariantsRejectsTinyChaseSize(t *testing.T) {
+	for _, mode := range []core.SweepMode{core.SweepExhaustive, core.SweepAdaptive} {
+		opts := core.FastOptions()
+		opts.MaxChaseSize = 2048
+		opts.SweepMode = mode
+		s := &core.Suite{
+			M: simMachine(t, "Linux/i686"), Opts: opts, Extended: true,
+			Only: map[string]bool{"ext_memvar": true},
+		}
+		_, err := s.Run(context.Background(), &results.DB{})
+		if err == nil || !strings.Contains(err.Error(), "MaxChaseSize") {
+			t.Errorf("%s: err = %v, want one naming MaxChaseSize", mode, err)
+		}
+	}
+}
+
 func TestExtTLBFindsEntries(t *testing.T) {
 	m := simMachine(t, "Linux/i686") // 64-entry TLB, 120ns miss
 	entries, err := core.ExtTLB(context.Background(), m, smallOpts())

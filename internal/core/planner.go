@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/stats"
 )
 
@@ -17,13 +17,13 @@ import (
 // re-measuring flat plateaus; the paper's methodology only needs dense
 // sampling where the latency curve steps between hierarchy levels. The
 // planner therefore runs a coarse log-spaced pass over each sweep
-// column, segments the measured values with the same plateau detector
-// the Table-6 extraction uses (stats.Plateaus/MergePlateaus at the
-// 0.25/2/0.30 tolerances), and recursively bisects only across detected
-// transitions until every plateau boundary is localized to adjacent
-// grid points. Untouched plateau interiors are filled by linear
-// interpolation and flagged as synthetic in the entry attrs, so
-// downstream analysis can always tell measured from inferred points.
+// column, segments the measured values with the plateau detector the
+// Table-6 extraction uses (analysis.Plateaus), and recursively bisects
+// only across detected transitions until every plateau boundary is
+// localized to adjacent grid points. Untouched plateau interiors are
+// filled by linear interpolation and flagged as synthetic in the entry
+// attrs, so downstream analysis can always tell measured from inferred
+// points.
 //
 // Determinism: every planning decision is a pure function of measured
 // point values, and each point value is a function of (machine, point)
@@ -34,16 +34,12 @@ import (
 // count; TestAdaptiveSweepMatchesSerial asserts it under the
 // race detector.
 
-// Planner tuning. The segmentation tolerances deliberately match the
-// Table-6 extraction (analysis.ExtractHierarchy) so the planner
-// refines exactly where the extraction will look for steps.
+// Planner tuning. The segmentation tolerances are the Table-6
+// extraction's own (see analysis.Plateaus).
 const (
-	plannerRelTol     = 0.25 // per-step relative tolerance for Plateaus
-	plannerAbsTol     = 2.0  // ns floor for near-zero levels
-	plannerMergeTol   = 0.30 // MergePlateaus level tolerance
-	plannerCoarseStep = 4    // coarse pass measures every 4th grid point
-	plannerMinFull    = 5    // columns this short are measured exhaustively
-	plannerMaxRounds  = 32   // hard stop; bisection converges in O(log n)
+	plannerCoarseStep = 4  // coarse pass measures every 4th grid point
+	plannerMinFull    = 5  // columns this short are measured exhaustively
+	plannerMaxRounds  = 32 // hard stop; bisection converges in O(log n)
 )
 
 // sweepColumn is a half-open range [Start, End) of contiguous grid
@@ -118,20 +114,18 @@ func (r *sweepReport) syntheticRanges(start, end int) string {
 	return b.String()
 }
 
-// adaptiveSweep evaluates the grid of n points covered by cols with
-// coarse-then-refine planning. setup is the same per-machine
-// preparation runSweep takes; yAt reads the measured value of a grid
-// index (valid once its batch completed) and setY stores a synthetic
-// value for a skipped index. Every planning decision happens between
-// batches, on completed measurements only.
-func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepColumn, setup func(Machine) (evalFunc, error), yAt func(int) float64, setY func(int, float64)) (*sweepReport, error) {
+// adaptiveSweep evaluates the grid of n points covered by cols on l
+// with coarse-then-refine planning. yAt reads the measured value of a
+// grid index (valid once its batch completed) and setY stores a
+// synthetic value for a skipped index. Every planning decision happens
+// between batches, on completed measurements only.
+func adaptiveSweep(ctx context.Context, l *lane, cols []sweepColumn, yAt func(int) float64, setY func(int, float64)) (*sweepReport, error) {
 	n := 0
 	for _, c := range cols {
 		if c.End > n {
 			n = c.End
 		}
 	}
-	l := machineLane(m, setup)
 	measured := make([]bool, n)
 	var batch []int
 	request := func(i int) {
@@ -239,8 +233,8 @@ func adaptiveSweep(ctx context.Context, m Machine, opts Options, cols []sweepCol
 	return rep, nil
 }
 
-// columnSeams segments a column's measured values with the extraction
-// tolerances and returns each plateau boundary as the pair of measured
+// columnSeams segments a column's measured values as the extraction
+// does and returns each plateau boundary as the pair of measured
 // grid indices (a, b) straddling it, skipping boundaries whose local
 // window is flat within noise (see seamWithinNoise).
 func columnSeams(c sweepColumn, measured []bool, yAt func(int) float64) [][2]int {
@@ -257,7 +251,7 @@ func columnSeams(c sweepColumn, measured []bool, yAt func(int) float64) [][2]int
 	for j, i := range idxs {
 		ys[j] = yAt(i)
 	}
-	plats := stats.MergePlateaus(stats.Plateaus(ys, plannerRelTol, plannerAbsTol), plannerMergeTol)
+	plats := analysis.Plateaus(ys)
 	var seams [][2]int
 	for k := 0; k+1 < len(plats); k++ {
 		j := plats[k].End // first measured position of the next plateau
@@ -295,11 +289,12 @@ func boundaryEndOffsets(c sweepColumn, measured []bool, yAt func(int) float64) [
 // seamWithinNoise is the planner's stopping rule: the order statistics
 // of the measured window around a detected boundary decide whether the
 // step is real. A boundary whose local spread (max minus min of up to
-// four neighbors) stays inside the plateau tolerance is a noise split
-// — MergePlateaus can leave one behind on a slow drift — and bisecting
-// it would spend points without localizing anything. The window can be
-// as small as two samples and, on a degenerate column, one; Percentile
-// owes these calls its pinned p=0/p=100/single-sample behavior.
+// four neighbors) stays inside the plateau tolerance about the local
+// median (analysis.Flat) is a noise split — MergePlateaus can leave
+// one behind on a slow drift — and bisecting it would spend points
+// without localizing anything. The window can be as small as two
+// samples and, on a degenerate column, one; Percentile owes these
+// calls its pinned p=0/p=100/single-sample behavior.
 func seamWithinNoise(ys []float64, j int) bool {
 	lo, hi := j-2, j+2
 	if lo < 0 {
@@ -315,9 +310,5 @@ func seamWithinNoise(ys []float64, j int) bool {
 	if err0 != nil || err100 != nil || errM != nil {
 		return false // NaN/empty window: refine rather than trust it
 	}
-	tol := plannerRelTol * math.Abs(med)
-	if tol < plannerAbsTol {
-		tol = plannerAbsTol
-	}
-	return p100-p0 <= tol
+	return analysis.Flat(p100-p0, med)
 }

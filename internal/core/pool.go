@@ -297,16 +297,6 @@ func (ps positions) run(ctx context.Context, width int) (int, error) {
 	return failAt, firstErr
 }
 
-// runSweep evaluates points 0..n-1 exhaustively. setup prepares one
-// machine for the sweep (allocations, probes) and returns the point
-// evaluator; the evaluator must make each point self-contained (the
-// sweeps do so by flushing caches first). See positions.run.
-func runSweep(ctx context.Context, m Machine, n int, setup func(Machine) (evalFunc, error)) error {
-	l := machineLane(m, setup)
-	_, err := positions{idx: seq(n), lane: func(int) *lane { return l }}.run(ctx, runtime.GOMAXPROCS(0))
-	return err
-}
-
 // seq is 0..n-1.
 func seq(n int) []int {
 	idx := make([]int, n)

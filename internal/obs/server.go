@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net"
 	"net/http"
 	"time"
@@ -62,41 +61,34 @@ func (s *Server) Start(ctx context.Context, addr string) (bound string, stop fun
 
 // StartHTTP begins serving h on addr in the background and returns the
 // actual bound address (useful with ":0"). The server stops when ctx
-// is cancelled; stop() waits for shutdown to complete. This is the
-// lifecycle the observability server always used, exported so other
-// serving surfaces (the results-store HTTP API) inherit the same
-// graceful, context-bound behavior.
+// is cancelled, draining open requests for up to 2s; stop() cancels
+// and waits for shutdown to complete. This is the lifecycle the
+// observability server always used, exported so other serving
+// surfaces (the results-store HTTP API) inherit the same graceful,
+// context-bound behavior.
 func StartHTTP(ctx context.Context, addr string, h http.Handler) (bound string, stop func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
+	srv := &http.Server{Handler: h}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ln)
+	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = ServeHTTP(ctx, ln, h)
+		select {
+		case <-ctx.Done():
+			shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(shutCtx)
+			<-served
+		case <-served:
+		}
 	}()
 	return ln.Addr().String(), func() { cancel(); <-done }, nil
-}
-
-// ServeHTTP serves h on ln until ctx is cancelled, then shuts down
-// gracefully (2s drain).
-func ServeHTTP(ctx context.Context, ln net.Listener, h http.Handler) error {
-	srv := &http.Server{Handler: h}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutCtx)
-		<-errc
-		return nil
-	case err := <-errc:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
 }

@@ -281,13 +281,15 @@ func BenchLoopCtx(ctx context.Context, c Clock, opts Options, op func(n int64) e
 		target = floor
 	}
 
-	// Calibrate the batch size.
+	// Calibrate the batch size. Every batch, timed or not, is one call
+	// of batch at the current n.
 	n := int64(1)
+	batch := func() error { return op(n) }
 	for {
 		if err := ctx.Err(); err != nil {
 			return Measurement{}, err
 		}
-		elapsed, err := timeBatch(c, op, n)
+		elapsed, err := Once(c, batch)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -323,7 +325,7 @@ func BenchLoopCtx(ctx context.Context, c Clock, opts Options, op func(n int64) e
 		if err := ctx.Err(); err != nil {
 			return Measurement{}, err
 		}
-		if err := op(n); err != nil {
+		if err := batch(); err != nil {
 			return Measurement{}, err
 		}
 	}
@@ -334,7 +336,7 @@ func BenchLoopCtx(ctx context.Context, c Clock, opts Options, op func(n int64) e
 		if err := ctx.Err(); err != nil {
 			return Measurement{}, err
 		}
-		elapsed, err := timeBatch(c, op, n)
+		elapsed, err := Once(c, batch)
 		if err != nil {
 			return Measurement{}, err
 		}
@@ -353,17 +355,10 @@ func BenchLoopCtx(ctx context.Context, c Clock, opts Options, op func(n int64) e
 	return m, nil
 }
 
-func timeBatch(c Clock, op func(n int64) error, n int64) (ptime.Duration, error) {
-	start := c.Now()
-	if err := op(n); err != nil {
-		return 0, err
-	}
-	return c.Now() - start, nil
-}
-
-// Once times a single invocation of op. It is used for operations that
+// Once times a single invocation of op. It is the harness's one timed
+// interval: BenchLoop times each batch through it, and operations that
 // cannot meaningfully be batched (e.g. creating 1000 files is already a
-// batch of its own).
+// batch of its own) call it directly.
 func Once(c Clock, op func() error) (ptime.Duration, error) {
 	start := c.Now()
 	if err := op(); err != nil {
