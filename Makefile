@@ -37,10 +37,12 @@ test:
 # golden-serial pins the serial path: the suite runs its experiment
 # groups and sweep points GOMAXPROCS-wide on simulated machines, so
 # `make test` hashes the parallel path and this target the serial one,
-# for the golden evaluation and for the §7 extension databases (the
-# chase-sweep kernel under Figure 1 and the memory-variant sweep).
+# for the golden evaluation, for the §7 extension databases (the
+# chase-sweep kernel under Figure 1 and the memory-variant sweep) and
+# for the calibrator's pinned fits (its concurrent parameter pass).
 golden-serial:
 	GOMAXPROCS=1 $(GO) test -run '^(TestGoldenDatabaseByteIdentical|TestExtensionDatabasesByteIdentical)$$' -count=1 .
+	GOMAXPROCS=1 $(GO) test -run '^TestCalibrateFitsPinned$$' -count=1 ./internal/calibrate/
 
 # The scheduler, timing harness, fault injection (the machine wrapper
 # and the wire injector and proxy), session layer (every daemon's

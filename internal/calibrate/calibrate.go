@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,20 +18,22 @@ import (
 	"repro/internal/unitcache"
 )
 
+// tolerance is the default relative-error stopping threshold per
+// parameter. The effective tolerance of a parameter is max(tolerance,
+// the parameter's own floor, 2x the target's recorded measurement
+// spread) — the noise-aware stopping rule: never fit tighter than the
+// target was measured.
+const tolerance = 0.10
+
+// maxIter caps bisection steps per parameter.
+const maxIter = 10
+
 // Options tunes a calibration run.
 type Options struct {
-	// Tolerance is the default relative-error stopping threshold per
-	// parameter (default 0.10). The effective tolerance of a parameter
-	// is max(Tolerance, the parameter's own floor, 2x the target's
-	// recorded measurement spread) — the noise-aware stopping rule:
-	// never fit tighter than the target was measured.
-	Tolerance float64
 	// Budget caps total candidate evaluations (suite runs) across all
 	// parameters; default 400. When it expires the best profile so far
 	// is returned with Converged=false.
 	Budget int
-	// MaxIter caps bisection steps per parameter (default 10).
-	MaxIter int
 	// Workers is how many parameters are probed concurrently in the
 	// independent pass (default 4). Parameters that feed other
 	// inversions (syscall, context switch) always fit serially first.
@@ -111,87 +113,66 @@ var ErrBudget = errors.New("calibrate: evaluation budget exhausted")
 // couplings (shared syscall/ctx terms, cache interactions) bend the
 // response.
 type param struct {
-	name   string
-	bench  string
-	group  string
-	tol    float64
-	serial bool
-	get    func(*machines.Profile) float64
-	set    func(*machines.Profile, float64)
-	min    func(*machines.Profile) float64
+	name, bench, group string
+	tol                float64
+	serial             bool
+	// field addresses the profile field the parameter fits.
+	field func(*machines.Profile) *float64
+	// min is the lowest value the simulator accepts; nil means no floor.
+	min func(*machines.Profile) float64
 }
-
-func noFloor(*machines.Profile) float64 { return 0 }
 
 // continuousParams lists the monotone parameters for p (cache-level
 // latency parameters depend on how many levels p has).
 func continuousParams(p machines.Profile) []param {
 	ps := []param{
 		{name: "syscall_us", bench: "lat_syscall", group: "table7", serial: true,
-			get: func(p *machines.Profile) float64 { return p.SyscallUS },
-			set: func(p *machines.Profile, v float64) { p.SyscallUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.SyscallUS }},
 		{name: "ctx_us", bench: "lat_ctx.2p_0k", group: "table10", serial: true,
-			get: func(p *machines.Profile) float64 { return p.CtxSwitchUS },
-			set: func(p *machines.Profile, v float64) { p.CtxSwitchUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.CtxSwitchUS }},
 		{name: "sig_install_us", bench: "lat_sig.install", group: "table8",
-			get: func(p *machines.Profile) float64 { return p.SigInstallUS },
-			set: func(p *machines.Profile, v float64) { p.SigInstallUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.SigInstallUS }},
 		{name: "sig_catch_us", bench: "lat_sig.catch", group: "table8",
-			get: func(p *machines.Profile) float64 { return p.SigHandlerUS },
-			set: func(p *machines.Profile, v float64) { p.SigHandlerUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.SigHandlerUS }},
 		{name: "fork_ms", bench: "lat_proc.fork", group: "table9",
-			get: func(p *machines.Profile) float64 { return p.ForkMS },
-			set: func(p *machines.Profile, v float64) { p.ForkMS = v },
+			field: func(p *machines.Profile) *float64 { return &p.ForkMS },
 			// invertOS refuses fork targets below the syscall+ctx floor.
 			min: func(p *machines.Profile) float64 {
 				return (3*p.SyscallUS + 2*p.CtxSwitchUS) * 1.05 / 1000
 			}},
 		{name: "fork_exec_ms", bench: "lat_proc.exec", group: "table9",
-			get: func(p *machines.Profile) float64 { return p.ForkExecMS },
-			set: func(p *machines.Profile, v float64) { p.ForkExecMS = v },
-			min: func(p *machines.Profile) float64 { return p.ForkMS }},
+			field: func(p *machines.Profile) *float64 { return &p.ForkExecMS },
+			min:   func(p *machines.Profile) float64 { return p.ForkMS }},
 		{name: "fork_sh_ms", bench: "lat_proc.sh", group: "table9",
-			get: func(p *machines.Profile) float64 { return p.ForkShMS },
-			set: func(p *machines.Profile, v float64) { p.ForkShMS = v },
-			min: func(p *machines.Profile) float64 { return p.ForkExecMS }},
+			field: func(p *machines.Profile) *float64 { return &p.ForkShMS },
+			min:   func(p *machines.Profile) float64 { return p.ForkExecMS }},
 		{name: "tcp_lat_us", bench: "lat_tcp", group: "table12",
-			get: func(p *machines.Profile) float64 { return p.TCPLatUS },
-			set: func(p *machines.Profile, v float64) { p.TCPLatUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.TCPLatUS }},
 		{name: "rpc_tcp_us", bench: "lat_rpc_tcp", group: "table12",
-			get: func(p *machines.Profile) float64 { return p.RPCTCPLatUS },
-			set: func(p *machines.Profile, v float64) { p.RPCTCPLatUS = v },
-			min: func(p *machines.Profile) float64 { return p.TCPLatUS }},
+			field: func(p *machines.Profile) *float64 { return &p.RPCTCPLatUS },
+			min:   func(p *machines.Profile) float64 { return p.TCPLatUS }},
 		{name: "udp_lat_us", bench: "lat_udp", group: "table13",
-			get: func(p *machines.Profile) float64 { return p.UDPLatUS },
-			set: func(p *machines.Profile, v float64) { p.UDPLatUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.UDPLatUS }},
 		{name: "rpc_udp_us", bench: "lat_rpc_udp", group: "table13",
-			get: func(p *machines.Profile) float64 { return p.RPCUDPLatUS },
-			set: func(p *machines.Profile, v float64) { p.RPCUDPLatUS = v },
-			min: func(p *machines.Profile) float64 { return p.UDPLatUS }},
+			field: func(p *machines.Profile) *float64 { return &p.RPCUDPLatUS },
+			min:   func(p *machines.Profile) float64 { return p.UDPLatUS }},
 		{name: "connect_us", bench: "lat_connect", group: "table15",
-			get: func(p *machines.Profile) float64 { return p.ConnectUS },
-			set: func(p *machines.Profile, v float64) { p.ConnectUS = v },
-			min: func(p *machines.Profile) float64 { return p.TCPLatUS }},
+			field: func(p *machines.Profile) *float64 { return &p.ConnectUS },
+			min:   func(p *machines.Profile) float64 { return p.TCPLatUS }},
 		{name: "fs_create_us", bench: "lat_fs.create", group: "table16",
-			get: func(p *machines.Profile) float64 { return p.FSCreateUS },
-			set: func(p *machines.Profile, v float64) { p.FSCreateUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.FSCreateUS }},
 		{name: "fs_delete_us", bench: "lat_fs.delete", group: "table16",
-			get: func(p *machines.Profile) float64 { return p.FSDeleteUS },
-			set: func(p *machines.Profile, v float64) { p.FSDeleteUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.FSDeleteUS }},
 		{name: "disk_overhead_us", bench: "lat_disk.scsi_overhead", group: "table17",
-			get: func(p *machines.Profile) float64 { return p.DiskOverheadUS },
-			set: func(p *machines.Profile, v float64) { p.DiskOverheadUS = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.DiskOverheadUS }},
 		{name: "read_bw", bench: "bw_mem.read", group: "table2",
-			get: func(p *machines.Profile) float64 { return p.ReadBW },
-			set: func(p *machines.Profile, v float64) { p.ReadBW = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.ReadBW }},
 		{name: "write_bw", bench: "bw_mem.write", group: "table2",
-			get: func(p *machines.Profile) float64 { return p.WriteBW },
-			set: func(p *machines.Profile, v float64) { p.WriteBW = v }, min: noFloor},
+			field: func(p *machines.Profile) *float64 { return &p.WriteBW }},
 		// The memory-hierarchy extraction quantizes latencies onto
 		// plateau levels, so these fit to a looser default tolerance.
 		{name: "mem_lat_ns", bench: "cache.mem_lat", group: "table6", tol: 0.25,
-			get: func(p *machines.Profile) float64 { return p.MemLatNS },
-			set: func(p *machines.Profile, v float64) { p.MemLatNS = v },
+			field: func(p *machines.Profile) *float64 { return &p.MemLatNS },
 			min: func(p *machines.Profile) float64 {
 				if n := len(p.Caches); n > 0 {
 					return p.Caches[n-1].LatencyNS
@@ -200,20 +181,14 @@ func continuousParams(p machines.Profile) []param {
 			}},
 	}
 	for i := range p.Caches {
-		lvl := i
 		ps = append(ps, param{
-			name: fmt.Sprintf("l%d_lat_ns", lvl+1), bench: fmt.Sprintf("cache.l%d_lat", lvl+1),
+			name: fmt.Sprintf("l%d_lat_ns", i+1), bench: fmt.Sprintf("cache.l%d_lat", i+1),
 			group: "table6", tol: 0.25,
-			get: func(p *machines.Profile) float64 { return p.Caches[lvl].LatencyNS },
-			set: func(p *machines.Profile, v float64) { p.Caches[lvl].LatencyNS = v },
-			min: noFloor,
+			field: func(p *machines.Profile) *float64 { return &p.Caches[i].LatencyNS },
 		})
 	}
 	return ps
 }
-
-// lineSizeGrid is the discrete line-size search space.
-var lineSizeGrid = []int{16, 32, 64, 128, 256}
 
 // clone deep-copies the profile's slices so candidate mutation never
 // aliases the base.
@@ -224,22 +199,12 @@ func clone(p machines.Profile) machines.Profile {
 	return c
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // fitter is the state of one Calibrate invocation.
 type fitter struct {
 	opts   Options
-	target Target
 	events core.EventSink
 	evals  atomic.Int64
 }
-
-func (f *fitter) spent() int { return int(f.evals.Load()) }
 
 // runOpts derives the candidate-evaluation suite options for profile
 // p and group: the configured (or fast default) options with adaptive
@@ -259,12 +224,8 @@ func (f *fitter) runOpts(p machines.Profile, group string) core.Options {
 		for _, c := range p.Caches {
 			total += c.Size
 		}
-		if need := 4 * total; o.MaxChaseSize < need {
-			o.MaxChaseSize = need
-		}
-		if o.MemSize < o.MaxChaseSize {
-			o.MemSize = o.MaxChaseSize
-		}
+		o.MaxChaseSize = max(o.MaxChaseSize, 4*total)
+		o.MemSize = max(o.MemSize, o.MaxChaseSize)
 	}
 	return o
 }
@@ -272,12 +233,14 @@ func (f *fitter) runOpts(p machines.Profile, group string) core.Options {
 // measure runs one experiment group on candidate profile p and
 // returns the resulting database. Build errors come back unwrapped so
 // bisection can interpret "profile rejected" (usually a floor
-// violation) as a too-low probe.
+// violation) as a too-low probe. Only evaluations the budget admits
+// count toward it.
 func (f *fitter) measure(ctx context.Context, p machines.Profile, group string) (*results.DB, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if n := f.evals.Add(1); n > int64(f.opts.Budget) {
+	if f.evals.Add(1) > int64(f.opts.Budget) {
+		f.evals.Add(-1)
 		return nil, ErrBudget
 	}
 	m, err := machines.Build(p)
@@ -285,11 +248,7 @@ func (f *fitter) measure(ctx context.Context, p machines.Profile, group string) 
 		return nil, err
 	}
 	opts := f.runOpts(p, group)
-	suite := &core.Suite{
-		M: m, Opts: opts,
-		Only:   map[string]bool{group: true},
-		MaxRSD: f.opts.MaxRSD,
-	}
+	suite := &core.Suite{M: m, Opts: opts, Only: map[string]bool{group: true}, MaxRSD: f.opts.MaxRSD}
 	if f.opts.CacheDir != "" {
 		cache, err := f.openCache(p, opts)
 		if err != nil {
@@ -318,17 +277,24 @@ func (f *fitter) openCache(p machines.Profile, opts core.Options) (*unitcache.Ca
 	})
 }
 
-// scalar measures group on p and extracts bench.
-func (f *fitter) scalar(ctx context.Context, p machines.Profile, group, bench string) (float64, error) {
-	db, err := f.measure(ctx, p, group)
+// probe measures bench on a clone of prof changed by set. A candidate
+// that cannot be measured — the simulator rejected it (usually a floor
+// violation or a geometry it cannot build) or the run produced no such
+// scalar — is unusable; err is non-nil only for a fatal error, a spent
+// budget or a done context, which ends the whole fit.
+func (f *fitter) probe(ctx context.Context, prof machines.Profile, group, bench string, set func(*machines.Profile)) (v float64, usable bool, err error) {
+	cand := clone(prof)
+	set(&cand)
+	db, err := f.measure(ctx, cand, group)
 	if err != nil {
-		return 0, err
+		if errors.Is(err, ErrBudget) || errors.Is(err, context.Canceled) ||
+			errors.Is(err, context.DeadlineExceeded) {
+			return 0, false, err
+		}
+		return 0, false, nil
 	}
-	v, ok := db.Scalar(bench, p.Name)
-	if !ok {
-		return 0, fmt.Errorf("calibrate: run produced no scalar %q", bench)
-	}
-	return v, nil
+	v, usable = db.Scalar(bench, cand.Name)
+	return v, usable, nil
 }
 
 func relErr(got, want float64) float64 {
@@ -337,13 +303,6 @@ func relErr(got, want float64) float64 {
 		den = 1
 	}
 	return math.Abs(got-want) / den
-}
-
-// isBudget reports errors that must abort the whole calibration
-// rather than just mark one probe unusable.
-func isTerminal(err error) bool {
-	return errors.Is(err, ErrBudget) || errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
 }
 
 // fitContinuous descends one monotone parameter on a copy of prof and
@@ -356,128 +315,96 @@ func isTerminal(err error) bool {
 // field listed in continuousParams, which is what Build's own
 // inversions already rely on.
 func (f *fitter) fitContinuous(ctx context.Context, prof machines.Profile, pm param, target, spread float64) ParamResult {
-	tol := maxf(maxf(f.opts.Tolerance, pm.tol), 2*spread)
-	res := ParamResult{
-		Param: pm.name, Benchmark: pm.bench, Target: target,
-		Initial: pm.get(&prof), Tolerance: tol,
+	tol := max(tolerance, pm.tol, 2*spread)
+	res := ParamResult{Param: pm.name, Benchmark: pm.bench, Target: target,
+		Initial: *pm.field(&prof), Tolerance: tol}
+	floor := 0.0
+	if pm.min != nil {
+		floor = pm.min(&prof)
 	}
-	floor := pm.min(&prof)
-
-	// eval measures the observable with the parameter set to v.
-	// ok=false flags an unusable probe (the profile was rejected,
-	// i.e. v is effectively below a floor).
+	// eval probes the observable with the parameter set to v; an
+	// unusable probe means v is effectively below a floor.
 	eval := func(v float64) (got float64, ok bool, err error) {
-		cand := clone(prof)
-		pm.set(&cand, v)
-		got, err = f.scalar(ctx, cand, pm.group, pm.bench)
-		if err != nil {
-			if isTerminal(err) {
-				return 0, false, err
-			}
-			return 0, false, nil
+		got, ok, err = f.probe(ctx, prof, pm.group, pm.bench, func(c *machines.Profile) { *pm.field(c) = v })
+		if err == nil {
+			res.Evals++
 		}
-		return got, true, nil
+		return got, ok, err
 	}
-	accept := func(v, got float64) ParamResult {
-		res.Fitted = v
-		res.Measured = got
-		res.RelErr = relErr(got, target)
+	guess := max(target, floor)
+	// The closest usable probe so far; with none, the guess stands.
+	best, bestGot, bestErr := guess, 0.0, math.Inf(1)
+	consider := func(v, got float64, ok bool) {
+		if e := relErr(got, target); ok && e < bestErr {
+			best, bestGot, bestErr = v, got, e
+		}
+	}
+	search := func() error {
+		got, ok, err := eval(guess)
+		if err != nil {
+			return err
+		}
+		consider(guess, got, ok)
+		if bestErr <= tol {
+			return nil
+		}
+		// Bracket [lo, hi] around the target with measured(lo) below
+		// it and measured(hi) above. Unusable probes behave as "too
+		// low". Only the final bracket end competes for best.
+		lo, hi := max(floor, guess/4), guess*4
+		if hi <= lo {
+			hi = lo*4 + 1
+		}
+		got, ok, err = eval(hi)
+		for expand := 0; err == nil && expand < 3 && ok && got < target; expand++ {
+			hi *= 4
+			got, ok, err = eval(hi)
+		}
+		if err != nil {
+			return err
+		}
+		consider(hi, got, ok)
+		for i := 0; i < maxIter && bestErr > tol; i++ {
+			mid := (lo + hi) / 2
+			got, ok, err := eval(mid)
+			if err != nil {
+				return err
+			}
+			if !ok || got < target {
+				lo = mid
+			} else {
+				hi = mid
+			}
+			consider(mid, got, ok)
+		}
+		return nil
+	}
+	if err := search(); err != nil {
+		res.Err, res.Fitted, res.RelErr = err.Error(), res.Initial, math.Inf(1)
+	} else {
+		res.Fitted, res.Measured, res.RelErr = best, bestGot, relErr(bestGot, target)
 		res.Converged = res.RelErr <= tol
-		return res
 	}
-	fail := func(err error) ParamResult {
-		res.Err = err.Error()
-		res.Fitted = res.Initial
-		res.RelErr = math.Inf(1)
-		return res
-	}
-
-	guess := target
-	if guess < floor {
-		guess = floor
-	}
-	res.Evals++
-	got, ok, err := eval(guess)
-	if err != nil {
-		return fail(err)
-	}
-	if ok && relErr(got, target) <= tol {
-		return accept(guess, got)
-	}
-
-	// Bracket [lo, hi] around the target with measured(lo) below it
-	// and measured(hi) above. Unusable probes behave as "too low".
-	lo, hi := maxf(floor, guess/4), guess*4
-	if hi <= lo {
-		hi = lo*4 + 1
-	}
-	hiGot, hiOK, err := eval(hi)
-	if err != nil {
-		return fail(err)
-	}
-	res.Evals++
-	for expand := 0; expand < 3 && hiOK && hiGot < target; expand++ {
-		hi *= 4
-		hiGot, hiOK, err = eval(hi)
-		if err != nil {
-			return fail(err)
-		}
-		res.Evals++
-	}
-
-	best, bestGot, bestErr := guess, got, math.Inf(1)
-	if ok {
-		bestErr = relErr(got, target)
-	}
-	if hiOK {
-		if e := relErr(hiGot, target); e < bestErr {
-			best, bestGot, bestErr = hi, hiGot, e
-		}
-	}
-	for i := 0; i < f.opts.MaxIter && bestErr > tol; i++ {
-		mid := (lo + hi) / 2
-		got, ok, err := eval(mid)
-		if err != nil {
-			return fail(err)
-		}
-		res.Evals++
-		if !ok || got < target {
-			lo = mid
-			// An unusable midpoint keeps bestErr; a usable one may
-			// still be the closest seen.
-		} else {
-			hi = mid
-		}
-		if ok {
-			if e := relErr(got, target); e < bestErr {
-				best, bestGot, bestErr = mid, got, e
-			}
-		}
-	}
-	return accept(best, bestGot)
+	return res
 }
 
-// geometryTargets returns the discrete geometry fits requested by the
-// target: per-level cache sizes and the line size.
+// geomFit is one discrete geometry fit requested by the target: a
+// cache level's size or the line size.
 type geomFit struct {
-	name  string
-	bench string
-	level int // cache level index, -1 for line size
-	want  float64
+	name, bench string
+	level       int // cache level index, -1 for line size
+	want        float64
 }
 
-func (f *fitter) geometryFits(prof machines.Profile) []geomFit {
-	var out []geomFit
-	for i := range prof.Caches {
-		bench := fmt.Sprintf("cache.l%d_size", i+1)
-		if want, ok := f.target.Values[bench]; ok {
-			out = append(out, geomFit{name: fmt.Sprintf("l%d_size", i+1), bench: bench, level: i, want: want})
-		}
+// apply sets the fit's geometry dimension of p to v.
+func (g geomFit) apply(p *machines.Profile, v float64) {
+	if g.level >= 0 {
+		p.Caches[g.level].Size = int64(v)
+		return
 	}
-	if want, ok := f.target.Values["cache.line_size"]; ok {
-		out = append(out, geomFit{name: "line_size", bench: "cache.line_size", level: -1, want: want})
+	for i := range p.Caches {
+		p.Caches[i].LineSize = int(v)
 	}
-	return out
 }
 
 // fitGeometry walks a log grid per requested geometry dimension: for
@@ -485,68 +412,48 @@ func (f *fitter) geometryFits(prof machines.Profile) []geomFit {
 // size, the classic {16..256} ladder. The memory-hierarchy extraction
 // reports discrete plateau edges, so the best candidate is normally
 // exact; candidates the simulator rejects (e.g. a size that does not
-// divide into the level's associativity) are skipped.
+// divide into the level's associativity) are skipped. The best
+// candidate so far lives in res and is applied to prof.
 func (f *fitter) fitGeometry(ctx context.Context, prof *machines.Profile, g geomFit) ParamResult {
-	tol := maxf(f.opts.Tolerance, 0.25)
-	res := ParamResult{Param: g.name, Benchmark: g.bench, Target: g.want, Tolerance: tol}
-
-	var candidates []float64
-	apply := func(p *machines.Profile, v float64) {
-		if g.level >= 0 {
-			p.Caches[g.level].Size = int64(v)
-		} else {
-			for i := range p.Caches {
-				p.Caches[i].LineSize = int(v)
-			}
-		}
-	}
+	tol := max(tolerance, 0.25)
+	res := ParamResult{Param: g.name, Benchmark: g.bench, Target: g.want, Tolerance: tol,
+		Measured: math.NaN(), RelErr: math.Inf(1)}
+	// Current geometry first: if it already extracts within tolerance
+	// the grid walk is skipped entirely.
+	var order []float64
 	if g.level >= 0 {
 		res.Initial = float64(prof.Caches[g.level].Size)
-		lo := g.want / 4
+		order = append(order, res.Initial)
 		for v := float64(1024); v <= g.want*4; v *= 2 {
-			if v >= lo {
-				candidates = append(candidates, v)
+			if v >= g.want/4 {
+				order = append(order, v)
 			}
 		}
 	} else {
 		res.Initial = float64(prof.Caches[0].LineSize)
-		for _, v := range lineSizeGrid {
-			candidates = append(candidates, float64(v))
-		}
+		order = []float64{res.Initial, 16, 32, 64, 128, 256}
 	}
-	// Current geometry first: if it already extracts within tolerance
-	// the grid walk is skipped entirely.
-	order := append([]float64{res.Initial}, candidates...)
-
-	bestV, bestGot, bestErr := res.Initial, math.NaN(), math.Inf(1)
+	res.Fitted = res.Initial
 	for _, v := range order {
-		cand := clone(*prof)
-		apply(&cand, v)
-		got, err := f.scalar(ctx, cand, "table6", g.bench)
+		got, ok, err := f.probe(ctx, *prof, "table6", g.bench, func(c *machines.Profile) { g.apply(c, v) })
 		if err != nil {
-			if isTerminal(err) {
-				res.Err = err.Error()
-				break
-			}
+			res.Err = err.Error()
+			break
+		}
+		if !ok {
 			continue // rejected geometry: skip the grid point
 		}
 		res.Evals++
-		if e := relErr(got, g.want); e < bestErr {
-			bestV, bestGot, bestErr = v, got, e
+		if e := relErr(got, g.want); e < res.RelErr {
+			res.Fitted, res.Measured, res.RelErr = v, got, e
 		}
-		if bestErr <= tol && v != res.Initial {
+		if res.RelErr <= tol {
 			break
 		}
-		if v == res.Initial && bestErr <= tol {
-			break // current geometry already matches
-		}
 	}
-	res.Fitted = bestV
-	res.Measured = bestGot
-	res.RelErr = bestErr
-	res.Converged = bestErr <= tol
-	if res.Converged || !math.IsInf(bestErr, 1) {
-		apply(prof, bestV)
+	res.Converged = res.RelErr <= tol
+	if !math.IsInf(res.RelErr, 1) {
+		g.apply(prof, res.Fitted)
 	}
 	return res
 }
@@ -571,14 +478,8 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 	if len(target.Values) == 0 {
 		return nil, errors.New("calibrate: target has no values")
 	}
-	if opts.Tolerance <= 0 {
-		opts.Tolerance = 0.10
-	}
 	if opts.Budget <= 0 {
 		opts.Budget = 400
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 10
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -587,7 +488,7 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 		opts.MaxRSD = 0.05
 	}
 
-	f := &fitter{opts: opts, target: target, events: core.SinkOrDiscard(opts.Events)}
+	f := &fitter{opts: opts, events: core.SinkOrDiscard(opts.Events)}
 	prof := clone(base)
 	if opts.CacheDir != "" {
 		// An unusable cache directory fails the fit here, not as an
@@ -597,11 +498,7 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 		}
 	}
 
-	only := map[string]bool{}
-	for _, name := range opts.Params {
-		only[name] = true
-	}
-	want := func(name string) bool { return len(only) == 0 || only[name] }
+	want := func(name string) bool { return len(opts.Params) == 0 || slices.Contains(opts.Params, name) }
 
 	var serial, parallel []param
 	for _, pm := range continuousParams(prof) {
@@ -615,10 +512,14 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 		}
 	}
 	var geom []geomFit
-	for _, g := range f.geometryFits(prof) {
-		if want(g.name) {
-			geom = append(geom, g)
+	for i := range prof.Caches {
+		name, bench := fmt.Sprintf("l%d_size", i+1), fmt.Sprintf("cache.l%d_size", i+1)
+		if v, ok := target.Values[bench]; ok && want(name) {
+			geom = append(geom, geomFit{name: name, bench: bench, level: i, want: v})
 		}
+	}
+	if v, ok := target.Values["cache.line_size"]; ok && want("line_size") {
+		geom = append(geom, geomFit{name: "line_size", bench: "cache.line_size", level: -1, want: v})
 	}
 	total := len(serial) + len(parallel) + len(geom)
 	if total == 0 {
@@ -626,22 +527,24 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 	}
 
 	start := time.Now()
-	f.events.Event(core.Event{
-		Kind: core.CalibrateStarted, Time: start, Machine: base.Name, Entries: total,
-	})
+	f.events.Event(core.Event{Kind: core.CalibrateStarted, Time: start, Machine: base.Name, Entries: total})
 
-	result := &Result{Converged: true}
+	result := &Result{}
+	// settle takes a finished continuous fit into the profile (unless
+	// it failed) and reports and records it in fitting order.
+	settle := func(pm param, res ParamResult) {
+		if res.Err == "" {
+			*pm.field(&prof) = res.Fitted
+		}
+		f.emitParam(base.Name, res)
+		result.Params = append(result.Params, res)
+	}
 
 	// Pass 1 — serial parameters. Syscall and context-switch costs
 	// appear inside the fork, network and connect inversions, so they
 	// must settle before anything that depends on them is probed.
 	for _, pm := range serial {
-		res := f.fitContinuous(ctx, prof, pm, target.Values[pm.bench], target.Spread[pm.bench])
-		if res.Err == "" {
-			pm.set(&prof, res.Fitted)
-		}
-		f.emitParam(base.Name, res)
-		result.Params = append(result.Params, res)
+		settle(pm, f.fitContinuous(ctx, prof, pm, target.Values[pm.bench], target.Spread[pm.bench]))
 	}
 
 	// Pass 2 — discrete geometry, before the latency fits that read
@@ -654,35 +557,23 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 
 	// Pass 3 — independent parameters, probed concurrently. Each
 	// worker perturbs only its own field on a copy of the settled
-	// profile, so probes cannot race; fitted values apply afterwards.
-	if len(parallel) > 0 {
-		resCh := make(chan ParamResult, len(parallel))
-		sem := make(chan struct{}, opts.Workers)
-		var wg sync.WaitGroup
-		for _, pm := range parallel {
-			wg.Add(1)
-			go func(pm param) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				resCh <- f.fitContinuous(ctx, prof, pm, target.Values[pm.bench], target.Spread[pm.bench])
-			}(pm)
-		}
-		wg.Wait()
-		close(resCh)
-		byName := map[string]ParamResult{}
-		for res := range resCh {
-			byName[res.Param] = res
-		}
-		// Apply and report in declaration order, deterministically.
-		for _, pm := range parallel {
-			res := byName[pm.name]
-			if res.Err == "" {
-				pm.set(&prof, res.Fitted)
-			}
-			f.emitParam(base.Name, res)
-			result.Params = append(result.Params, res)
-		}
+	// profile, so probes cannot race; fitted values settle afterwards,
+	// in declaration order.
+	fits := make([]ParamResult, len(parallel))
+	sem := make(chan struct{}, opts.Workers)
+	var wg sync.WaitGroup
+	for i, pm := range parallel {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fits[i] = f.fitContinuous(ctx, prof, pm, target.Values[pm.bench], target.Spread[pm.bench])
+		}()
+	}
+	wg.Wait()
+	for i, pm := range parallel {
+		settle(pm, fits[i])
 	}
 
 	// Verification pass: measure every fitted group once on the final
@@ -697,16 +588,14 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 			if !ok {
 				continue
 			}
-			db, have := groups[pm.group]
-			if !have {
-				var err error
-				db, err = f.measure(ctx, prof, pm.group)
+			if _, have := groups[pm.group]; !have {
+				db, err := f.measure(ctx, prof, pm.group)
 				if err != nil {
 					continue
 				}
 				groups[pm.group] = db
 			}
-			if got, ok := db.Scalar(res.Benchmark, prof.Name); ok {
+			if got, ok := groups[pm.group].Scalar(res.Benchmark, prof.Name); ok {
 				res.Measured = got
 				res.RelErr = relErr(got, res.Target)
 				res.Converged = res.RelErr <= res.Tolerance && res.Err == ""
@@ -726,41 +615,32 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 		}
 		refit := f.fitContinuous(ctx, prof, pm, res.Target, target.Spread[res.Benchmark])
 		if refit.Err == "" {
-			pm.set(&prof, refit.Fitted)
+			*pm.field(&prof) = refit.Fitted
 		}
 		refit.Evals += res.Evals
 		*res = refit
 		f.emitParam(base.Name, *res)
 	}
-	groups := verify()
 
-	result.Profile = prof
-	result.Evals = f.spent()
-	result.Elapsed = time.Since(start)
+	// The groups measure disjoint benchmarks, so merge order cannot
+	// change the verification database.
 	result.DB = &results.DB{}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	for _, db := range verify() {
+		result.DB.Merge(db)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		result.DB.Merge(groups[k])
-	}
-	errMsg := ""
+	result.Profile = prof
+	result.Evals = int(f.evals.Load())
+	result.Elapsed = time.Since(start)
+	converged, errMsg := 0, ""
 	for _, res := range result.Params {
-		if !res.Converged {
-			result.Converged = false
-			if errMsg == "" && res.Err != "" {
-				errMsg = fmt.Sprintf("%s: %s", res.Param, res.Err)
-			}
-		}
-	}
-	converged := 0
-	for _, res := range result.Params {
-		if res.Converged {
+		switch {
+		case res.Converged:
 			converged++
+		case errMsg == "" && res.Err != "":
+			errMsg = fmt.Sprintf("%s: %s", res.Param, res.Err)
 		}
 	}
+	result.Converged = converged == len(result.Params)
 	f.events.Event(core.Event{
 		Kind: core.CalibrateFinished, Time: time.Now(), Machine: base.Name,
 		Entries: converged, Attempt: result.Evals, Duration: result.Elapsed, Err: errMsg,

@@ -173,6 +173,34 @@ func TestCalibrateEmitsEvents(t *testing.T) {
 	}
 }
 
+// TestCalibrateBudgetCountsAdmittedEvals: a budget far below what the
+// fit needs is spent exactly. Evaluations the budget refuses count
+// nowhere, so Result.Evals equals Budget and the per-parameter counts
+// add up to at most Result.Evals (the verification runs count only
+// there).
+func TestCalibrateBudgetCountsAdmittedEvals(t *testing.T) {
+	base, _ := machines.ByName("Linux/i586")
+	target, err := FromPaper("Linux/i686")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5
+	res, err := Calibrate(context.Background(), base, target, Options{Budget: budget, Workers: 1})
+	if err != nil {
+		t.Fatalf("Calibrate: %v", err)
+	}
+	if res.Evals != budget {
+		t.Errorf("Evals = %d, want the budget %d", res.Evals, budget)
+	}
+	sum := 0
+	for _, p := range res.Params {
+		sum += p.Evals
+	}
+	if sum > res.Evals {
+		t.Errorf("parameters report %d evaluations between them, more than the %d run", sum, res.Evals)
+	}
+}
+
 // TestCalibrateErrors covers the argument contract.
 func TestCalibrateErrors(t *testing.T) {
 	pristine, _ := machines.ByName("Linux/i686")

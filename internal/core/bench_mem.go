@@ -74,7 +74,6 @@ func chaseSweep(ctx context.Context, m Machine, opts Options, pts []chasePoint, 
 	}
 	l := machineLane(m, func(m Machine) (evalFunc, error) {
 		mem := m.Mem()
-		ext, _ := mem.(MemExtOps)
 		region, err := mem.Alloc(opts.MaxChaseSize)
 		if err != nil {
 			return nil, err
@@ -91,7 +90,7 @@ func chaseSweep(ctx context.Context, m Machine, opts Options, pts []chasePoint, 
 			if p.variant == ChaseClean {
 				ch, err = mem.NewChase(region, p.size, p.stride)
 			} else {
-				ch, err = ext.NewChaseVariant(region, p.size, p.stride, p.variant)
+				ch, err = mem.NewChaseVariant(region, p.size, p.stride, p.variant)
 			}
 			if err != nil {
 				return err

@@ -71,6 +71,22 @@ type MemOps interface {
 	// FlushCaches makes the next accesses cold, when the backend can
 	// (the simulator); hosts may approximate or return ErrUnsupported.
 	FlushCaches() error
+
+	// The §7 extension primitives (see extensions.go).
+
+	// NewChaseVariant builds a chase over the first size bytes of r
+	// running the given workload (clean, dirty-read or write).
+	NewChaseVariant(r Region, size, stride int64, v ChaseVariant) (Chase, error)
+	// NewPageChase builds a chase touching one line on each of n
+	// scattered (randomly placed or randomly ordered) pages, keeping
+	// the cache footprint tiny while sweeping the TLB and defeating
+	// sequential prefetch.
+	NewPageChase(pages int) (Chase, error)
+	// PageSize reports the page size the TLB maps.
+	PageSize() int64
+	// RunStreamKernel performs one full pass of a McCalpin STREAM
+	// kernel over arrays of bytes bytes each.
+	RunStreamKernel(k StreamKind, bytes int64) error
 }
 
 // Ring is the §6.6 context-switch ring.
@@ -107,6 +123,26 @@ type OSOps interface {
 	// NewRing builds a context-switch ring of nprocs processes each
 	// with a cache footprint of footprint bytes (Figure 2, Table 10).
 	NewRing(nprocs int, footprint int64) (Ring, error)
+
+	// The §7 extension primitives (see extensions.go).
+
+	// CacheToCachePingPong bounces one modified line between two
+	// processors: write on one, read+write on the other, read back.
+	// Uniprocessors return ErrUnsupported.
+	CacheToCachePingPong() error
+	// CacheToCacheTransfer moves n bytes of modified lines from the
+	// other processor's cache.
+	CacheToCacheTransfer(n int64) error
+	// PhysicalMemoryBytes reports physical memory as the OS accounts
+	// it; backends without that accounting (the simulator, whose §3.1
+	// probe measures memory instead) return ErrUnsupported.
+	PhysicalMemoryBytes() (int64, error)
+	// TouchPages touches pages [0, n) once each, in order: the §3.1
+	// probe. Backends that report PhysicalMemoryBytes (the host, which
+	// does not risk forcing real paging) return ErrUnsupported.
+	TouchPages(n int64) error
+	// ProbePageBytes is the page size TouchPages steps by.
+	ProbePageBytes() int64
 }
 
 // NetOps are the IPC and networking primitives of §5.2 and §6.7.

@@ -24,8 +24,10 @@ import (
 //   - "Automatic sizing ... determine the size of the external cache
 //     and autosize the memory used" — AutoSize.
 //
-// Backends advertise support through the optional interfaces below;
-// experiments on backends lacking them are skipped via ErrUnsupported.
+// Their primitives are part of MemOps and OSOps, so every wrapper of
+// the op sets (the internal/faults chaos layer) reaches them too; a
+// backend that lacks one returns ErrUnsupported and the experiment is
+// skipped.
 
 // ChaseVariant selects a pointer-chase workload.
 type ChaseVariant int
@@ -52,19 +54,6 @@ func (v ChaseVariant) String() string {
 	default:
 		return fmt.Sprintf("ChaseVariant(%d)", int(v))
 	}
-}
-
-// MemExtOps is the optional memory-extension capability.
-type MemExtOps interface {
-	// NewChaseVariant builds a chase running the given workload.
-	NewChaseVariant(r Region, size, stride int64, v ChaseVariant) (Chase, error)
-	// NewPageChase builds a chase touching one line on each of n
-	// scattered (randomly placed or randomly ordered) pages, keeping
-	// the cache footprint tiny while sweeping the TLB and defeating
-	// sequential prefetch.
-	NewPageChase(pages int) (Chase, error)
-	// PageSize reports the page size the TLB maps.
-	PageSize() int64
 }
 
 // StreamKind selects a McCalpin STREAM kernel.
@@ -106,35 +95,6 @@ func (k StreamKind) streams() int64 {
 	return 2
 }
 
-// StreamOps is the optional STREAM capability. RunStreamKernel performs
-// one full pass of the kernel over arrays of `bytes` bytes each.
-type StreamOps interface {
-	RunStreamKernel(k StreamKind, bytes int64) error
-}
-
-// SMPOps is the optional multiprocessor capability.
-type SMPOps interface {
-	// CacheToCachePingPong bounces one modified line between two
-	// processors: write on one, read+write on the other, read back.
-	CacheToCachePingPong() error
-	// CacheToCacheTransfer moves n bytes of modified lines from the
-	// other processor's cache.
-	CacheToCacheTransfer(n int64) error
-}
-
-// MemSizer is the optional capability of backends that can report
-// physical memory directly (the host, from the OS).
-type MemSizer interface {
-	PhysicalMemoryBytes() (int64, error)
-}
-
-// PageToucher is the optional capability backing the §3.1 probe on
-// simulated machines: touch pages [0, n) once each, in order.
-type PageToucher interface {
-	TouchPages(n int64) error
-	ProbePageBytes() int64
-}
-
 // ExtMemSize implements the §3.1 memory-sizing check: "A small test
 // program allocates as much memory as it can, clears the memory, and
 // then strides through that memory a page at a time, timing each
@@ -147,27 +107,23 @@ func ExtMemSize(ctx context.Context, m Machine, opts Options) ([]results.Entry, 
 	if err != nil {
 		return nil, err
 	}
-	if ms, ok := m.OS().(MemSizer); ok {
-		bytes, err := ms.PhysicalMemoryBytes()
+	sys := m.OS()
+	if bytes, err := sys.PhysicalMemoryBytes(); !IsUnsupported(err) {
 		if err != nil {
 			return nil, err
 		}
 		return []results.Entry{entry(m, "mem.size", "MB", float64(bytes)/(1<<20),
 			map[string]string{"method": "os"})}, nil
 	}
-	pt, ok := m.OS().(PageToucher)
-	if !ok {
-		return nil, fmt.Errorf("memsize: %w", ErrUnsupported)
-	}
-	page := pt.ProbePageBytes()
+	page := sys.ProbePageBytes()
 	// perPage populates pages [0, n) (the probe program "clears the
 	// memory"), then strides through them again, timed, and returns
 	// the time per page.
 	perPage := func(n int64) (ptime.Duration, error) {
-		if err := pt.TouchPages(n); err != nil {
+		if err := sys.TouchPages(n); err != nil {
 			return 0, err
 		}
-		d, err := timing.Once(m.Clock(), func() error { return pt.TouchPages(n) })
+		d, err := timing.Once(m.Clock(), func() error { return sys.TouchPages(n) })
 		return d.DivN(n), err
 	}
 	const fewMicroseconds = 10 * ptime.Microsecond
@@ -210,15 +166,12 @@ func ExtStream(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 	if err != nil {
 		return nil, err
 	}
-	so, ok := m.Mem().(StreamOps)
-	if !ok {
-		return nil, fmt.Errorf("stream: %w", ErrUnsupported)
-	}
+	mem := m.Mem()
 	bytes := opts.MemSize
 	var out []results.Entry
 	for _, kind := range []StreamKind{StreamCopy, StreamScale, StreamAdd, StreamTriad} {
 		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-			return so.RunStreamKernel(kind, bytes)
+			return mem.RunStreamKernel(kind, bytes)
 		}))
 		if err != nil {
 			return nil, fmt.Errorf("stream.%s: %w", kind, err)
@@ -239,9 +192,6 @@ func ExtMemVariants(ctx context.Context, m Machine, opts Options) ([]results.Ent
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
-	}
-	if _, ok := m.Mem().(MemExtOps); !ok {
-		return nil, fmt.Errorf("memvar: %w", ErrUnsupported)
 	}
 	const minSize = 4 << 10
 	if opts.MaxChaseSize < minSize {
@@ -287,17 +237,14 @@ func ExtTLB(ctx context.Context, m Machine, opts Options) ([]results.Entry, erro
 	if err != nil {
 		return nil, err
 	}
-	ext, ok := m.Mem().(MemExtOps)
-	if !ok {
-		return nil, fmt.Errorf("tlb: %w", ErrUnsupported)
-	}
+	mem := m.Mem()
 	var series []results.Point
 	maxPages := 2048
 	for pages := 4; pages <= maxPages; pages *= 2 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ch, err := ext.NewPageChase(pages)
+		ch, err := mem.NewPageChase(pages)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +266,7 @@ func ExtTLB(ctx context.Context, m Machine, opts Options) ([]results.Entry, erro
 	}
 	out := []results.Entry{{
 		Benchmark: "lat_tlb", Machine: m.Name(), Unit: "ns", Series: series,
-		Attrs: map[string]string{"pagesize": fmt.Sprint(ext.PageSize())},
+		Attrs: map[string]string{"pagesize": fmt.Sprint(mem.PageSize())},
 	}}
 
 	// Extraction: two plateaus — in-TLB and missing — whose boundary is
@@ -349,17 +296,14 @@ func ExtCacheToCache(ctx context.Context, m Machine, opts Options) ([]results.En
 	if err != nil {
 		return nil, err
 	}
-	smp, ok := m.OS().(SMPOps)
-	if !ok {
-		return nil, fmt.Errorf("c2c: %w", ErrUnsupported)
-	}
-	lat, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(smp.CacheToCachePingPong))
+	sys := m.OS()
+	lat, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(sys.CacheToCachePingPong))
 	if err != nil {
 		return nil, fmt.Errorf("lat_c2c: %w", err)
 	}
 	const xferBytes = 256 << 10
 	bw, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-		return smp.CacheToCacheTransfer(xferBytes)
+		return sys.CacheToCacheTransfer(xferBytes)
 	}))
 	if err != nil {
 		return nil, fmt.Errorf("bw_c2c: %w", err)
@@ -417,8 +361,12 @@ func AutoSize(ctx context.Context, m Machine, base Options) (Options, error) {
 	if err != nil {
 		return base, err
 	}
-	mem := m.Mem()
+	const minSize = 8 << 10
 	probeMax := base.MaxChaseSize * 8
+	if probeMax < minSize {
+		return base, fmt.Errorf("autosize: MaxChaseSize %d is below %d, so the probe (%d bytes up to 8x MaxChaseSize) has no size", base.MaxChaseSize, minSize/8, minSize)
+	}
+	mem := m.Mem()
 	region, err := mem.Alloc(probeMax)
 	if err != nil {
 		return base, err
@@ -426,7 +374,7 @@ func AutoSize(ctx context.Context, m Machine, base Options) (Options, error) {
 	const stride = 256
 	var sizes []int64
 	var lats []float64
-	for size := int64(8 << 10); size <= probeMax; size *= 2 {
+	for size := int64(minSize); size <= probeMax; size *= 2 {
 		if err := ctx.Err(); err != nil {
 			return base, err
 		}

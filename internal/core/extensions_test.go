@@ -203,6 +203,18 @@ func TestAutoSize(t *testing.T) {
 	}
 }
 
+// TestAutoSizeRejectsTinyChaseSize: the probe sweeps 8 KB up to 8x
+// MaxChaseSize, so a MaxChaseSize below 1 KB leaves it no size; it must
+// say so rather than index an empty sweep.
+func TestAutoSizeRejectsTinyChaseSize(t *testing.T) {
+	opts := core.FastOptions()
+	opts.MaxChaseSize = 512
+	_, err := core.AutoSize(context.Background(), simMachine(t, "Linux/i686"), opts)
+	if err == nil || !strings.Contains(err.Error(), "MaxChaseSize") {
+		t.Errorf("err = %v, want one naming MaxChaseSize", err)
+	}
+}
+
 func TestVariantAndKindStrings(t *testing.T) {
 	if core.ChaseClean.String() != "clean" || core.ChaseDirty.String() != "dirty" ||
 		core.ChaseWrite.String() != "write" {

@@ -277,6 +277,51 @@ func TestChaosUnsupportedSkips(t *testing.T) {
 	}
 }
 
+// TestChaosReachesExtensions: the §7 extension primitives are part of
+// the op sets, so a wrapped machine runs every extension group its bare
+// machine runs and the plan reaches their primitives — under the zero
+// plan nothing more is skipped and Stats counts the extension ops, and
+// an error rate of 1 on mem.stream_kernel fails ext_stream instead of
+// skipping it.
+func TestChaosReachesExtensions(t *testing.T) {
+	ext := map[string]bool{}
+	for _, e := range core.Extensions() {
+		ext[e.ID] = true
+	}
+	run := func(m core.Machine, only map[string]bool) ([]string, error) {
+		s := &core.Suite{M: m, Opts: chaosOpts(), Only: only, Extended: true}
+		return s.Run(context.Background(), &results.DB{})
+	}
+	for name, ops := range map[string][]string{
+		"Linux/i686":    {"mem.new_chase_variant", "mem.new_page_chase", "mem.stream_kernel", "os.physical_memory", "os.touch_pages"},
+		"SGI Challenge": {"os.c2c_ping_pong", "os.c2c_transfer"},
+	} {
+		bare, err := run(sim(t, name), ext)
+		if err != nil {
+			t.Fatalf("%s bare: %v", name, err)
+		}
+		f := Wrap(sim(t, name), Plan{})
+		wrapped, err := run(f, ext)
+		if err != nil {
+			t.Fatalf("%s wrapped: %v", name, err)
+		}
+		if fmt.Sprint(wrapped) != fmt.Sprint(bare) {
+			t.Errorf("%s: wrapped run skipped %v, bare run %v", name, wrapped, bare)
+		}
+		st := f.Stats()
+		for _, op := range ops {
+			if st.PerOp[op].Calls == 0 {
+				t.Errorf("%s: no %s calls counted: %s", name, op, st)
+			}
+		}
+	}
+	f := Wrap(sim(t, "Linux/i686"), Plan{Seed: 1, ErrorRate: 1, Ops: []string{"mem.stream_kernel"}})
+	skipped, err := run(f, map[string]bool{"ext_stream": true})
+	if !errors.Is(err, ErrInjected) || len(skipped) != 0 {
+		t.Errorf("faulted ext_stream: skipped %v, err %v; want it failed by an injected error", skipped, err)
+	}
+}
+
 // TestChaosCancellationDuringStall: cancelling the run while a
 // primitive is wedged in an injected stall unwinds promptly.
 func TestChaosCancellationDuringStall(t *testing.T) {

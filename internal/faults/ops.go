@@ -1,10 +1,11 @@
 package faults
 
-// The wrapped op groups. Every blocking or measured primitive routes
-// through Machine.inject under a stable dotted name ("net.pipe_rtt",
-// "mem.chase_walk", ...); pure accessors (Length, Procs, Media,
-// LoadOverheadNS) and resource teardown (Close) pass through
-// untouched so cleanup never fails by injection.
+// The wrapped op groups. Every blocking or measured primitive — the §7
+// extension primitives included — routes through Machine.inject under
+// a stable dotted name ("net.pipe_rtt", "mem.chase_walk",
+// "mem.stream_kernel", ...); pure accessors (Length, Procs, Media,
+// LoadOverheadNS, PageSize, ProbePageBytes) and resource teardown
+// (Close) pass through untouched so cleanup never fails by injection.
 
 import "repro/internal/core"
 
@@ -48,15 +49,21 @@ func (m *memOps) Write(r core.Region, n int64) error {
 	return m.inner.Write(r, n)
 }
 
-func (m *memOps) NewChase(r core.Region, size, stride int64) (core.Chase, error) {
-	if err := m.f.inject("mem.new_chase"); err != nil {
+// newChase injects op, then wraps the chase build makes so that its
+// walks inject too.
+func (m *memOps) newChase(op string, build func() (core.Chase, error)) (core.Chase, error) {
+	if err := m.f.inject(op); err != nil {
 		return nil, err
 	}
-	ch, err := m.inner.NewChase(r, size, stride)
+	ch, err := build()
 	if err != nil {
 		return nil, err
 	}
 	return &chase{f: m.f, inner: ch}, nil
+}
+
+func (m *memOps) NewChase(r core.Region, size, stride int64) (core.Chase, error) {
+	return m.newChase("mem.new_chase", func() (core.Chase, error) { return m.inner.NewChase(r, size, stride) })
 }
 
 func (m *memOps) LoadOverheadNS() float64 { return m.inner.LoadOverheadNS() }
@@ -66,6 +73,23 @@ func (m *memOps) FlushCaches() error {
 		return err
 	}
 	return m.inner.FlushCaches()
+}
+
+func (m *memOps) NewChaseVariant(r core.Region, size, stride int64, v core.ChaseVariant) (core.Chase, error) {
+	return m.newChase("mem.new_chase_variant", func() (core.Chase, error) { return m.inner.NewChaseVariant(r, size, stride, v) })
+}
+
+func (m *memOps) NewPageChase(pages int) (core.Chase, error) {
+	return m.newChase("mem.new_page_chase", func() (core.Chase, error) { return m.inner.NewPageChase(pages) })
+}
+
+func (m *memOps) PageSize() int64 { return m.inner.PageSize() }
+
+func (m *memOps) RunStreamKernel(k core.StreamKind, bytes int64) error {
+	if err := m.f.inject("mem.stream_kernel"); err != nil {
+		return err
+	}
+	return m.inner.RunStreamKernel(k, bytes)
 }
 
 type chase struct {
@@ -139,6 +163,36 @@ func (o *osOps) NewRing(nprocs int, footprint int64) (core.Ring, error) {
 	}
 	return &ring{f: o.f, inner: r}, nil
 }
+
+func (o *osOps) CacheToCachePingPong() error {
+	if err := o.f.inject("os.c2c_ping_pong"); err != nil {
+		return err
+	}
+	return o.inner.CacheToCachePingPong()
+}
+
+func (o *osOps) CacheToCacheTransfer(n int64) error {
+	if err := o.f.inject("os.c2c_transfer"); err != nil {
+		return err
+	}
+	return o.inner.CacheToCacheTransfer(n)
+}
+
+func (o *osOps) PhysicalMemoryBytes() (int64, error) {
+	if err := o.f.inject("os.physical_memory"); err != nil {
+		return 0, err
+	}
+	return o.inner.PhysicalMemoryBytes()
+}
+
+func (o *osOps) TouchPages(n int64) error {
+	if err := o.f.inject("os.touch_pages"); err != nil {
+		return err
+	}
+	return o.inner.TouchPages(n)
+}
+
+func (o *osOps) ProbePageBytes() int64 { return o.inner.ProbePageBytes() }
 
 type ring struct {
 	f     *Machine

@@ -62,7 +62,7 @@ func (c *writeChase) Walk(n int64) error {
 
 func (c *writeChase) Length() int64 { return c.length }
 
-// NewChaseVariant implements core.MemExtOps.
+// NewChaseVariant implements core.MemOps.
 func (mo *memOps) NewChaseVariant(r core.Region, size, stride int64, v core.ChaseVariant) (core.Chase, error) {
 	base, err := mo.NewChase(r, size, stride)
 	if err != nil {
@@ -89,7 +89,7 @@ func (mo *memOps) NewChaseVariant(r core.Region, size, stride int64, v core.Chas
 	}
 }
 
-// NewPageChase implements core.MemExtOps: a dependent chain visiting
+// NewPageChase implements core.MemOps: a dependent chain visiting
 // one word on each page in a random order, defeating both the TLB (one
 // entry per hop) and sequential prefetch.
 func (mo *memOps) NewPageChase(pages int) (core.Chase, error) {
@@ -107,10 +107,10 @@ func (mo *memOps) NewPageChase(pages int) (core.Chase, error) {
 	return &hostChase{words: words, length: int64(pages), cur: uint64(int64(perm[0]) * pageWords)}, nil
 }
 
-// PageSize implements core.MemExtOps.
+// PageSize implements core.MemOps.
 func (mo *memOps) PageSize() int64 { return int64(os.Getpagesize()) }
 
-// RunStreamKernel implements core.StreamOps with the canonical
+// RunStreamKernel implements core.MemOps with the canonical
 // unrolled double-precision loops.
 func (mo *memOps) RunStreamKernel(k core.StreamKind, bytes int64) error {
 	if bytes <= 0 {
@@ -228,7 +228,7 @@ func (o *osOps) ensurePeer() (*smpPeer, error) {
 	return p, nil
 }
 
-// CacheToCachePingPong implements core.SMPOps: one command/ack exchange
+// CacheToCachePingPong implements core.OSOps: one command/ack exchange
 // through a contended cache line.
 func (o *osOps) CacheToCachePingPong() error {
 	p, err := o.ensurePeer()
@@ -242,7 +242,7 @@ func (o *osOps) CacheToCachePingPong() error {
 	return nil
 }
 
-// CacheToCacheTransfer implements core.SMPOps: the peer dirties n bytes
+// CacheToCacheTransfer implements core.OSOps: the peer dirties n bytes
 // in its cache; we then read them, pulling modified lines across.
 func (o *osOps) CacheToCacheTransfer(n int64) error {
 	p, err := o.ensurePeer()
@@ -273,7 +273,7 @@ func (o *osOps) stopPeer() {
 	}
 }
 
-// PhysicalMemoryBytes implements core.MemSizer by reading the OS's
+// PhysicalMemoryBytes implements core.OSOps by reading the OS's
 // accounting (the host backend does not risk forcing real paging).
 func (o *osOps) PhysicalMemoryBytes() (int64, error) {
 	data, err := os.ReadFile("/proc/meminfo")
@@ -296,3 +296,12 @@ func (o *osOps) PhysicalMemoryBytes() (int64, error) {
 	}
 	return 0, fmt.Errorf("host: MemTotal not found in /proc/meminfo")
 }
+
+// TouchPages implements core.OSOps: the host reports its memory through
+// PhysicalMemoryBytes and never forces real paging.
+func (o *osOps) TouchPages(int64) error {
+	return fmt.Errorf("host: page-touch probe: %w", core.ErrUnsupported)
+}
+
+// ProbePageBytes implements core.OSOps.
+func (o *osOps) ProbePageBytes() int64 { return int64(os.Getpagesize()) }

@@ -12,13 +12,9 @@ import (
 func TestHostChaseVariants(t *testing.T) {
 	m := newHost(t)
 	mem := m.Mem()
-	ext, ok := mem.(core.MemExtOps)
-	if !ok {
-		t.Fatal("host memOps should implement MemExtOps")
-	}
 	r, _ := mem.Alloc(256 << 10)
 	for _, v := range []core.ChaseVariant{core.ChaseClean, core.ChaseDirty, core.ChaseWrite} {
-		ch, err := ext.NewChaseVariant(r, 256<<10, 64, v)
+		ch, err := mem.NewChaseVariant(r, 256<<10, 64, v)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -29,16 +25,16 @@ func TestHostChaseVariants(t *testing.T) {
 			t.Fatalf("%v walk: %v", v, err)
 		}
 	}
-	if _, err := ext.NewChaseVariant(r, 256<<10, 64, core.ChaseVariant(9)); err == nil {
+	if _, err := mem.NewChaseVariant(r, 256<<10, 64, core.ChaseVariant(9)); err == nil {
 		t.Error("unknown variant should error")
 	}
 }
 
 func TestHostDirtyChaseStillChains(t *testing.T) {
 	m := newHost(t)
-	ext := m.Mem().(core.MemExtOps)
-	r, _ := m.Mem().Alloc(64 << 10)
-	ch, err := ext.NewChaseVariant(r, 64<<10, 64, core.ChaseDirty)
+	mem := m.Mem()
+	r, _ := mem.Alloc(64 << 10)
+	ch, err := mem.NewChaseVariant(r, 64<<10, 64, core.ChaseDirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +51,11 @@ func TestHostDirtyChaseStillChains(t *testing.T) {
 
 func TestHostPageChase(t *testing.T) {
 	m := newHost(t)
-	ext := m.Mem().(core.MemExtOps)
-	if ext.PageSize() <= 0 {
+	mem := m.Mem()
+	if mem.PageSize() <= 0 {
 		t.Fatal("bad page size")
 	}
-	ch, err := ext.NewPageChase(64)
+	ch, err := mem.NewPageChase(64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,17 +72,14 @@ func TestHostPageChase(t *testing.T) {
 	if hc.cur != start {
 		t.Errorf("page chain is not a single cycle: started %d ended %d", start, hc.cur)
 	}
-	if _, err := ext.NewPageChase(0); err == nil {
+	if _, err := mem.NewPageChase(0); err == nil {
 		t.Error("zero pages should error")
 	}
 }
 
 func TestHostStreamKernels(t *testing.T) {
 	m := newHost(t)
-	so, ok := m.Mem().(core.StreamOps)
-	if !ok {
-		t.Fatal("host memOps should implement StreamOps")
-	}
+	so := m.Mem()
 	for _, k := range []core.StreamKind{core.StreamCopy, core.StreamScale, core.StreamAdd, core.StreamTriad} {
 		if err := so.RunStreamKernel(k, 1<<20); err != nil {
 			t.Fatalf("%v: %v", k, err)
@@ -111,10 +104,7 @@ func TestHostCacheToCache(t *testing.T) {
 		t.Skip("needs 2 CPUs")
 	}
 	m := newHost(t)
-	smp, ok := m.OS().(core.SMPOps)
-	if !ok {
-		t.Fatal("host osOps should implement SMPOps")
-	}
+	smp := m.OS()
 	for i := 0; i < 100; i++ {
 		if err := smp.CacheToCachePingPong(); err != nil {
 			t.Fatal(err)
@@ -154,11 +144,7 @@ func TestHostExtendedSuite(t *testing.T) {
 
 func TestHostPhysicalMemory(t *testing.T) {
 	m := newHost(t)
-	ms, ok := m.OS().(core.MemSizer)
-	if !ok {
-		t.Fatal("host should implement MemSizer")
-	}
-	bytes, err := ms.PhysicalMemoryBytes()
+	bytes, err := m.OS().PhysicalMemoryBytes()
 	if err != nil {
 		t.Fatal(err)
 	}

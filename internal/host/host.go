@@ -37,7 +37,6 @@ func MaybeChild() {
 
 // Machine is the host backend.
 type Machine struct {
-	name  string
 	clock *timing.WallClock
 
 	mem  *memOps
@@ -53,7 +52,7 @@ var _ core.Machine = (*Machine)(nil)
 // device handles) are created lazily by the op groups; Close releases
 // them.
 func New() (*Machine, error) {
-	m := &Machine{name: "host", clock: timing.NewWallClock()}
+	m := &Machine{clock: timing.NewWallClock()}
 	m.mem = &memOps{}
 	osops, err := newOSOps()
 	if err != nil {
@@ -101,10 +100,7 @@ func (m *Machine) BindContext(ctx context.Context) {
 var _ core.ContextBinder = (*Machine)(nil)
 
 // Name implements core.Machine.
-func (m *Machine) Name() string { return m.name }
-
-// SetName overrides the reported machine name (e.g. a hostname).
-func (m *Machine) SetName(n string) { m.name = n }
+func (m *Machine) Name() string { return "host" }
 
 // Clock implements core.Machine.
 func (m *Machine) Clock() timing.Clock { return m.clock }

@@ -287,7 +287,7 @@ func (vc *variantChase) Walk(n int64) error {
 
 func (vc *variantChase) Length() int64 { return vc.c.Length() }
 
-// NewChaseVariant implements core.MemExtOps.
+// NewChaseVariant implements core.MemOps.
 func (mo *memOps) NewChaseVariant(r core.Region, size, stride int64, v core.ChaseVariant) (core.Chase, error) {
 	rr, err := checkRegion(r, size)
 	if err != nil {
@@ -304,7 +304,7 @@ type pageChase struct {
 func (pc *pageChase) Walk(n int64) error { pc.p.Walk(n); return nil }
 func (pc *pageChase) Length() int64      { return pc.p.Length() }
 
-// NewPageChase implements core.MemExtOps: one line per randomly placed
+// NewPageChase implements core.MemOps: one line per randomly placed
 // page.
 func (mo *memOps) NewPageChase(pages int) (core.Chase, error) {
 	if pages <= 0 {
@@ -314,10 +314,10 @@ func (mo *memOps) NewPageChase(pages int) (core.Chase, error) {
 	return &pageChase{p: mo.m.mem.NewPageChase(pp)}, nil
 }
 
-// PageSize implements core.MemExtOps.
+// PageSize implements core.MemOps.
 func (mo *memOps) PageSize() int64 { return mo.m.mem.PageSize() }
 
-// RunStreamKernel implements core.StreamOps over three lazily grown
+// RunStreamKernel implements core.MemOps over three lazily grown
 // simulated arrays.
 func (mo *memOps) RunStreamKernel(k core.StreamKind, bytes int64) error {
 	if bytes <= 0 {
@@ -382,7 +382,8 @@ func (oo *osOps) ensureSMP() (*simsmp.System, error) {
 	return oo.smp, nil
 }
 
-// CacheToCachePingPong implements core.SMPOps.
+// CacheToCachePingPong implements core.OSOps; uniprocessors return
+// core.ErrUnsupported.
 func (oo *osOps) CacheToCachePingPong() error {
 	s, err := oo.ensureSMP()
 	if err != nil {
@@ -391,7 +392,7 @@ func (oo *osOps) CacheToCachePingPong() error {
 	return s.PingPong(oo.pp)
 }
 
-// CacheToCacheTransfer implements core.SMPOps.
+// CacheToCacheTransfer implements core.OSOps.
 func (oo *osOps) CacheToCacheTransfer(n int64) error {
 	s, err := oo.ensureSMP()
 	if err != nil {
@@ -400,7 +401,14 @@ func (oo *osOps) CacheToCacheTransfer(n int64) error {
 	return s.Transfer(n)
 }
 
-// TouchPages implements core.PageToucher over the demand-paging model,
+// PhysicalMemoryBytes implements core.OSOps: a simulated machine has no
+// OS accounting to read, so the §3.1 probe measures its memory through
+// TouchPages instead.
+func (oo *osOps) PhysicalMemoryBytes() (int64, error) {
+	return 0, fmt.Errorf("machines: physical memory: %w", core.ErrUnsupported)
+}
+
+// TouchPages implements core.OSOps over the demand-paging model,
 // built lazily with the profile's physical memory size.
 func (oo *osOps) TouchPages(n int64) error {
 	if oo.vm == nil {
@@ -418,7 +426,7 @@ func (oo *osOps) TouchPages(n int64) error {
 	return nil
 }
 
-// ProbePageBytes implements core.PageToucher.
+// ProbePageBytes implements core.OSOps.
 func (oo *osOps) ProbePageBytes() int64 { return oo.m.mem.PageSize() }
 
 var _ core.OSOps = (*osOps)(nil)
