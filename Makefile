@@ -51,10 +51,15 @@ golden-serial:
 # (including the journal, resume, chaos, worker-kill, metrics-scrape,
 # ingest, HTTP-cache, drain and chaos-transport suites) under the race
 # detector, and the executor's tests — in process and through the
-# fleet — ten times over.
+# fleet — ten times over. The host backend's context binding is raced
+# by its cancellation hook, by rebinding and by ends joining, so its
+# tests run five times over; the rest of internal/host stays out,
+# because TestHostSuiteSubset's real-bandwidth floor does not hold
+# under race instrumentation.
 race:
 	$(GO) test -race ./internal/core/... ./internal/timing/... ./internal/faults/... ./internal/rpcx/... ./internal/obs/... ./internal/fleet/... ./internal/store/... ./internal/unitcache/... ./internal/calibrate/...
 	$(GO) test -race -count=10 -run '^TestPool|^TestFleet(RefusedResume|JournalSequence|FailureMatches|IdlePeer)' ./internal/core/ ./internal/fleet/
+	$(GO) test -race -count=5 -run '^TestBindContext' ./internal/host/
 
 # chaos runs the fault-injection scheduler suite on its own, race-
 # enabled and verbose, with a fixed seed for reproducible streams.

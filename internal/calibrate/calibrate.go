@@ -28,6 +28,11 @@ const tolerance = 0.10
 // maxIter caps bisection steps per parameter.
 const maxIter = 10
 
+// worstEvals is the most evaluations fitContinuous can spend on one
+// parameter: the identity guess, the first bracket end, three bracket
+// expansions and maxIter bisections.
+const worstEvals = 1 + 1 + 3 + maxIter
+
 // Options tunes a calibration run.
 type Options struct {
 	// Budget caps total candidate evaluations (suite runs) across all
@@ -35,8 +40,10 @@ type Options struct {
 	// is returned with Converged=false.
 	Budget int
 	// Workers is how many parameters are probed concurrently in the
-	// independent pass (default 4). Parameters that feed other
-	// inversions (syscall, context switch) always fit serially first.
+	// independent pass (default 4; one when the pass's worst case does
+	// not fit in the budget left, so a fit its budget cuts short stays
+	// deterministic). Parameters that feed other inversions (syscall,
+	// context switch) always fit serially first.
 	Workers int
 	// Run overrides the candidate-evaluation suite options; nil uses
 	// fast settings (small regions, adaptive sweeps, millisecond
@@ -557,18 +564,31 @@ func Calibrate(ctx context.Context, base machines.Profile, target Target, opts O
 
 	// Pass 3 — independent parameters, probed concurrently. Each
 	// worker perturbs only its own field on a copy of the settled
-	// profile, so probes cannot race; fitted values settle afterwards,
-	// in declaration order.
+	// profile, so probes cannot race; workers take parameters in
+	// declaration order, and fitted values settle afterwards in that
+	// order. Workers racing for the last evaluations would make the
+	// outcome depend on scheduling, so when the pass's worst case does
+	// not fit in what is left of the budget one worker fits the
+	// parameters in turn.
+	workers := opts.Workers
+	if f.evals.Load()+worstEvals*int64(len(parallel)) > int64(opts.Budget) {
+		workers = 1
+	}
 	fits := make([]ParamResult, len(parallel))
-	sem := make(chan struct{}, opts.Workers)
+	order := make(chan int, len(parallel))
+	for i := range parallel {
+		order <- i
+	}
+	close(order)
 	var wg sync.WaitGroup
-	for i, pm := range parallel {
+	for range min(workers, len(parallel)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fits[i] = f.fitContinuous(ctx, prof, pm, target.Values[pm.bench], target.Spread[pm.bench])
+			for i := range order {
+				pm := parallel[i]
+				fits[i] = f.fitContinuous(ctx, prof, pm, target.Values[pm.bench], target.Spread[pm.bench])
+			}
 		}()
 	}
 	wg.Wait()

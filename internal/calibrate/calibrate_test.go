@@ -201,6 +201,35 @@ func TestCalibrateBudgetCountsAdmittedEvals(t *testing.T) {
 	}
 }
 
+// TestCalibrateBudgetIsDeterministic: a fit whose budget runs out is
+// still a pure function of its inputs. The concurrent pass runs its
+// parameters on several workers only when its worst case fits in what
+// is left of the budget, so no worker races another for the last
+// evaluations, and repeated fits at each budget hash alike.
+func TestCalibrateBudgetIsDeterministic(t *testing.T) {
+	base, _ := machines.ByName("Linux/i586")
+	target, err := FromPaper("Linux/i686")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{5, 25, 40, 60, 100, 150} {
+		digests := map[string]int{}
+		for run := 0; run < 4; run++ {
+			var events []core.Event
+			res, err := Calibrate(context.Background(), base, target, Options{
+				Budget: budget, Events: &captureSink{out: &events},
+			})
+			if err != nil {
+				t.Fatalf("budget %d: Calibrate: %v", budget, err)
+			}
+			digests[fitDigest(t, res, events)]++
+		}
+		if len(digests) != 1 {
+			t.Errorf("budget %d: 4 fits gave %d digests: %v", budget, len(digests), digests)
+		}
+	}
+}
+
 // TestCalibrateErrors covers the argument contract.
 func TestCalibrateErrors(t *testing.T) {
 	pristine, _ := machines.ByName("Linux/i686")

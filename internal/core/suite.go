@@ -368,8 +368,8 @@ func (s *Suite) attempt(ctx context.Context, m Machine, sink EventSink, exp Expe
 		r.Reset()
 	}
 	// Always derive a per-attempt context: backends that bind it may
-	// start a cancellation watchdog, and cancelling here guarantees the
-	// watchdog ends with the attempt.
+	// register a cancellation hook, and cancelling here guarantees the
+	// hook is released with the attempt.
 	var cancel context.CancelFunc
 	var runCtx context.Context
 	if s.Timeout > 0 {

@@ -1,14 +1,15 @@
 package host
 
-// Tests for the ContextBinder watchdog: binding a context must let
+// Tests for the context binding: binding a context must let
 // cancellation and deadlines wake I/O that is already blocked deep in
-// a pipe or socket read — the mechanism that makes per-experiment
+// a pipe, socket or ring read — the mechanism that makes per-experiment
 // timeouts enforceable against a wedged host benchmark — and clearing
 // the binding must restore normal operation.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -32,13 +33,13 @@ func expectWoken(t *testing.T, done <-chan error, what string) {
 			t.Errorf("%s returned %v, want ErrDeadlineExceeded", what, err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatalf("%s stayed blocked after the watchdog should have fired", what)
+		t.Fatalf("%s stayed blocked after the cancellation hook should have fired", what)
 	}
 }
 
 // TestBindContextWakesBlockedPipeRead: cancel while a reader is parked
-// in a pipe read with no writer — the watchdog's forced deadline must
-// wake it.
+// in a pipe read with no writer — the cancellation hook's forced
+// deadline must wake it.
 func TestBindContextWakesBlockedPipeRead(t *testing.T) {
 	m := newHost(t)
 	// Prime the latency pipes (and their echo goroutine).
@@ -63,7 +64,7 @@ func TestBindContextWakesBlockedPipeRead(t *testing.T) {
 
 // TestBindContextWakesBlockedSocketRead: same for a TCP socket — the
 // echo server only answers after receiving, so a bare read blocks
-// until the watchdog fires.
+// until the cancellation hook fires.
 func TestBindContextWakesBlockedSocketRead(t *testing.T) {
 	m := newHost(t)
 	if err := m.Net().TCPRoundTrip(); err != nil {
@@ -105,33 +106,102 @@ func TestBindContextDeadlineFires(t *testing.T) {
 	expectWoken(t, done, "deadlined pipe read")
 }
 
+// TestBindContextWakesBlockedRingRead: a read parked on a ring's
+// collect end, with no token in flight, must wake on cancel, and a ring
+// built once the binding is cleared passes normally.
+func TestBindContextWakesBlockedRingRead(t *testing.T) {
+	m := newHost(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.BindContext(ctx)
+	defer m.BindContext(context.Background())
+	r, err := m.OS().NewRing(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var b [1]byte
+	done := blockedRead(func() error {
+		_, err := r.(*hostRing).collect.Read(b[:])
+		return err
+	})
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	expectWoken(t, done, "ring read")
+
+	m.BindContext(context.Background())
+	fresh, err := m.OS().NewRing(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	within(t, "ring pass after clearing binding", fresh.Pass)
+}
+
+// within runs op and fails the test if op fails or is still blocked
+// after ten seconds.
+func within(t *testing.T, what string, op func() error) {
+	t.Helper()
+	select {
+	case err := <-blockedRead(op):
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s still blocked after 10s", what)
+	}
+}
+
 // TestBindContextClearRestores: after a cancelled binding is replaced
-// with context.Background(), the primitives work normally again — the
-// forced deadlines and the context check must not outlive the binding.
+// with context.Background(), every network primitive works normally
+// again — the forced deadlines and the context check must not outlive
+// the binding, and no server end may have been given them.
 func TestBindContextClearRestores(t *testing.T) {
 	m := newHost(t)
-	if err := m.Net().PipeRoundTrip(); err != nil {
-		t.Fatal(err)
+	net := m.Net()
+	ops := []struct {
+		name string
+		op   func() error
+	}{
+		{"pipe transfer", func() error { return net.PipeTransfer(256 << 10) }},
+		{"tcp transfer", func() error { return net.TCPTransfer(256 << 10) }},
+		{"pipe round trip", net.PipeRoundTrip},
+		{"tcp round trip", net.TCPRoundTrip},
+		{"udp round trip", net.UDPRoundTrip},
+		{"rpc/tcp round trip", net.RPCTCPRoundTrip},
+		{"rpc/udp round trip", net.RPCUDPRoundTrip},
+		{"tcp connect", net.TCPConnect},
+	}
+	// Every server is up before the cancellation fires.
+	for _, o := range ops {
+		within(t, o.name, o.op)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m.BindContext(ctx)
 	cancel()
+	// A parked client read wakes once the forced deadlines are set.
+	var b [1]byte
+	expectWoken(t, blockedRead(func() error {
+		_, err := m.net.latPipeBR.Read(b[:])
+		return err
+	}), "pipe read")
 	// With the cancelled context still bound, ops refuse promptly.
-	start := time.Now()
-	if err := m.Net().PipeRoundTrip(); err == nil {
-		t.Error("op succeeded under a cancelled binding")
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("cancelled op took %v to fail", d)
+	for _, o := range ops {
+		start := time.Now()
+		if err := o.op(); err == nil {
+			t.Errorf("%s succeeded under a cancelled binding", o.name)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("cancelled %s took %v to fail", o.name, d)
+		}
 	}
 
 	m.BindContext(context.Background())
 	for i := 0; i < 10; i++ {
-		if err := m.Net().PipeRoundTrip(); err != nil {
-			t.Fatalf("round trip %d after clearing binding: %v", i, err)
-		}
+		within(t, fmt.Sprintf("pipe round trip %d after clearing binding", i), net.PipeRoundTrip)
 	}
-	if err := m.Net().TCPRoundTrip(); err != nil {
-		t.Errorf("socket round trip after clearing binding: %v", err)
+	for _, o := range ops {
+		within(t, o.name+" after clearing binding", o.op)
 	}
 }

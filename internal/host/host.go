@@ -16,7 +16,11 @@ package host
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/timing"
@@ -38,6 +42,7 @@ func MaybeChild() {
 // Machine is the host backend.
 type Machine struct {
 	clock *timing.WallClock
+	bind  *binding
 
 	mem  *memOps
 	os   *osOps
@@ -52,14 +57,14 @@ var _ core.Machine = (*Machine)(nil)
 // device handles) are created lazily by the op groups; Close releases
 // them.
 func New() (*Machine, error) {
-	m := &Machine{clock: timing.NewWallClock()}
+	m := &Machine{clock: timing.NewWallClock(), bind: newBinding()}
 	m.mem = &memOps{}
-	osops, err := newOSOps()
+	osops, err := newOSOps(m.bind)
 	if err != nil {
 		return nil, fmt.Errorf("host: %w", err)
 	}
 	m.os = osops
-	m.net = newNetOps()
+	m.net = newNetOps(m.bind)
 	fsops, err := newFSOps()
 	if err != nil {
 		return nil, fmt.Errorf("host: %w", err)
@@ -92,9 +97,92 @@ func (m *Machine) Close() error {
 // under the context, and signal waits select on it. The suite
 // scheduler binds the per-experiment context before each attempt and
 // clears it (context.Background) afterwards.
-func (m *Machine) BindContext(ctx context.Context) {
-	m.net.bindContext(ctx)
-	m.os.bindContext(ctx)
+func (m *Machine) BindContext(ctx context.Context) { m.bind.set(ctx) }
+
+// clientEnd is an end the binding can wake: a pipe end, a connection
+// or an RPC client.
+type clientEnd interface {
+	io.Closer
+	SetDeadline(t time.Time) error
+}
+
+// binding ties the bound context to every client end the backend has
+// open. An end joins the moment it is opened and takes the bound
+// deadline then, never per operation; cancelling the bound context
+// sets an immediate deadline on every joined end, waking I/O already
+// blocked in it. Server-side ends (the drain and echo goroutines' pipe
+// ends, accepted connections, listeners) never join: a cancelled
+// attempt must not kill a server the next experiment reuses.
+type binding struct {
+	// ctx is read lock-free, so a measured primitive pays one context
+	// check per operation and nothing more.
+	ctx atomic.Pointer[context.Context]
+
+	mu sync.Mutex
+	// gen invalidates the cancellation hook of a superseded binding.
+	gen  uint64
+	dl   time.Time
+	ends map[clientEnd]struct{}
+}
+
+func newBinding() *binding {
+	b := &binding{ends: map[clientEnd]struct{}{}}
+	b.set(context.Background())
+	return b
+}
+
+// context returns the bound context.
+func (b *binding) context() context.Context { return *b.ctx.Load() }
+
+// set binds ctx: its deadline (none clears the previous one) goes onto
+// every joined end, and its cancellation forces an immediate deadline.
+func (b *binding) set(ctx context.Context) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ctx.Store(&ctx)
+	b.gen++
+	gen := b.gen
+	b.dl, _ = ctx.Deadline()
+	b.deadline(b.dl)
+	context.AfterFunc(ctx, func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		if b.gen == gen {
+			b.deadline(time.Now())
+		}
+	})
+}
+
+// deadline sets t on every joined end. Callers hold b.mu.
+func (b *binding) deadline(t time.Time) {
+	for d := range b.ends {
+		_ = d.SetDeadline(t)
+	}
+}
+
+// join adds client ends as they are opened, giving them the bound
+// deadline.
+func (b *binding) join(ends ...clientEnd) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, d := range ends {
+		b.ends[d] = struct{}{}
+		if !b.dl.IsZero() {
+			_ = d.SetDeadline(b.dl)
+		}
+	}
+}
+
+// leave removes ends that are about to close.
+func (b *binding) leave(ends ...clientEnd) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, d := range ends {
+		delete(b.ends, d)
+	}
 }
 
 var _ core.ContextBinder = (*Machine)(nil)

@@ -1,14 +1,12 @@
 package host
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/rpcx"
@@ -23,140 +21,50 @@ const (
 
 // netOps implements core.NetOps over loopback sockets and pipes. All
 // servers and connections are created lazily on first use and reused,
-// so measured loops see steady-state costs.
+// so measured loops see steady-state costs. Each client end joins the
+// binding when it is opened; server ends only go on the close list.
 type netOps struct {
-	mu sync.Mutex
+	mu   sync.Mutex
+	bind *binding
 
-	// Pipe bandwidth: writer end + a draining goroutine.
+	// Pipe bandwidth: the writer end; a goroutine drains the reader.
 	bwPipeW *os.File
-	bwPipeR *os.File
 
-	// Pipe latency: a pair of pipes with an echo thread.
-	latPipeAW, latPipeAR *os.File // us -> peer
-	latPipeBW, latPipeBR *os.File // peer -> us
+	// Pipe latency: a pair of pipes with an echo goroutine.
+	latPipeAW *os.File // us -> peer
+	latPipeBR *os.File // peer -> us
 
 	// TCP sink (bandwidth) and echo (latency) connections.
-	sinkLn  net.Listener
-	sinkC   net.Conn
-	echoLn  net.Listener
-	echoC   net.Conn
-	connLn  net.Listener // connect benchmark target
-	udpC    net.Conn     // UDP echo client side
-	udpSrv  net.PacketConn
-	rpcTCP  *rpcx.Client
-	rpcUDP  *rpcx.Client
-	rpcLnT  net.Listener
-	rpcLnU  net.PacketConn
-	buf     []byte
-	ackBuf  [1]byte
-	wordBuf [4]byte
+	sinkC    net.Conn
+	echoC    net.Conn
+	connAddr string   // connect benchmark target
+	udpC     net.Conn // UDP echo client side
+	rpcTCP   *rpcx.Client
+	rpcUDP   *rpcx.Client
+	buf      []byte
+	ackBuf   [1]byte
+	wordBuf  [4]byte
 
 	closers []io.Closer
-
-	// ctx is the context bound to the current experiment (nil means
-	// unbound); deadline mirrors its deadline and is applied to every
-	// live connection and pipe so blocked I/O wakes when the run is
-	// deadlined. bindGen invalidates the watchdog of a superseded
-	// binding.
-	ctx      context.Context
-	deadline time.Time
-	bindGen  uint64
-}
-
-// deadliner unifies net.Conn, *os.File and *rpcx.Client deadline
-// control.
-type deadliner interface {
-	SetDeadline(t time.Time) error
-}
-
-// liveDeadliners returns every deadline-capable object currently open.
-// Callers hold no.mu.
-func (no *netOps) liveDeadliners() []deadliner {
-	var out []deadliner
-	add := func(d deadliner) {
-		out = append(out, d)
-	}
-	for _, f := range []*os.File{no.bwPipeW, no.latPipeAW, no.latPipeBR} {
-		if f != nil {
-			add(f)
-		}
-	}
-	for _, c := range []net.Conn{no.sinkC, no.echoC, no.udpC} {
-		if c != nil {
-			add(c)
-		}
-	}
-	for _, c := range []*rpcx.Client{no.rpcTCP, no.rpcUDP} {
-		if c != nil {
-			add(c)
-		}
-	}
-	return out
-}
-
-// applyDeadlineLocked pushes t (zero clears) onto all live objects.
-func (no *netOps) applyDeadlineLocked(t time.Time) {
-	for _, d := range no.liveDeadliners() {
-		_ = d.SetDeadline(t)
-	}
-}
-
-// bindContext attaches ctx to all blocking network primitives: its
-// deadline is applied to every live connection and pipe, cancellation
-// wakes blocked I/O by forcing an immediate deadline, and subsequently
-// created connections inherit the deadline. Binding
-// context.Background() clears the previous binding.
-func (no *netOps) bindContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	no.mu.Lock()
-	no.ctx = ctx
-	no.bindGen++
-	gen := no.bindGen
-	dl, _ := ctx.Deadline() // zero time clears any previous deadline
-	no.deadline = dl
-	no.applyDeadlineLocked(dl)
-	no.mu.Unlock()
-	if ctx.Done() != nil {
-		go func() {
-			<-ctx.Done()
-			no.mu.Lock()
-			if no.bindGen == gen {
-				// Wake everything blocked under this binding.
-				no.applyDeadlineLocked(time.Now())
-			}
-			no.mu.Unlock()
-		}()
-	}
-}
-
-// ctxErrLocked reports the bound context's error, if any. Callers hold
-// no.mu; the check is one atomic load, cheap enough for measured ops.
-func (no *netOps) ctxErrLocked() error {
-	if no.ctx == nil {
-		return nil
-	}
-	return no.ctx.Err()
 }
 
 // prepare runs an ensure function under the lock, then checks the
-// bound context. Ensure functions apply the current deadline to what
-// they create, so the hot path adds only one atomic context check —
-// no per-operation deadline syscalls that would perturb measurements.
+// bound context. Ends take the bound deadline when they are opened, so
+// the hot path adds only one atomic context check — no per-operation
+// deadline syscalls that would perturb measurements.
 func (no *netOps) prepare(ensure func() error) error {
 	no.mu.Lock()
 	defer no.mu.Unlock()
 	if err := ensure(); err != nil {
 		return err
 	}
-	return no.ctxErrLocked()
+	return no.bind.context().Err()
 }
 
 var _ core.NetOps = (*netOps)(nil)
 
-func newNetOps() *netOps {
-	return &netOps{buf: make([]byte, 1<<20)}
+func newNetOps(b *binding) *netOps {
+	return &netOps{bind: b, buf: make([]byte, 1<<20)}
 }
 
 func (no *netOps) close() error {
@@ -171,6 +79,50 @@ func (no *netOps) close() error {
 
 func (no *netOps) track(c io.Closer) { no.closers = append(no.closers, c) }
 
+// open puts client ends on the close list and joins them to the
+// binding.
+func (no *netOps) open(ends ...clientEnd) {
+	for _, c := range ends {
+		no.track(c)
+		no.bind.join(c)
+	}
+}
+
+// listen starts a loopback TCP server that hands every accepted
+// connection to serve on its own goroutine and closes it when serve
+// returns. The listener goes on the close list.
+func (no *netOps) listen(serve func(net.Conn)) (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	no.track(ln)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = c.Close() }()
+				serve(c)
+			}()
+		}
+	}()
+	return ln.Addr().String(), nil
+}
+
+// dial opens a client connection to addr; like every client end, it
+// joins the binding.
+func (no *netOps) dial(network, addr string) (net.Conn, error) {
+	c, err := net.Dial(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	no.open(c)
+	return c, nil
+}
+
 // ensureBWPipe sets up the pipe + drain goroutine.
 func (no *netOps) ensureBWPipe() error {
 	if no.bwPipeW != nil {
@@ -180,12 +132,9 @@ func (no *netOps) ensureBWPipe() error {
 	if err != nil {
 		return err
 	}
-	no.bwPipeR, no.bwPipeW = r, w
 	no.track(r)
-	no.track(w)
-	if !no.deadline.IsZero() {
-		_ = w.SetDeadline(no.deadline)
-	}
+	no.open(w)
+	no.bwPipeW = w
 	go func() {
 		buf := make([]byte, 64<<10)
 		for {
@@ -233,16 +182,10 @@ func (no *netOps) ensureLatPipes() error {
 		_ = aw.Close()
 		return err
 	}
-	no.latPipeAR, no.latPipeAW = ar, aw
-	no.latPipeBR, no.latPipeBW = br, bw
 	no.track(ar)
-	no.track(aw)
-	no.track(br)
 	no.track(bw)
-	if !no.deadline.IsZero() {
-		_ = aw.SetDeadline(no.deadline)
-		_ = br.SetDeadline(no.deadline)
-	}
+	no.open(aw, br)
+	no.latPipeAW, no.latPipeBR = aw, br
 	go func() {
 		var b [1]byte
 		for {
@@ -276,46 +219,26 @@ func (no *netOps) ensureSink() error {
 	if no.sinkC != nil {
 		return nil
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	no.sinkLn = ln
-	no.track(ln)
-	go func() {
+	addr, err := no.listen(func(c net.Conn) {
+		var hdr [8]byte
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			if _, err := io.ReadFull(c, hdr[:]); err != nil {
 				return
 			}
-			go func(c net.Conn) {
-				defer func() { _ = c.Close() }()
-				var hdr [8]byte
-				for {
-					if _, err := io.ReadFull(c, hdr[:]); err != nil {
-						return
-					}
-					n := int64(binary.BigEndian.Uint64(hdr[:]))
-					if _, err := io.CopyN(io.Discard, c, n); err != nil {
-						return
-					}
-					if _, err := c.Write(hdr[:1]); err != nil {
-						return
-					}
-				}
-			}(conn)
+			n := int64(binary.BigEndian.Uint64(hdr[:]))
+			if _, err := io.CopyN(io.Discard, c, n); err != nil {
+				return
+			}
+			if _, err := c.Write(hdr[:1]); err != nil {
+				return
+			}
 		}
-	}()
-	c, err := net.Dial("tcp", ln.Addr().String())
+	})
 	if err != nil {
 		return err
 	}
-	no.sinkC = c
-	no.track(c)
-	if !no.deadline.IsZero() {
-		_ = c.SetDeadline(no.deadline)
-	}
-	return nil
+	no.sinkC, err = no.dial("tcp", addr)
+	return err
 }
 
 // TCPTransfer is Table 3's loopback TCP transfer.
@@ -348,33 +271,21 @@ func (no *netOps) ensureEcho() error {
 	if no.echoC != nil {
 		return nil
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	addr, err := no.listen(func(c net.Conn) {
+		var b [4]byte
+		for {
+			if _, err := io.ReadFull(c, b[:]); err != nil {
+				return
+			}
+			if _, err := c.Write(b[:]); err != nil {
+				return
+			}
+		}
+	})
 	if err != nil {
 		return err
 	}
-	no.echoLn = ln
-	no.track(ln)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer func() { _ = c.Close() }()
-				var b [4]byte
-				for {
-					if _, err := io.ReadFull(c, b[:]); err != nil {
-						return
-					}
-					if _, err := c.Write(b[:]); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	c, err := net.Dial("tcp", ln.Addr().String())
+	c, err := no.dial("tcp", addr)
 	if err != nil {
 		return err
 	}
@@ -382,10 +293,6 @@ func (no *netOps) ensureEcho() error {
 		_ = tc.SetNoDelay(true)
 	}
 	no.echoC = c
-	no.track(c)
-	if !no.deadline.IsZero() {
-		_ = c.SetDeadline(no.deadline)
-	}
 	return nil
 }
 
@@ -409,7 +316,6 @@ func (no *netOps) ensureUDP() error {
 	if err != nil {
 		return err
 	}
-	no.udpSrv = srv
 	no.track(srv)
 	go func() {
 		buf := make([]byte, 64)
@@ -423,16 +329,8 @@ func (no *netOps) ensureUDP() error {
 			}
 		}
 	}()
-	c, err := net.Dial("udp", srv.LocalAddr().String())
-	if err != nil {
-		return err
-	}
-	no.udpC = c
-	no.track(c)
-	if !no.deadline.IsZero() {
-		_ = c.SetDeadline(no.deadline)
-	}
-	return nil
+	no.udpC, err = no.dial("udp", srv.LocalAddr().String())
+	return err
 }
 
 // UDPRoundTrip is Table 13: exchange a word over loopback UDP.
@@ -464,7 +362,6 @@ func (no *netOps) ensureRPC() error {
 		_ = lt.Close()
 		return err
 	}
-	no.rpcLnT, no.rpcLnU = lt, lu
 	no.track(lt)
 	no.track(lu)
 	go func() { _ = srv.ServeTCP(lt) }()
@@ -478,13 +375,8 @@ func (no *netOps) ensureRPC() error {
 		_ = ct.Close()
 		return err
 	}
+	no.open(ct, cu)
 	no.rpcTCP, no.rpcUDP = ct, cu
-	no.track(ct)
-	no.track(cu)
-	if !no.deadline.IsZero() {
-		_ = ct.SetDeadline(no.deadline)
-		_ = cu.SetDeadline(no.deadline)
-	}
 	return nil
 }
 
@@ -508,25 +400,12 @@ func (no *netOps) RPCUDPRoundTrip() error {
 }
 
 func (no *netOps) ensureConnectTarget() error {
-	if no.connLn != nil {
+	if no.connAddr != "" {
 		return nil
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	no.connLn = ln
-	no.track(ln)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			_ = c.Close()
-		}
-	}()
-	return nil
+	addr, err := no.listen(func(net.Conn) {})
+	no.connAddr = addr
+	return err
 }
 
 // TCPConnect is Table 15: connect and close ("The socket is closed
@@ -535,14 +414,8 @@ func (no *netOps) TCPConnect() error {
 	if err := no.prepare(no.ensureConnectTarget); err != nil {
 		return err
 	}
-	no.mu.Lock()
-	ctx := no.ctx
-	no.mu.Unlock()
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var d net.Dialer
-	c, err := d.DialContext(ctx, "tcp", no.connLn.Addr().String())
+	c, err := d.DialContext(no.bind.context(), "tcp", no.connAddr)
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package host
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -9,52 +8,25 @@ import (
 	"runtime"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
 )
 
 type osOps struct {
 	devnull *os.File
+	bind    *binding
 
-	sigOnce sync.Once
-	sigCh   chan os.Signal
+	sigCh chan os.Signal
 
 	selfExe string
 
 	// peer is the pinned cache-to-cache thread (ext.go).
 	peer *smpPeer
-
-	// ctxMu guards ctx, the context bound to the current experiment.
-	ctxMu sync.Mutex
-	ctx   context.Context
-}
-
-// bindContext attaches ctx to the blocking OS primitives: child
-// processes are spawned under it (CommandContext kills them on
-// cancellation), signal waits select on it, and new rings inherit it.
-func (o *osOps) bindContext(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o.ctxMu.Lock()
-	o.ctx = ctx
-	o.ctxMu.Unlock()
-}
-
-// runCtx returns the currently bound context.
-func (o *osOps) runCtx() context.Context {
-	o.ctxMu.Lock()
-	defer o.ctxMu.Unlock()
-	if o.ctx == nil {
-		return context.Background()
-	}
-	return o.ctx
 }
 
 var _ core.OSOps = (*osOps)(nil)
 
-func newOSOps() (*osOps, error) {
+func newOSOps(b *binding) (*osOps, error) {
 	f, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		return nil, err
@@ -64,7 +36,7 @@ func newOSOps() (*osOps, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	return &osOps{devnull: f, selfExe: exe}, nil
+	return &osOps{devnull: f, bind: b, selfExe: exe}, nil
 }
 
 func (o *osOps) close() error {
@@ -102,7 +74,7 @@ func (o *osOps) SignalCatch() error {
 	}
 	// The common case is immediate delivery; selecting on the bound
 	// context keeps a lost signal from hanging a cancelled run.
-	ctx := o.runCtx()
+	ctx := o.bind.context()
 	if ctx.Done() == nil {
 		<-o.sigCh
 		return nil
@@ -119,7 +91,7 @@ func (o *osOps) SignalCatch() error {
 // (the closest a Go program gets to fork-and-exit; the child's
 // MaybeChild call makes it quit before doing anything).
 func (o *osOps) ForkExit() error {
-	cmd := exec.CommandContext(o.runCtx(), o.selfExe)
+	cmd := exec.CommandContext(o.bind.context(), o.selfExe)
 	cmd.Env = append(os.Environ(), ChildEnv+"=1")
 	return cmd.Run()
 }
@@ -127,13 +99,13 @@ func (o *osOps) ForkExit() error {
 // ForkExecExit spawns a tiny different program, the paper's
 // "hello world" rung.
 func (o *osOps) ForkExecExit() error {
-	return exec.CommandContext(o.runCtx(), "/bin/true").Run()
+	return exec.CommandContext(o.bind.context(), "/bin/true").Run()
 }
 
 // ForkShExit runs the tiny program via the shell, the paper's
 // "fork, exec sh -c" rung.
 func (o *osOps) ForkShExit() error {
-	return exec.CommandContext(o.runCtx(), "/bin/sh", "-c", "true").Run()
+	return exec.CommandContext(o.bind.context(), "/bin/sh", "-c", "true").Run()
 }
 
 // hostRing is the context-switch ring: the calling goroutine is
@@ -151,12 +123,8 @@ type hostRing struct {
 	files []*os.File
 	foot  []uint64 // coordinator's footprint
 	done  sync.WaitGroup
-
-	// ctx is the context bound when the ring was built; stop ends its
-	// cancellation watchdog when the ring closes first.
-	ctx      context.Context
-	stop     chan struct{}
-	stopOnce sync.Once
+	// bind holds inject and collect from NewRing until Close.
+	bind *binding
 }
 
 func (o *osOps) NewRing(nprocs int, footprint int64) (core.Ring, error) {
@@ -166,7 +134,7 @@ func (o *osOps) NewRing(nprocs int, footprint int64) (core.Ring, error) {
 	if footprint < 0 {
 		return nil, fmt.Errorf("host: negative footprint")
 	}
-	r := &hostRing{procs: nprocs, ctx: o.runCtx(), stop: make(chan struct{})}
+	r := &hostRing{procs: nprocs, bind: o.bind}
 	words := footprint / 8
 	if words > 0 {
 		r.foot = make([]uint64, words)
@@ -219,27 +187,13 @@ func (o *osOps) NewRing(nprocs int, footprint int64) (core.Ring, error) {
 			}
 		}()
 	}
-	if dl, ok := r.ctx.Deadline(); ok {
-		_ = r.inject.SetDeadline(dl)
-		_ = r.collect.SetDeadline(dl)
-	}
-	if r.ctx.Done() != nil {
-		// Wake a blocked Pass when the experiment is cancelled.
-		go func() {
-			select {
-			case <-r.ctx.Done():
-				_ = r.inject.SetDeadline(time.Now())
-				_ = r.collect.SetDeadline(time.Now())
-			case <-r.stop:
-			}
-		}()
-	}
+	r.bind.join(r.inject, r.collect)
 	return r, nil
 }
 
 // Pass circulates the token once around the ring.
 func (r *hostRing) Pass() error {
-	if err := r.ctx.Err(); err != nil {
+	if err := r.bind.context().Err(); err != nil {
 		return err
 	}
 	var buf [1]byte
@@ -261,7 +215,7 @@ func (r *hostRing) Procs() int { return r.procs }
 
 // Close tears the ring down; workers exit on pipe EOF.
 func (r *hostRing) Close() error {
-	r.stopOnce.Do(func() { close(r.stop) })
+	r.bind.leave(r.inject, r.collect)
 	for _, f := range r.files {
 		_ = f.Close()
 	}

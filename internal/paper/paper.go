@@ -285,66 +285,47 @@ func renderRemoteLatencyTable(w io.Writer, db *results.DB) error {
 // Figure1Plot builds the memory-latency plot for one machine from its
 // lat_mem_rd series, one dataset per stride.
 func Figure1Plot(db *results.DB, machine string) (*report.Plot, error) {
-	e, ok := db.Get("lat_mem_rd", machine)
-	if !ok || !e.IsSeries() {
-		return nil, fmt.Errorf("paper: no lat_mem_rd series for %q", machine)
-	}
-	byStride := map[float64][]results.Point{}
-	for _, p := range e.Series {
-		byStride[p.X2] = append(byStride[p.X2], p)
-	}
-	strides := make([]float64, 0, len(byStride))
-	for s := range byStride {
-		strides = append(strides, s)
-	}
-	sort.Float64s(strides)
-	plot := &report.Plot{
+	return seriesPlot(db, "lat_mem_rd", machine, report.Plot{
 		Title:  fmt.Sprintf("Figure 1. %s memory latencies", machine),
 		XLabel: "log2(Array size)",
 		YLabel: "latency (ns)",
 		Log2X:  true,
-	}
-	for _, s := range strides {
-		pts := byStride[s]
-		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-		plot.Sets = append(plot.Sets, report.DataSet{
-			Label:  fmt.Sprintf("stride=%g", s),
-			Points: pts,
-		})
-	}
-	return plot, nil
+	}, func(stride float64) string { return fmt.Sprintf("stride=%g", stride) })
 }
 
 // Figure2Plot builds the context-switch plot for one machine from its
 // lat_ctx series, one dataset per footprint size.
 func Figure2Plot(db *results.DB, machine string) (*report.Plot, error) {
-	e, ok := db.Get("lat_ctx", machine)
-	if !ok || !e.IsSeries() {
-		return nil, fmt.Errorf("paper: no lat_ctx series for %q", machine)
-	}
-	bySize := map[float64][]results.Point{}
-	for _, p := range e.Series {
-		bySize[p.X2] = append(bySize[p.X2], p)
-	}
-	sizes := make([]float64, 0, len(bySize))
-	for s := range bySize {
-		sizes = append(sizes, s)
-	}
-	sort.Float64s(sizes)
-	plot := &report.Plot{
+	return seriesPlot(db, "lat_ctx", machine, report.Plot{
 		Title:  fmt.Sprintf("Figure 2. Context switch times, %s", machine),
 		XLabel: "processes",
 		YLabel: "context switch (us)",
+	}, func(size float64) string { return fmt.Sprintf("size=%gKB", size/1024) })
+}
+
+// seriesPlot fills plot from machine's bench series: one dataset per
+// X2 value in ascending order, labelled by label, its points sorted by
+// X.
+func seriesPlot(db *results.DB, bench, machine string, plot report.Plot, label func(x2 float64) string) (*report.Plot, error) {
+	e, ok := db.Get(bench, machine)
+	if !ok || !e.IsSeries() {
+		return nil, fmt.Errorf("paper: no %s series for %q", bench, machine)
 	}
-	for _, s := range sizes {
-		pts := bySize[s]
+	byX2 := map[float64][]results.Point{}
+	for _, p := range e.Series {
+		byX2[p.X2] = append(byX2[p.X2], p)
+	}
+	keys := make([]float64, 0, len(byX2))
+	for k := range byX2 {
+		keys = append(keys, k)
+	}
+	sort.Float64s(keys)
+	for _, k := range keys {
+		pts := byX2[k]
 		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-		plot.Sets = append(plot.Sets, report.DataSet{
-			Label:  fmt.Sprintf("size=%gKB", s/1024),
-			Points: pts,
-		})
+		plot.Sets = append(plot.Sets, report.DataSet{Label: label(k), Points: pts})
 	}
-	return plot, nil
+	return &plot, nil
 }
 
 // TableIDs lists every renderable table in paper order, extensions
