@@ -74,6 +74,21 @@ func BenchmarkChaseDRAM(b *testing.B) {
 	ch.Walk(int64(b.N))
 }
 
+// BenchmarkChaseSameLine walks the BenchmarkChaseDRAM list at stride 8
+// over 32-byte lines, as Figure 1's small strides do: each line's first
+// load misses every level and the three after it are charged as one
+// run of first-level hits. Pass skipping is off; the cost is per load.
+func BenchmarkChaseSameLine(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	h.noMemo = true
+	base := h.Alloc(4 << 20)
+	ch := h.NewChase(base, 4<<20, 8)
+	ch.Walk(ch.Length()) // warm: chase state past the caches
+	b.ReportAllocs()
+	b.ResetTimer()
+	ch.Walk(int64(b.N))
+}
+
 // BenchmarkStreamReadResident streams over an L2-resident region: the
 // page-hoisted TLB probe plus the L1/L2 hit paths. Pass skipping is
 // off, so every pass is simulated.
