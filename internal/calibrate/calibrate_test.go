@@ -173,6 +173,37 @@ func TestCalibrateEmitsEvents(t *testing.T) {
 	}
 }
 
+// TestCalibrateVerifiesOnce: a fit whose verification re-fits nothing
+// leaves the profile as the first verification measured it, so the
+// final restatement reuses those runs. Fitting a doubled syscall cost
+// back to its own table7 run takes the identity probe and one
+// verification run.
+func TestCalibrateVerifiesOnce(t *testing.T) {
+	pristine, _ := machines.ByName("Linux/i586")
+	target, err := FromDB(measureGroups(t, pristine, "table7"), pristine.Name)
+	if err != nil {
+		t.Fatalf("FromDB: %v", err)
+	}
+	pert := clone(pristine)
+	pert.SyscallUS *= 2
+	res, err := Calibrate(context.Background(), pert, target, Options{
+		Params: []string{"syscall_us"},
+		Run:    ptrOpts(fastOpts()),
+	})
+	if err != nil {
+		t.Fatalf("Calibrate: %v", err)
+	}
+	if !res.Converged {
+		t.Fatalf("not converged: %+v", res.Params)
+	}
+	if res.Evals != 2 {
+		t.Errorf("Evals = %d, want 2: the identity probe and one verification run", res.Evals)
+	}
+	if _, ok := res.DB.Scalar("lat_syscall", pristine.Name); !ok {
+		t.Error("the verification database has no lat_syscall")
+	}
+}
+
 // TestCalibrateBudgetCountsAdmittedEvals: a budget far below what the
 // fit needs is spent exactly. Evaluations the budget refuses count
 // nowhere, so Result.Evals equals Budget and the per-parameter counts

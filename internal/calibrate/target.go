@@ -2,8 +2,8 @@
 // primitive measurements: the paper's numbers (internal/paperdata), a
 // stored run from the results store, or measurements of a real machine
 // taken with the host backend. It turns the simulator from a catalog
-// you transcribe into a model you fit — ROADMAP item 3, grounded in
-// Esposito et al.'s processor-catalog evaluation.
+// you transcribe into a model you fit, the use Esposito et al.'s
+// processor-catalog evaluation makes of published numbers.
 //
 // The fitter is coordinate descent over the profile's observable
 // fields. Monotone continuous parameters (syscall/FS costs, cache and
@@ -12,11 +12,15 @@
 // (Build's DRAM inversion bisects prices of streams it simulates once
 // per cache geometry, so a candidate that moves only a bandwidth or
 // the DRAM latency simulates no stream); discrete geometry
-// (cache sizes, line size) walks a log grid. Every candidate
-// evaluation is a normal suite run — adaptive sweeps, the quality
-// gate, the unit cache keyed by the candidate's own fingerprint — so
-// the inner loop reuses every layer below it and warm re-evaluations
-// of an unchanged candidate are nearly free.
+// (cache sizes, line size) walks a log grid, nearest to the target
+// first. Every candidate evaluation is a normal suite run — adaptive
+// sweeps, the quality gate, and with Options.CacheDir the unit cache
+// keyed by the candidate's own fingerprint, which makes a re-visited
+// candidate a warm run. Within one fit no profile is measured twice
+// where its first run can serve: the current geometry's Table-6 run is
+// carried from one geometry fit to the next, and the final
+// verification reuses the first one's runs unless a re-fit changed the
+// profile.
 package calibrate
 
 import (
