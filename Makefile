@@ -15,7 +15,7 @@ LMBENCH_CHAOS_SEED ?= 1
 # and 0). The repository's end-to-end benchmark is perfbench/ (see
 # BENCHMARK.json).
 BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch|Figure1SweepPlanning|EvaluationUnitCache
-BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|ChaseSameLine|StreamReadResident|StreamKernel|ChaseSteadyState|StreamCopySteadyState
+BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|ChaseSameLine|StreamReadResident|StreamKernel|ChaseSteadyState|StreamCopySteadyState|StreamCopyWord|StreamCopyDRAM
 BENCH_BUILD   ?= InvertDRAM
 BENCH_COUNT   ?= 5
 

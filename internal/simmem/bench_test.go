@@ -162,3 +162,38 @@ func BenchmarkStreamCopySteadyState(b *testing.B) {
 		h.StreamCopy(src, dst, bytes)
 	}
 }
+
+// BenchmarkStreamCopyWord copies one 8-byte word into a kernel buffer
+// and back, the StreamCopy pair of a pipe hop (Table 11) or of a
+// context-switch ring hop: a pass far below the memo's gate, so each
+// call is simulated. It pins the pair at zero allocations.
+func BenchmarkStreamCopyWord(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	user, kbuf := h.Alloc(4096), h.Alloc(4096)
+	h.StreamCopy(user, kbuf, 8) // warm
+	h.StreamCopy(kbuf, user, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.StreamCopy(user, kbuf, 8)
+		h.StreamCopy(kbuf, user, 8)
+	}
+}
+
+// BenchmarkStreamCopyDRAM copies 1 MB, four times the L2, so that every
+// chunk fills its source from DRAM and retires a dirty destination
+// line: the copy loop behind Table 2's bcopy rows. Pass skipping is
+// off, so every pass is simulated.
+func BenchmarkStreamCopyDRAM(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	h.noMemo = true
+	const bytes = 1 << 20
+	src, dst := h.Alloc(bytes), h.Alloc(bytes)
+	h.StreamCopy(src, dst, bytes) // warm
+	b.ReportAllocs()
+	b.SetBytes(bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.StreamCopy(src, dst, bytes)
+	}
+}
