@@ -425,7 +425,14 @@ func testMemoTwins(t *testing.T, g hierGeom, nwa bool, seed int64) {
 	// pass to settle — so each kind is skipped at least once; random
 	// calls, new or reissued, each repeated up to four times, follow.
 	// Each is followed by a neighbour differing in one key argument,
-	// which must not be charged from the memo.
+	// which must not be charged from the memo. Every stream call is one
+	// pass kind, so the last four neighbours differ only in what the key
+	// holds besides addresses: a write after a read of one range (the
+	// store flag and issue time), a one-source kernel after a copy over
+	// the same addresses (the issue time, and the bypass flag on
+	// hardware-copy profiles), and source-less kernels issuing a read's
+	// ops after that read (the store flag alone) and a write's ops after
+	// that write (the bypass flag alone, without write-allocate).
 	a, b, c := regions[0], regions[1], regions[2]
 	tour := []struct{ fixed, neighbour memoCall }{
 		{memoCall{"read", func(tw *memoTwin) { tw.h.StreamRead(a, 2*unit) }},
@@ -438,6 +445,14 @@ func testMemoTwins(t *testing.T, g hierGeom, nwa bool, seed int64) {
 			memoCall{"kernel", func(tw *memoTwin) { tw.h.StreamKernel(a, []uint64{b, c}, 2*unit, 2) }}},
 		{memoCall{"readloop", func(tw *memoTwin) { tw.h.ReadLoop(a, c, 2*unit, unit/2, 2000) }},
 			memoCall{"readloop", func(tw *memoTwin) { tw.h.ReadLoop(a, c, 2*unit, unit/2, 3000) }}},
+		{memoCall{"read", func(tw *memoTwin) { tw.h.StreamRead(c, 2*unit) }},
+			memoCall{"write", func(tw *memoTwin) { tw.h.StreamWrite(c, 2*unit) }}},
+		{memoCall{"copy", func(tw *memoTwin) { tw.h.StreamCopy(a, b, 2*unit) }},
+			memoCall{"kernel", func(tw *memoTwin) { tw.h.StreamKernel(b, []uint64{a}, 2*unit, 3) }}},
+		{memoCall{"read", func(tw *memoTwin) { tw.h.StreamRead(c, 2*unit) }},
+			memoCall{"kernel", func(tw *memoTwin) { tw.h.StreamKernel(c, nil, 2*unit, h.cfg.ReadOpsPerWord) }}},
+		{memoCall{"write", func(tw *memoTwin) { tw.h.StreamWrite(c, 2*unit) }},
+			memoCall{"kernel", func(tw *memoTwin) { tw.h.StreamKernel(c, nil, 2*unit, h.cfg.WriteOpsPerWord) }}},
 	}
 	var prog []memoCall
 	for _, tc := range tour {

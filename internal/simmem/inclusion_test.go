@@ -66,6 +66,45 @@ func TestQuickInclusionInvariant(t *testing.T) {
 	}
 }
 
+// TestCacheFillsRetireNoWriteback checks the inclusion argument that
+// lets loads and streams charge the fill's writeback time wherever the
+// line came from: a victim of level i is still held by level i+1, which
+// absorbs its writeback, so only a fill from memory retires a dirty
+// line. On every compiled profile's geometry, random mixed loads and
+// stores over 16 MB, half of them into a hot 64 KB set, must never
+// retire one on a reference served by a cache level, while memory fills
+// must retire some.
+func TestCacheFillsRetireNoWriteback(t *testing.T) {
+	const span, hot = 16 << 20, 64 << 10
+	for i, g := range profileGeoms {
+		t.Run(g.name, func(t *testing.T) {
+			t.Parallel()
+			h := newMemoTwin(t, g, false, true).h
+			base := h.Alloc(span)
+			rng := rand.New(rand.NewSource(int64(i)))
+			var retired int
+			for n := 0; n < 200_000; n++ {
+				a := base + uint64(rng.Int63n(span))
+				if rng.Intn(2) == 0 {
+					a = base + uint64(rng.Int63n(hot))
+				}
+				write := rng.Intn(3) == 0
+				lvl := h.level(a, write)
+				wb := h.fetch(a, lvl, write)
+				if lvl < len(h.caches) && wb != 0 {
+					t.Fatalf("reference %d to %#x served by %s retired %v of writebacks", n, a, h.caches[lvl].cfg.Name, wb)
+				}
+				if wb > 0 {
+					retired++
+				}
+			}
+			if retired == 0 {
+				t.Error("no fill from memory retired a dirty line")
+			}
+		})
+	}
+}
+
 // refSetAssoc is an independent reference model of a set-associative
 // LRU cache, used to cross-check hits/misses of the production cache
 // on random traces.
