@@ -20,14 +20,14 @@ var extGolden = []struct {
 	machine, adaptive, exhaustive string
 }{
 	{"Linux/i686",
-		"f9058109cc0bb0d1c47dffd00dd36305b4ad772621db2958e77f20c57ba9a770",
-		"faff3056ab9ef9a5c53aa7dfd26eb7d516879e806351781df6c39ae3dbd6d983"},
+		"fdbcf530072c166d4fe40cd2a42d73f398b23adf238e14772de6e7d2b4e3ad26",
+		"3bf8dd067cf171c0730d76c8e4790bf3c616cecb0e5453cebfe10b2cd78ffc67"},
 	{"SGI Challenge",
 		"cc69da274c79daed23eb3ae3c20f06287be78c43d39ec2b8d06766a6f9a8c0bd",
 		"aa1714d0cf08ac3c1d70d2b09a74482a809f2eae76b8a89372341eaa0a3452e3"},
 	{"HP K210",
-		"6f0b641e942c1305f7e0921fed44983e4e5968510650789730f0911e4311e7ac",
-		"36fd09eb9296168ccf55dc19e99babf157d7cac8e31f7d334b2465705bdd57f9"},
+		"74d30baac31ae538903caa5d525340da26df439fff0549b8b0945e4336c4ed75",
+		"1fe83f9e6825d8b3006b02caa06b2b89a88789e924883f7f9dddfae09234a8ea"},
 }
 
 func TestExtensionDatabasesByteIdentical(t *testing.T) {

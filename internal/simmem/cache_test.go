@@ -102,6 +102,34 @@ func TestStoreDirtyEvictionReachesMemory(t *testing.T) {
 	}
 }
 
+// TestStoreMissPaysVictimWriteback: a store that misses and retires a
+// dirty victim pays the writeback, as a load does. Over 1 MB, far past
+// the 8 KB first level, every WalkWrite store of a second lap misses to
+// memory and retires a line the first lap dirtied: one cycle, the 300 ns
+// memory latency and the 100 ns writeback, 410 ns.
+func TestStoreMissPaysVictimWriteback(t *testing.T) {
+	clk := &sim.Clock{}
+	h, err := New(sim.NewCPU(clk, sim.CPUConfig{MHz: 100}), Config{
+		Caches: []CacheConfig{{Name: "L1", Size: 8 << 10, LineSize: 32, Assoc: 2, LatencyNS: 5}},
+		DRAM:   DRAMConfig{LatencyNS: 300, WritebackNS: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := h.NewChase(h.Alloc(1<<20), 1<<20, 64)
+	lap := ch.Length()
+	ch.WalkWrite(lap)
+	start, before := clk.Now(), h.Stats()
+	ch.WalkWrite(lap)
+	after := h.Stats()
+	if got := after.Writebacks - before.Writebacks; got != lap {
+		t.Errorf("a lap of %d stores retired %d dirty lines", lap, got)
+	}
+	if per, want := (clk.Now() - start).DivN(lap), ptime.FromNS(410); per != want {
+		t.Errorf("a store that retires a dirty victim costs %v, want %v", per, want)
+	}
+}
+
 func TestFlushAll(t *testing.T) {
 	h, clk := testHierarchy(t, nil)
 	addr := h.Alloc(64)
