@@ -120,7 +120,7 @@ func TestDigestCoversCanonicalState(t *testing.T) {
 			c.moveToFront(c.tailW)
 		}, true},
 		{"TLB entry", func(t *testing.T, h *Hierarchy) {
-			c := h.tlb.c
+			c := h.tlb
 			l := &c.lines[c.headW]
 			delete(c.idx, l.tag)
 			l.tag += 1 << 30
@@ -143,7 +143,7 @@ func TestDigestCoversCanonicalState(t *testing.T) {
 		{"fully-associative ways renumbered", func(t *testing.T, h *Hierarchy) {
 			// Move the TLB's LRU entry into a free way: same list
 			// position, different way number, different free order.
-			c := h.tlb.c
+			c := h.tlb
 			if len(c.freeW) == 0 || c.headW == c.tailW {
 				t.Fatal("TLB needs a free way and two entries")
 			}
