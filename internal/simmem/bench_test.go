@@ -197,3 +197,39 @@ func BenchmarkStreamCopyDRAM(b *testing.B) {
 		h.StreamCopy(src, dst, bytes)
 	}
 }
+
+// BenchmarkChaseConverge times how a Figure-1 point past the caches
+// starts: a flush, the cold lap of a 4 MB stride-32 chase on the
+// Linux/i686 geometry, and the check lap, the repeat simulated to prove
+// that the laps have reached their fixed point.
+func BenchmarkChaseConverge(b *testing.B) {
+	h := benchHierarchy(b, func(cfg *Config) {
+		cfg.Caches, cfg.TLB = profileGeoms[0].caches, profileGeoms[0].tlb
+	})
+	base := h.Alloc(4 << 20)
+	ch := h.NewChase(base, 4<<20, 32)
+	lap := ch.Length()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.FlushAll()
+		ch.Walk(lap)
+		ch.Walk(lap)
+	}
+}
+
+// BenchmarkStreamCopyConverge times a 4 MB copy called twice after a
+// flush: the cold call, and the repeat simulated to prove that the
+// calls have reached their fixed point.
+func BenchmarkStreamCopyConverge(b *testing.B) {
+	h := benchHierarchy(b, nil)
+	const bytes = 4 << 20
+	src, dst := h.Alloc(bytes), h.Alloc(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.FlushAll()
+		h.StreamCopy(src, dst, bytes)
+		h.StreamCopy(src, dst, bytes)
+	}
+}
