@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machines"
 	"repro/internal/results"
 )
 
@@ -212,6 +214,72 @@ func TestAutoSizeRejectsTinyChaseSize(t *testing.T) {
 	_, err := core.AutoSize(context.Background(), simMachine(t, "Linux/i686"), opts)
 	if err == nil || !strings.Contains(err.Error(), "MaxChaseSize") {
 		t.Errorf("err = %v, want one naming MaxChaseSize", err)
+	}
+}
+
+// autoSizePinned is AutoSize's MemSize/FileSize/MaxChaseSize in KB for
+// every catalog machine under two bases: FastOptions (2M regions, a
+// probe up to 16M) and 8M regions with a 1M MaxChaseSize (a probe up
+// to 8M).
+const autoSizePinned = `
+DEC Alpha@150            2048/2048/4096 8192/8192/4096
+DEC Alpha@300            16384/16384/32768 16384/16384/32768
+DEC Alpha@300/4          16384/16384/32768 16384/16384/32768
+FreeBSD/i586             2048/2048/2048 8192/8192/2048
+HP 9000/735              2048/2048/2048 8192/8192/2048
+HP K210                  2048/2048/2048 8192/8192/2048
+HP K210/2                2048/2048/2048 8192/8192/2048
+IBM Power2               2048/2048/2048 8192/8192/2048
+IBM PowerPC              2048/2048/4096 8192/8192/4096
+Linux/Alpha              2048/2048/2048 8192/8192/2048
+Linux/i486               2048/2048/2048 8192/8192/2048
+Linux/i586               2048/2048/2048 8192/8192/2048
+Linux/i686               2048/2048/2048 8192/8192/2048
+Modern/desktop-3GHz      32768/32768/65536 8192/8192/2048
+Modern/laptop-2GHz       2048/2048/4096 8192/8192/4096
+Modern/server-128B       8192/8192/16384 8192/8192/16384
+NetBSD/i586              2048/2048/2048 8192/8192/2048
+SGI Challenge            16384/16384/32768 16384/16384/32768
+SGI Challenge/4          16384/16384/32768 16384/16384/32768
+SGI Indigo2              4096/4096/8192 8192/8192/8192
+Solaris/i686             2048/2048/2048 8192/8192/2048
+Sun SC1000               4096/4096/8192 8192/8192/8192
+Sun SC1000/8             4096/4096/8192 8192/8192/8192
+Sun Ultra1               2048/2048/4096 8192/8192/4096
+SunOS/SS20               4096/4096/8192 8192/8192/8192
+Unixware/i686            2048/2048/2048 8192/8192/2048
+`
+
+// TestAutoSizePinned pins the options AutoSize returns on every
+// catalog machine, so a change to its probe that moves a threshold
+// shows here. `make golden-serial` runs it at GOMAXPROCS=1, the chase
+// sweep's serial path.
+func TestAutoSizePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("probes every catalog machine; skipped with -short")
+	}
+	wide := core.Options{MemSize: 8 << 20, FileSize: 8 << 20, MaxChaseSize: 1 << 20}
+	cat := machines.Default()
+	var got strings.Builder
+	got.WriteString("\n")
+	for _, name := range cat.Names() {
+		p, _ := cat.ByName(name)
+		fmt.Fprintf(&got, "%-24s", name)
+		for _, base := range []core.Options{core.FastOptions(), wide} {
+			m, err := machines.Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := core.AutoSize(context.Background(), m, base)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fmt.Fprintf(&got, " %d/%d/%d", o.MemSize>>10, o.FileSize>>10, o.MaxChaseSize>>10)
+		}
+		got.WriteString("\n")
+	}
+	if got.String() != autoSizePinned {
+		t.Errorf("AutoSize options (KB, MemSize/FileSize/MaxChaseSize; FastOptions, then 8M with MaxChaseSize 1M):%s\nwant:%s", got.String(), autoSizePinned)
 	}
 }
 
