@@ -5,17 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/results"
-	"repro/internal/timing"
 )
-
-func entry(m Machine, bench, unit string, v float64, attrs map[string]string) results.Entry {
-	return results.Entry{Benchmark: bench, Machine: m.Name(), Unit: unit, Scalar: v, Attrs: attrs}
-}
-
-// bwOf converts a per-op measurement over `bytes` into MB/s.
-func bwOf(meas timing.Measurement, bytes int64) float64 {
-	return timing.MBPerSec(bytes, meas.PerOp)
-}
 
 // BWMem is §5.1 / Table 2: memory copy (libc and unrolled), read and
 // write bandwidth over large regions ("In order to test memory
@@ -37,25 +27,12 @@ func BWMem(ctx context.Context, m Machine, opts Options) ([]results.Entry, error
 		return nil, err
 	}
 	attrs := map[string]string{"size": fmt.Sprint(size)}
-
-	var out []results.Entry
-	cases := []struct {
-		name string
-		op   func() error
-	}{
-		{"bw_mem.bcopy_libc", func() error { return mem.Copy(dst, src, size) }},
-		{"bw_mem.bcopy_unrolled", func() error { return mem.CopyUnrolled(dst, src, size) }},
-		{"bw_mem.read", func() error { return mem.ReadSum(src, size) }},
-		{"bw_mem.write", func() error { return mem.Write(dst, size) }},
-	}
-	for _, c := range cases {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(c.op))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		out = append(out, entry(m, c.name, "MB/s", bwOf(meas, size), attrs))
-	}
-	return out, nil
+	return measure(ctx, m, opts,
+		row{"bw_mem.bcopy_libc", "MB/s", size, attrs, func() error { return mem.Copy(dst, src, size) }},
+		row{"bw_mem.bcopy_unrolled", "MB/s", size, attrs, func() error { return mem.CopyUnrolled(dst, src, size) }},
+		row{"bw_mem.read", "MB/s", size, attrs, func() error { return mem.ReadSum(src, size) }},
+		row{"bw_mem.write", "MB/s", size, attrs, func() error { return mem.Write(dst, size) }},
+	)
 }
 
 // BWIPC is §5.2 / Table 3: pipe and loopback-TCP bandwidth. "Pipe
@@ -68,24 +45,11 @@ func BWIPC(ctx context.Context, m Machine, opts Options) ([]results.Entry, error
 		return nil, err
 	}
 	net := m.Net()
-	cases := []struct {
-		name  string
-		bytes int64
-		op    func(n int64) error
-	}{
-		{"bw_ipc.pipe", opts.PipeBytes, net.PipeTransfer},
-		{"bw_ipc.tcp", opts.TCPBytes, net.TCPTransfer},
-	}
-	var out []results.Entry
-	for _, c := range cases {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error { return c.op(c.bytes) }))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		out = append(out, entry(m, c.name, "MB/s", bwOf(meas, c.bytes),
-			map[string]string{"chunk": fmt.Sprint(c.bytes)}))
-	}
-	return out, nil
+	pipe, tcp := opts.PipeBytes, opts.TCPBytes
+	return measure(ctx, m, opts,
+		row{"bw_ipc.pipe", "MB/s", pipe, map[string]string{"chunk": fmt.Sprint(pipe)}, func() error { return net.PipeTransfer(pipe) }},
+		row{"bw_ipc.tcp", "MB/s", tcp, map[string]string{"chunk": fmt.Sprint(tcp)}, func() error { return net.TCPTransfer(tcp) }},
+	)
 }
 
 // BWRemoteTCP is Table 4: TCP bandwidth over real media. Backends
@@ -96,18 +60,12 @@ func BWRemoteTCP(ctx context.Context, m Machine, opts Options) ([]results.Entry,
 		return nil, err
 	}
 	net := m.Net()
-	var out []results.Entry
+	var rows []row
 	for _, med := range net.Media() {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-			return net.RemoteTCPTransfer(med, opts.TCPBytes)
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("bw_tcp_remote.%s: %w", med, err)
-		}
-		out = append(out, entry(m, "bw_tcp_remote."+med, "MB/s",
-			bwOf(meas, opts.TCPBytes), map[string]string{"medium": med}))
+		rows = append(rows, row{"bw_tcp_remote." + med, "MB/s", opts.TCPBytes, map[string]string{"medium": med},
+			func() error { return net.RemoteTCPTransfer(med, opts.TCPBytes) }})
 	}
-	return out, nil
+	return measure(ctx, m, opts, rows...)
 }
 
 // BWFile is §5.3 / Table 5: cached-file reread through read() and
@@ -121,28 +79,14 @@ func BWFile(ctx context.Context, m Machine, opts Options) ([]results.Entry, erro
 	}
 	fs := m.FS()
 	const name = "bw_file_reread.dat"
-	if err := fs.WriteFile(name, opts.FileSize); err != nil {
+	size := opts.FileSize
+	if err := fs.WriteFile(name, size); err != nil {
 		return nil, err
 	}
 	defer func() { _ = fs.Cleanup() }()
-
-	attrs := map[string]string{"size": fmt.Sprint(opts.FileSize)}
-	cases := []struct {
-		name string
-		op   func(file string, off, n int64) error
-	}{
-		{"bw_file.read", fs.ReadCached},
-		{"bw_file.mmap", fs.MmapRead},
-	}
-	var out []results.Entry
-	for _, c := range cases {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-			return c.op(name, 0, opts.FileSize)
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		out = append(out, entry(m, c.name, "MB/s", bwOf(meas, opts.FileSize), attrs))
-	}
-	return out, nil
+	attrs := map[string]string{"size": fmt.Sprint(size)}
+	return measure(ctx, m, opts,
+		row{"bw_file.read", "MB/s", size, attrs, func() error { return fs.ReadCached(name, 0, size) }},
+		row{"bw_file.mmap", "MB/s", size, attrs, func() error { return fs.MmapRead(name, 0, size) }},
+	)
 }

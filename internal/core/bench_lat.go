@@ -9,18 +9,6 @@ import (
 	"repro/internal/timing"
 )
 
-// loop wraps a single-op primitive into a BenchLoop body.
-func loop(op func() error) func(n int64) error {
-	return func(n int64) error {
-		for i := int64(0); i < n; i++ {
-			if err := op(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
 // LatSyscall is §6.3 / Table 7: one nontrivial kernel entry, measured
 // "by repeatedly writing one word to /dev/null".
 func LatSyscall(ctx context.Context, m Machine, opts Options) ([]results.Entry, error) {
@@ -28,11 +16,7 @@ func LatSyscall(ctx context.Context, m Machine, opts Options) ([]results.Entry, 
 	if err != nil {
 		return nil, err
 	}
-	meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(m.OS().NullWrite))
-	if err != nil {
-		return nil, fmt.Errorf("lat_syscall: %w", err)
-	}
-	return []results.Entry{entry(m, "lat_syscall", "us", meas.PerOpUS(), nil)}, nil
+	return measure(ctx, m, opts, row{key: "lat_syscall", unit: "us", op: m.OS().NullWrite})
 }
 
 // LatSignal is §6.4 / Table 8: signal-handler installation and
@@ -44,22 +28,19 @@ func LatSignal(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 		return nil, err
 	}
 	os := m.OS()
-	install, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(os.SignalInstall))
+	install, err := measure(ctx, m, opts, row{key: "lat_sig.install", unit: "us", op: os.SignalInstall})
 	if err != nil {
-		return nil, fmt.Errorf("lat_sig.install: %w", err)
+		return nil, err
 	}
 	// Ensure a handler is in place before dispatch timing.
 	if err := os.SignalInstall(); err != nil {
 		return nil, err
 	}
-	catch, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(os.SignalCatch))
+	catch, err := measure(ctx, m, opts, row{key: "lat_sig.catch", unit: "us", op: os.SignalCatch})
 	if err != nil {
-		return nil, fmt.Errorf("lat_sig.catch: %w", err)
+		return nil, err
 	}
-	return []results.Entry{
-		entry(m, "lat_sig.install", "us", install.PerOpUS(), nil),
-		entry(m, "lat_sig.catch", "us", catch.PerOpUS(), nil),
-	}, nil
+	return append(install, catch...), nil
 }
 
 // LatProc is §6.5 / Table 9: the process-creation ladder. These are
@@ -71,23 +52,11 @@ func LatProc(ctx context.Context, m Machine, opts Options) ([]results.Entry, err
 		return nil, err
 	}
 	os := m.OS()
-	cases := []struct {
-		name string
-		op   func() error
-	}{
-		{"lat_proc.fork", os.ForkExit},
-		{"lat_proc.exec", os.ForkExecExit},
-		{"lat_proc.sh", os.ForkShExit},
-	}
-	var out []results.Entry
-	for _, c := range cases {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(c.op))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		out = append(out, entry(m, c.name, "ms", meas.PerOp.Milliseconds(), nil))
-	}
-	return out, nil
+	return measure(ctx, m, opts,
+		row{key: "lat_proc.fork", unit: "ms", op: os.ForkExit},
+		row{key: "lat_proc.exec", unit: "ms", op: os.ForkExecExit},
+		row{key: "lat_proc.sh", unit: "ms", op: os.ForkShExit},
+	)
 }
 
 // LatIPC covers Tables 11-13: pipe, TCP, UDP and RPC round-trip
@@ -100,25 +69,13 @@ func LatIPC(ctx context.Context, m Machine, opts Options) ([]results.Entry, erro
 		return nil, err
 	}
 	net := m.Net()
-	cases := []struct {
-		name string
-		op   func() error
-	}{
-		{"lat_pipe", net.PipeRoundTrip},
-		{"lat_tcp", net.TCPRoundTrip},
-		{"lat_udp", net.UDPRoundTrip},
-		{"lat_rpc_tcp", net.RPCTCPRoundTrip},
-		{"lat_rpc_udp", net.RPCUDPRoundTrip},
-	}
-	var out []results.Entry
-	for _, c := range cases {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(c.op))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		out = append(out, entry(m, c.name, "us", meas.PerOpUS(), nil))
-	}
-	return out, nil
+	return measure(ctx, m, opts,
+		row{key: "lat_pipe", unit: "us", op: net.PipeRoundTrip},
+		row{key: "lat_tcp", unit: "us", op: net.TCPRoundTrip},
+		row{key: "lat_udp", unit: "us", op: net.UDPRoundTrip},
+		row{key: "lat_rpc_tcp", unit: "us", op: net.RPCTCPRoundTrip},
+		row{key: "lat_rpc_udp", unit: "us", op: net.RPCUDPRoundTrip},
+	)
 }
 
 // LatConnect is Table 15: TCP connection establishment. Following the
@@ -144,24 +101,15 @@ func LatRemote(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 		return nil, err
 	}
 	net := m.Net()
-	var out []results.Entry
+	var rows []row
 	for _, med := range net.Media() {
-		for _, udp := range []bool{false, true} {
-			proto := "tcp"
-			if udp {
-				proto = "udp"
-			}
-			meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-				return net.RemoteRoundTrip(med, udp)
-			}))
-			if err != nil {
-				return nil, fmt.Errorf("lat_net_remote.%s.%s: %w", med, proto, err)
-			}
-			out = append(out, entry(m, "lat_net_remote."+med+"."+proto, "us",
-				meas.PerOpUS(), map[string]string{"medium": med, "proto": proto}))
+		for _, proto := range []string{"tcp", "udp"} {
+			rows = append(rows, row{key: "lat_net_remote." + med + "." + proto, unit: "us",
+				attrs: map[string]string{"medium": med, "proto": proto},
+				op:    func() error { return net.RemoteRoundTrip(med, proto == "udp") }})
 		}
 	}
-	return out, nil
+	return measure(ctx, m, opts, rows...)
 }
 
 // LatFS is §6.8 / Table 16: create and delete 1000 zero-length files
@@ -242,11 +190,7 @@ func LatDisk(ctx context.Context, m Machine, opts Options) ([]results.Entry, err
 	if err := disk.SeqRead512(); err != nil {
 		return nil, err
 	}
-	meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(disk.SeqRead512))
-	if err != nil {
-		return nil, fmt.Errorf("lat_disk: %w", err)
-	}
-	return []results.Entry{entry(m, "lat_disk.scsi_overhead", "us", meas.PerOpUS(), nil)}, nil
+	return measure(ctx, m, opts, row{key: "lat_disk.scsi_overhead", unit: "us", op: disk.SeqRead512})
 }
 
 // IsUnsupported reports whether err is (or wraps) ErrUnsupported.

@@ -12,10 +12,11 @@
 //
 // Each measurement rule has one copy: every timed interval is
 // timing.Once (BenchLoop times its batches through it), every BenchLoop
-// body is loop(op), every point of the Figure-1 and §7 memory-variant
-// chase sweeps is measured by chaseSweep, and every latency staircase
-// (Table 6, the sweep planner, the TLB probe) is segmented by
-// analysis.Plateaus.
+// body is loop(op), every scalar BenchLoop benchmark is a row that
+// measure times and converts to its unit, every point of the Figure-1
+// and §7 memory-variant chase sweeps and of AutoSize's probe is
+// measured by chaseSweep, and every latency staircase (Table 6, the
+// sweep planner, the TLB probe) is segmented by analysis.Plateaus.
 package core
 
 import (

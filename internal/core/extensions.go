@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/ptime"
 	"repro/internal/results"
-	"repro/internal/stats"
 	"repro/internal/timing"
 )
 
@@ -168,19 +168,12 @@ func ExtStream(ctx context.Context, m Machine, opts Options) ([]results.Entry, e
 	}
 	mem := m.Mem()
 	bytes := opts.MemSize
-	var out []results.Entry
+	var rows []row
 	for _, kind := range []StreamKind{StreamCopy, StreamScale, StreamAdd, StreamTriad} {
-		meas, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-			return mem.RunStreamKernel(kind, bytes)
-		}))
-		if err != nil {
-			return nil, fmt.Errorf("stream.%s: %w", kind, err)
-		}
-		moved := bytes * kind.streams()
-		out = append(out, entry(m, "stream."+kind.String(), "MB/s",
-			timing.MBPerSec(moved, meas.PerOp), map[string]string{"bytes": fmt.Sprint(bytes)}))
+		rows = append(rows, row{"stream." + kind.String(), "MB/s", bytes * kind.streams(),
+			map[string]string{"bytes": fmt.Sprint(bytes)}, func() error { return mem.RunStreamKernel(kind, bytes) }})
 	}
-	return out, nil
+	return measure(ctx, m, opts, rows...)
 }
 
 // ExtMemVariants measures dirty-read and write latency next to the
@@ -297,21 +290,11 @@ func ExtCacheToCache(ctx context.Context, m Machine, opts Options) ([]results.En
 		return nil, err
 	}
 	sys := m.OS()
-	lat, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(sys.CacheToCachePingPong))
-	if err != nil {
-		return nil, fmt.Errorf("lat_c2c: %w", err)
-	}
 	const xferBytes = 256 << 10
-	bw, err := timing.BenchLoopCtx(ctx, m.Clock(), opts.Timing, loop(func() error {
-		return sys.CacheToCacheTransfer(xferBytes)
-	}))
-	if err != nil {
-		return nil, fmt.Errorf("bw_c2c: %w", err)
-	}
-	return []results.Entry{
-		entry(m, "lat_c2c", "ns", lat.PerOpNS(), nil),
-		entry(m, "bw_c2c", "MB/s", timing.MBPerSec(xferBytes, bw.PerOp), nil),
-	}, nil
+	return measure(ctx, m, opts,
+		row{key: "lat_c2c", unit: "ns", op: sys.CacheToCachePingPong},
+		row{key: "bw_c2c", unit: "MB/s", bytes: xferBytes, op: func() error { return sys.CacheToCacheTransfer(xferBytes) }},
+	)
 }
 
 // Extensions returns the §7 future-work experiments.
@@ -353,62 +336,40 @@ func Extensions() []Experiment {
 // AutoSize implements §7's "Automatic sizing": it runs a quick
 // hierarchy probe, finds the outermost cache, and returns options whose
 // memory-bandwidth regions are at least four times that size "such
-// that the external cache had no effect". The probe walks a coarse
-// chase (stride 256) and finds the last size still below twice the
-// small-size latency.
+// that the external cache had no effect". The probe is a coarse chase
+// (stride 256) from 8 KB to 8x MaxChaseSize, measured exhaustively
+// through chaseSweep with no load cap; the outermost cache ends at the
+// last size whose latency is below the midpoint between the fastest
+// and slowest points.
 func AutoSize(ctx context.Context, m Machine, base Options) (Options, error) {
 	base, err := base.Normalize()
 	if err != nil {
 		return base, err
 	}
 	const minSize = 8 << 10
-	probeMax := base.MaxChaseSize * 8
-	if probeMax < minSize {
+	probe := base
+	probe.MaxChaseSize = base.MaxChaseSize * 8
+	probe.SweepMode = SweepExhaustive
+	if probe.MaxChaseSize < minSize {
 		return base, fmt.Errorf("autosize: MaxChaseSize %d is below %d, so the probe (%d bytes up to 8x MaxChaseSize) has no size", base.MaxChaseSize, minSize/8, minSize)
 	}
-	mem := m.Mem()
-	region, err := mem.Alloc(probeMax)
+	var pts []chasePoint
+	for size := int64(minSize); size <= probe.MaxChaseSize; size *= 2 {
+		pts = append(pts, chasePoint{size: size, stride: 256})
+	}
+	series, _, err := chaseSweep(ctx, m, probe, pts, nil, math.MaxInt64)
 	if err != nil {
 		return base, err
 	}
-	const stride = 256
-	var sizes []int64
-	var lats []float64
-	for size := int64(minSize); size <= probeMax; size *= 2 {
-		if err := ctx.Err(); err != nil {
-			return base, err
-		}
-		if err := mem.FlushCaches(); err != nil && !IsUnsupported(err) {
-			return base, err
-		}
-		ch, err := mem.NewChase(region, size, stride)
-		if err != nil {
-			return base, err
-		}
-		lap := ch.Length()
-		if err := ch.Walk(lap); err != nil {
-			return base, err
-		}
-		loads := 2 * lap
-		if loads < 4096 {
-			loads = 4096
-		}
-		d, err := timing.Once(m.Clock(), func() error { return ch.Walk(loads) })
-		if err != nil {
-			return base, err
-		}
-		sizes = append(sizes, size)
-		lats = append(lats, d.DivN(loads).Nanoseconds())
+	minLat, maxLat := series[0].Y, series[0].Y
+	for _, p := range series {
+		minLat, maxLat = min(minLat, p.Y), max(maxLat, p.Y)
 	}
-	// The outermost cache ends at the last size whose latency is below
-	// the midpoint between the fastest and slowest plateaus.
-	minLat, _ := stats.Min(lats)
-	maxLat, _ := stats.Max(lats)
 	threshold := (minLat + maxLat) / 2
-	llc := sizes[0]
-	for i, l := range lats {
-		if l < threshold {
-			llc = sizes[i]
+	llc := pts[0].size
+	for i, p := range series {
+		if p.Y < threshold {
+			llc = pts[i].size
 		}
 	}
 	if want := llc * 4; want > base.MemSize {
