@@ -269,7 +269,9 @@ func streamPrice(p Profile, write bool) (simmem.StreamPrice, error) {
 
 // simulateStream prices the timed stream on a scratch copy of p's
 // caches: a read from cold, or a write after priming every cache level
-// with dirty lines so that the stream evicts at steady state.
+// with dirty lines so that the stream evicts at steady state. The
+// priming is a PriceStream too: it runs once, so a memoized pass would
+// only record marks no later pass compares.
 func simulateStream(p Profile, write bool) (simmem.StreamPrice, error) {
 	cpu := sim.NewCPU(&sim.Clock{}, sim.CPUConfig{MHz: p.MHz, IssueWidth: p.IssueWidth})
 	h, err := simmem.New(cpu, simmem.Config{Caches: p.Caches})
@@ -282,7 +284,9 @@ func simulateStream(p Profile, write bool) (simmem.StreamPrice, error) {
 	}
 	addr := h.Alloc(cacheTotal + streamSpan)
 	if write {
-		h.StreamWrite(addr, cacheTotal)
+		if _, err := h.PriceStream(addr, cacheTotal, true); err != nil {
+			return simmem.StreamPrice{}, err
+		}
 		addr += uint64(cacheTotal)
 	}
 	return h.PriceStream(addr, streamSpan, write)
