@@ -512,7 +512,6 @@ func (r *run) driveUnit(w *worker, u core.WorkUnit) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	skipErr := ""
 	for {
 		var m wireMsg
 		if err := w.Recv(&m); err != nil {
@@ -524,9 +523,6 @@ func (r *run) driveUnit(w *worker, u core.WorkUnit) (outcome, error) {
 			// deadline.
 		case msgEvent:
 			if m.Event != nil {
-				if m.Event.Kind == core.ExperimentSkipped {
-					skipErr = m.Event.Err
-				}
 				r.sink.Event(*m.Event)
 			}
 		case msgResult:
@@ -536,11 +532,10 @@ func (r *run) driveUnit(w *worker, u core.WorkUnit) (outcome, error) {
 			if m.Err != "" {
 				return outcome{err: errors.New(m.Err)}, nil
 			}
-			rec := core.JournalRecord{Machine: u.Machine, Key: u.Key, Entries: m.Entries}
-			if len(m.Skipped) > 0 {
-				rec = core.JournalRecord{Machine: u.Machine, Key: u.Key, Skipped: true, Err: skipErr}
+			if m.Record == nil || m.Record.Machine != u.Machine || m.Record.Key != u.Key {
+				return outcome{}, fmt.Errorf("fleet: result for unit %s/%s carries no record of it", u.Machine, u.Key)
 			}
-			return outcome{rec: rec}, nil
+			return outcome{rec: *m.Record}, nil
 		default:
 			return outcome{}, fmt.Errorf("fleet: unexpected %q frame from worker", m.Type)
 		}

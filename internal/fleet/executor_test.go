@@ -174,6 +174,52 @@ func TestFleetJournalSequence(t *testing.T) {
 	}
 }
 
+// TestFleetJournalsSkippedUnit: a unit the machine cannot run (ext_c2c
+// on a uniprocessor) reaches the coordinator as the record the
+// worker's suite made, so the fleet journals and reports it exactly as
+// a run in process does, the skip's error included.
+func TestFleetJournalsSkippedUnit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process runs are slow; skipped with -short")
+	}
+	const machine = "Linux/i686"
+	only := map[string]bool{"ext_c2c": true}
+	journaled := func(run func(jw *core.JournalWriter) (map[string][]string, error)) ([]byte, map[string][]string) {
+		var journal bytes.Buffer
+		jw, err := core.NewJournalWriter(&journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped, err := run(jw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return journal.Bytes(), skipped
+	}
+	p, _ := machines.ByName(machine)
+	m, err := machines.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantSkipped := journaled(func(jw *core.JournalWriter) (map[string][]string, error) {
+		r := &core.Runner{Machines: []core.Machine{m}, Opts: fastOpts(), Only: only, Extended: true, Journal: jw}
+		return r.Run(context.Background(), &results.DB{})
+	})
+	got, gotSkipped := journaled(func(jw *core.JournalWriter) (map[string][]string, error) {
+		c := &Coordinator{Machines: []string{machine}, Opts: fastOpts(), Only: only, Extended: true, Workers: 1, Journal: jw}
+		return c.Run(context.Background(), &results.DB{})
+	})
+	if !bytes.Contains(want, []byte(`"skipped":true,"error":"lat_c2c: `)) {
+		t.Fatalf("in-process journal %s holds no ext_c2c skip with its error", want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fleet journal:\n%s\nwant:\n%s", got, want)
+	}
+	if fmt.Sprint(gotSkipped) != fmt.Sprint(wantSkipped) {
+		t.Errorf("fleet skipped %v, want %v", gotSkipped, wantSkipped)
+	}
+}
+
 // scriptedWorker is a remote worker daemon that fails unit 1 at once
 // and unit 0 after delay, and reports every other unit as an error too.
 func scriptedWorker(t *testing.T, delay time.Duration) (addr string, stop func()) {
@@ -321,7 +367,7 @@ func TestFleetIdlePeerDeathFailsNextUnit(t *testing.T) {
 				return
 			}
 			if m.Type == msgUnit {
-				s.Send(&wireMsg{Type: msgResult, Seq: m.Seq})
+				s.Send(&wireMsg{Type: msgResult, Seq: m.Seq, Record: &core.JournalRecord{Machine: m.Machine, Key: m.Key}})
 				return
 			}
 		}

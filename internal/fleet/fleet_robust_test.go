@@ -242,7 +242,7 @@ func TestDaemonIdleTimeoutAndKeepalive(t *testing.T) {
 			t.Fatalf("result after keepalives: %v", err)
 		}
 		if m.Type == msgResult {
-			if m.Err != "" || len(m.Entries) == 0 {
+			if m.Err != "" || m.Record == nil || len(m.Record.Entries) == 0 {
 				t.Fatalf("result: %+v", m)
 			}
 			break
@@ -308,7 +308,7 @@ func TestDrainFinishesBusyUnit(t *testing.T) {
 			t.Fatalf("frame during drain: %v", err)
 		}
 		if m.Type == msgResult {
-			if m.Err != "" || len(m.Entries) == 0 {
+			if m.Err != "" || m.Record == nil || len(m.Record.Entries) == 0 {
 				t.Fatalf("result during drain: %+v", m)
 			}
 			break

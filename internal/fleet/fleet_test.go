@@ -198,7 +198,7 @@ func TestWorkerServesUnits(t *testing.T) {
 			t.Fatalf("unexpected frame %+v", m)
 		}
 	}
-	if res.Seq != 1 || res.Err != "" || len(res.Entries) == 0 {
+	if res.Seq != 1 || res.Err != "" || res.Record == nil || len(res.Record.Entries) == 0 {
 		t.Fatalf("result = %+v", res)
 	}
 

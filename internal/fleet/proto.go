@@ -36,15 +36,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machines"
-	"repro/internal/results"
 )
 
 // protoVersion guards the wire protocol. Local workers are re-execs of
 // the coordinator binary and always match; a remote worker daemon built
 // from different sources refuses mismatched units instead of producing
 // silently divergent results. v2 added ping frames (idle keepalives and
-// in-unit heartbeats), which a v1 endpoint would reject as unexpected.
-const protoVersion = 2
+// in-unit heartbeats), which a v1 endpoint would reject as unexpected;
+// v3 answers a unit with its journal record in place of v2's entries
+// and skipped list.
+const protoVersion = 3
 
 // Message types.
 const (
@@ -89,12 +90,13 @@ type wireMsg struct {
 	// across the protocol version.
 	Profile *machines.Profile `json:"profile,omitempty"`
 
-	// Result fields. Entries round-trip exactly: encoding/json writes
-	// float64s in shortest form that parses back to the same bits, the
-	// property the PR-2 journal already relies on.
-	Entries []results.Entry `json:"entries,omitempty"`
-	Skipped []string        `json:"skipped,omitempty"`
-	Err     string          `json:"error,omitempty"`
+	// Result fields: the unit's journal record, exactly as the worker's
+	// suite recorded it (entries, or a skip marker and its error), or
+	// the error that failed the unit. Entries round-trip exactly:
+	// encoding/json writes float64s in shortest form that parses back
+	// to the same bits, the property the journal already relies on.
+	Record *core.JournalRecord `json:"record,omitempty"`
+	Err    string              `json:"error,omitempty"`
 
 	// Event carries one forwarded suite event.
 	Event *core.Event `json:"event,omitempty"`

@@ -146,16 +146,16 @@ func runUnit(ctx context.Context, m *wireMsg, cache map[string]core.Machine, s *
 		Events: forwardSink{seq: m.Seq, s: s},
 		Cache:  &rec,
 	}
-	skipped, err := suite.Run(ctx, &results.DB{})
-	if err != nil {
+	if _, err := suite.Run(ctx, &results.DB{}); err != nil {
 		return &wireMsg{Err: err.Error()}
 	}
-	return &wireMsg{Entries: rec.Entries, Skipped: skipped}
+	return &wireMsg{Record: &rec.JournalRecord}
 }
 
 // unitRecord is a unit cache that never hits and keeps the record the
 // suite stores: the unit's entries in the order its experiment produced
-// them, so the coordinator journals exactly what an in-process run does.
+// them, or its skip marker and error, so the coordinator journals
+// exactly what an in-process run does.
 type unitRecord struct{ core.JournalRecord }
 
 func (*unitRecord) Lookup(string, string) (core.JournalRecord, bool) {
