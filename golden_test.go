@@ -5,8 +5,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,7 +16,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/obs"
+	"repro/internal/paper"
 	"repro/internal/ptime"
+	"repro/internal/report"
 	"repro/internal/results"
 	"repro/internal/timing"
 )
@@ -126,6 +130,7 @@ func TestGoldenDatabaseByteIdentical(t *testing.T) {
 			"the simulator's observable behavior changed; if intentional, refresh results/ and this hash",
 			got, goldenDBSHA256)
 	}
+	checkRendered(t, db)
 
 	// The observers must actually have observed the run, or the
 	// byte-identity above proves nothing.
@@ -149,5 +154,52 @@ func TestGoldenDatabaseByteIdentical(t *testing.T) {
 	}
 	if snap := progress.Snapshot(); snap.Completed == 0 {
 		t.Errorf("progress saw no completed experiments: %+v", snap)
+	}
+}
+
+// checkRendered compares what cmd/lmreport renders from db with the
+// committed artifacts (results/README.md): the tables, and every
+// machine's Figure 1 and Figure 2 gnuplot data and SVG, so a change to
+// the renderers that moves a byte shows here.
+func checkRendered(t *testing.T, db *results.DB) {
+	t.Helper()
+	var tables bytes.Buffer
+	if err := paper.RenderAll(&tables, db); err != nil {
+		t.Fatal(err)
+	}
+	compare := func(path string, got []byte) {
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Error(err)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from what lmreport renders from the golden database", path)
+		}
+	}
+	compare("results/tables.txt", tables.Bytes())
+	dat, _ := filepath.Glob("results/figures/*.dat")
+	svg, _ := filepath.Glob("results/figures-svg/*.svg")
+	rendered := 0
+	sanitize := strings.NewReplacer("/", "_", " ", "_", "@", "_") // as lmreport names the files
+	for _, machine := range db.Machines() {
+		for fig, plotOf := range []func(*results.DB, string) (*report.Plot, error){paper.Figure1Plot, paper.Figure2Plot} {
+			plot, err := plotOf(db, machine)
+			if err != nil {
+				continue
+			}
+			name := fmt.Sprintf("fig%d_%s", fig+1, sanitize.Replace(machine))
+			var gp, sv bytes.Buffer
+			if err := plot.WriteGnuplot(&gp); err != nil {
+				t.Fatal(err)
+			}
+			if err := plot.WriteSVG(&sv); err != nil {
+				t.Fatal(err)
+			}
+			compare(filepath.Join("results/figures", name+".dat"), gp.Bytes())
+			compare(filepath.Join("results/figures-svg", name+".svg"), sv.Bytes())
+			rendered += 2
+		}
+	}
+	if rendered != len(dat)+len(svg) {
+		t.Errorf("rendered %d figure files, but results/ holds %d", rendered, len(dat)+len(svg))
 	}
 }
