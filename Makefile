@@ -31,10 +31,14 @@ build:
 
 # vet also compiles and vets the perfbench module: it imports internal
 # APIs (core.Runner, fleet.Coordinator, unitcache.Config, repro/compare)
-# that `go vet ./...` at the root never builds it against.
+# that `go vet ./...` at the root never builds it against. It then fails
+# when gofmt would rewrite any tracked .go file, perfbench's included
+# (gofmt -l only reads them).
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -44,10 +48,12 @@ test:
 # `make test` hashes the parallel path and this target the serial one,
 # for the golden evaluation, for the §7 extension databases (the
 # chase-sweep kernel under Figure 1 and the memory-variant sweep) and
-# for the calibrator's pinned fits (its concurrent parameter pass).
+# for the calibrator's pinned fits (its concurrent parameter pass) and
+# for AutoSize's options (its probe is a chase sweep too). The golden
+# evaluation also pins the tables and figures rendered from it.
 golden-serial:
 	GOMAXPROCS=1 $(GO) test -run '^(TestGoldenDatabaseByteIdentical|TestExtensionDatabasesByteIdentical)$$' -count=1 .
-	GOMAXPROCS=1 $(GO) test -run '^TestCalibrateFitsPinned$$' -count=1 ./internal/calibrate/
+	GOMAXPROCS=1 $(GO) test -run '^(TestCalibrateFitsPinned|TestAutoSizePinned)$$' -count=1 ./internal/calibrate/ ./internal/core/
 
 # The scheduler, timing harness, fault injection (the machine wrapper
 # and the wire injector and proxy), session layer (every daemon's
