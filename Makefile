@@ -12,9 +12,10 @@ LMBENCH_CHAOS_SEED ?= 1
 # pass skipping off, the skipped steady-state passes, and a cold pass
 # with the check pass that proves its fixed point. BENCH_BUILD
 # times machines.Build's DRAM inversion for a cache geometry new to the
-# process and for a memo hit, with the stream simulations per op (2
-# and 0). The repository's end-to-end benchmark is perfbench/ (see
-# BENCHMARK.json).
+# process and for a memo hit, and machines.BuildWith on a shipped
+# timing (what a fleet worker runs) for a new geometry, with the stream
+# simulations per op (2, 0 and 0). The repository's end-to-end
+# benchmark is perfbench/ (see BENCHMARK.json).
 BENCH_PATTERN ?= Figure1MemoryLatency|Table2MemoryBandwidth|Table5FileReread|Table6CacheParams|Table10ContextSwitch|Figure1SweepPlanning|EvaluationUnitCache
 BENCH_MICRO   ?= LoadL1Hit|LoadFullyAssocHit|ChaseDRAM|ChaseSameLine|StreamReadResident|StreamKernel|ChaseSteadyState|StreamCopySteadyState|StreamCopyWord|StreamCopyDRAM|ChaseConverge|StreamCopyConverge
 BENCH_BUILD   ?= InvertDRAM
@@ -119,10 +120,11 @@ bench-smoke:
 serve-smoke:
 	GO="$(GO)" ./scripts/serve_smoke.sh
 
-# fleet-smoke runs a short evaluation serially and across a 3-process
-# worker fleet and proves the databases are byte-identical; part of
-# verify so multi-process execution cannot silently diverge from the
-# serial path.
+# fleet-smoke runs two short evaluations serially and across a worker
+# fleet — every simulated machine on 3 workers, and Modern/server-128B,
+# whose DRAM timing costs the most to derive, on 2 — and proves each
+# pair's databases are byte-identical; part of verify so multi-process
+# execution cannot silently diverge from the serial path.
 fleet-smoke:
 	GO="$(GO)" ./scripts/fleet_smoke.sh
 

@@ -142,7 +142,8 @@ func WithJournal(path string) Option {
 // the current binary, which is why main must call MaybeChild first.
 // Fleet runs support simulated machines only (workers rebuild them
 // from their profiles) and produce a database byte-identical to the
-// serial run. See also WithFleetConnect.
+// serial run. n = 0 runs in process; a negative n is refused with a
+// *ConfigError. See also WithFleetConnect.
 func WithFleet(n int) Option {
 	return func(b *Bench) { b.fleetWorkers = n }
 }
@@ -373,6 +374,9 @@ func (b *Bench) Validate() error {
 		if _, ok := core.ExperimentByID(id); !ok {
 			return &ConfigError{Feature: "WithOnly", Reason: fmt.Sprintf("unknown experiment %q", id)}
 		}
+	}
+	if b.fleetWorkers < 0 {
+		return &ConfigError{Feature: "WithFleet", Reason: fmt.Sprintf("negative worker count %d", b.fleetWorkers)}
 	}
 	if b.calibTarget != nil {
 		if len(b.machines) != 1 {

@@ -54,6 +54,12 @@ func TestConfigErrorsRefuseBeforeRunning(t *testing.T) {
 		{"chaos x unit cache", []Option{WithMachine(chaotic()), WithUnitCache(cacheDir)}, "does not compose with the unit cache"},
 		{"chaos x adaptive", []Option{WithMachine(chaotic()), WithSweepMode(SweepAdaptive)}, "does not compose with adaptive sweeps"},
 		{"unknown experiment", []Option{WithMachine(sim()), WithOnly("table7", "tabel7")}, `unknown experiment "tabel7"`},
+		// A negative fleet size is no fleet: refused, not run in process
+		// (where chaos would compose), and refused as such by a
+		// calibration too.
+		{"negative fleet", []Option{WithMachine(sim()), WithOnly("table7"), WithFleet(-1)}, "WithFleet: negative worker count -1"},
+		{"negative fleet x chaos", []Option{WithMachine(chaotic()), WithOnly("table7"), WithFleet(-2)}, "WithFleet: negative worker count -2"},
+		{"calibrate x negative fleet", calibrate(WithFleet(-1)), "WithFleet: negative worker count -1"},
 		{"calibrate host", []Option{WithMachine(host), WithCalibrateTarget(target)}, "requires a simulated machine"},
 		{"calibrate two machines", []Option{WithMachine(sim()), WithMachine(sim()), WithCalibrateTarget(target)}, "exactly one machine"},
 		// A calibration refuses every option its candidate runs ignore.

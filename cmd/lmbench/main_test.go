@@ -73,6 +73,9 @@ func TestRejectedCombinations(t *testing.T) {
 		{"chaos x fleet x journal", append(sim, "-only", "table7", "-chaos", "seed=1,err=0.3", "-fleet-workers", "2",
 			"-journal", kept, "-trace", keptTrace, "-spans", keptSpans),
 			"does not compose with fleet execution", true},
+		{"negative fleet x chaos x journal", append(sim, "-only", "table7", "-chaos", "seed=1,err=0.3", "-fleet-workers", "-1",
+			"-journal", kept, "-trace", keptTrace, "-spans", keptSpans),
+			"WithFleet: negative worker count -1", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/machines"
 	"repro/internal/results"
 	"repro/internal/rpcx"
+	"repro/internal/simmem"
 )
 
 // Observer sees the coordinator's scheduling activity out of band —
@@ -66,7 +67,9 @@ type Coordinator struct {
 	// (compiled built-ins plus embedded data files). Profiles that are
 	// not compiled into the binary are shipped to workers inline on the
 	// unit frame, so a fleet of stock workers can run file-loaded or
-	// calibration-candidate machines.
+	// calibration-candidate machines. Every unit frame also ships its
+	// machine's DRAM timing, derived once per run from the catalog's
+	// profile, so workers simulate no DRAM stream.
 	Catalog *machines.Catalog
 	// Opts applies to every unit, exactly as a serial Suite would see
 	// it (sweep-heavy units additionally fan their points across
@@ -157,21 +160,47 @@ type run struct {
 	ctx  context.Context
 	sink core.EventSink
 	obs  Observer
-	// wireProfiles holds, per machine, the profile to ship on unit
-	// frames (nil entry / missing key = compiled built-in, resolved by
-	// name on the worker).
-	wireProfiles map[string]*machines.Profile
-	queue        chan *ticket
-	wg           sync.WaitGroup
-	grown        sync.Mutex // serializes growing the pool; guards dialed, spawned
-	dialed       bool
-	spawned      int
+	// targets holds, per machine name, what its unit frames ship.
+	targets map[string]*target
+	queue   chan *ticket
+	wg      sync.WaitGroup
+	grown   sync.Mutex // serializes growing the pool; guards dialed, spawned
+	dialed  bool
+	spawned int
 
 	mu               sync.Mutex
 	open             map[*ticket]bool // tickets whose slot still waits
 	queued, inflight int
 	live, localLive  int
 	workers          []*worker
+}
+
+// target is one machine of a run: what its unit frames ship besides the
+// unit itself.
+type target struct {
+	// wire is the catalog profile when it is not compiled in (nil for a
+	// compiled built-in, which the worker resolves by name).
+	wire *machines.Profile
+	// dram derives the machine's DRAM timing from the catalog profile
+	// the first time one of its units is dispatched, and returns that
+	// timing, or that error, on every later call. A unit the cache or
+	// the resume journal serves never calls it.
+	dram func() (simmem.DRAMConfig, error)
+}
+
+// newTarget resolves p, the catalog's profile of its name, to a target.
+func newTarget(p machines.Profile) *target {
+	t := &target{dram: sync.OnceValues(func() (simmem.DRAMConfig, error) {
+		d, err := machines.DRAM(p)
+		if err != nil {
+			return d, fmt.Errorf("fleet: build %q: %w", p.Name, err)
+		}
+		return d, nil
+	})}
+	if compiled, ok := machines.ByName(p.Name); !ok || !reflect.DeepEqual(compiled, p) {
+		t.wire = &p
+	}
+	return t
 }
 
 // Run executes the suite on every machine through the worker pool and
@@ -187,19 +216,17 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	if cat == nil {
 		cat = machines.Default()
 	}
-	// Profiles outside the compiled catalog travel on the unit frame;
-	// resolve them once up front so every dispatch of a unit ships the
-	// same bytes.
-	wireProfiles := make(map[string]*machines.Profile)
+	// Resolve every machine once up front, so every dispatch of a unit
+	// ships the same bytes: the profile, when it is not compiled in, and
+	// the DRAM timing derived from it, never from a compiled profile of
+	// the same name.
+	targets := make(map[string]*target, len(c.Machines))
 	for _, name := range c.Machines {
 		p, ok := cat.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("fleet: unknown simulated machine %q", name)
 		}
-		if compiled, ok := machines.ByName(name); !ok || !reflect.DeepEqual(compiled, p) {
-			pc := p
-			wireProfiles[name] = &pc
-		}
+		targets[name] = newTarget(p)
 	}
 	if c.Workers < 0 {
 		return nil, fmt.Errorf("fleet: negative worker count %d", c.Workers)
@@ -213,7 +240,7 @@ func (c *Coordinator) Run(ctx context.Context, db *results.DB) (map[string][]str
 	r := &run{
 		c: c, ctx: runCtx,
 		sink: core.SinkOrDiscard(c.Events), obs: c.Obs,
-		wireProfiles: wireProfiles,
+		targets: targets,
 		// Every open ticket holds a slot and has at most one queue
 		// entry; a ticket its slot dropped leaves at most one stale
 		// entry, and no ticket opens after a drop. So sends never wait.
@@ -499,13 +526,19 @@ func (r *run) lost(w *worker, local bool, t *ticket, cause error) {
 // driveUnit sends unit u to w and pumps its frames until the result
 // arrives. A non-nil error means the transport failed and the unit's
 // fate is unknown — the caller re-dispatches it; a unit whose
-// experiment failed is a terminal outcome, matching serial semantics.
+// experiment failed, or whose machine's DRAM timing cannot be derived,
+// is a terminal outcome, matching serial semantics.
 func (r *run) driveUnit(w *worker, u core.WorkUnit) (outcome, error) {
-	err := w.Send(&wireMsg{
+	t := r.targets[u.Machine]
+	dram, err := t.dram()
+	if err != nil {
+		return outcome{err: err}, nil
+	}
+	err = w.Send(&wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: u.Seq,
 		Machine: u.Machine, Key: u.Key, IDs: u.IDs,
-		Profile: r.wireProfiles[u.Machine],
-		Opts:    &r.c.Opts, Extended: r.c.Extended,
+		Profile: t.wire, DRAM: &dram,
+		Opts: &r.c.Opts, Extended: r.c.Extended,
 		Timeout: r.c.Timeout, Retries: r.c.Retries, RetryBackoff: r.c.RetryBackoff,
 		MaxRSD: r.c.MaxRSD, QualityRetries: r.c.QualityRetries,
 	})

@@ -230,6 +230,7 @@ func TestDaemonIdleTimeoutAndKeepalive(t *testing.T) {
 	u := &wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: 9,
 		Machine: testMachines[0], Key: "table16", IDs: []string{"table16"},
+		DRAM: dramFor(t, testMachines[0]),
 	}
 	o := fastOpts()
 	u.Opts = &o
@@ -272,6 +273,7 @@ func TestDrainFinishesBusyUnit(t *testing.T) {
 	u := &wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: 3,
 		Machine: testMachines[0], Key: "table2", IDs: []string{"table2"},
+		DRAM: dramFor(t, testMachines[0]),
 	}
 	o := fastOpts()
 	u.Opts = &o
@@ -346,6 +348,7 @@ func TestWorkerHeartbeatsDuringUnit(t *testing.T) {
 	u := &wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: 1,
 		Machine: testMachines[0], Key: "table7", IDs: []string{"table7"},
+		DRAM: dramFor(t, testMachines[0]),
 	}
 	o := fastOpts()
 	u.Opts = &o

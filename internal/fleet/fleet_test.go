@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/ptime"
 	"repro/internal/results"
 	"repro/internal/rpcx"
+	"repro/internal/simmem"
 	"repro/internal/timing"
 )
 
@@ -138,14 +141,33 @@ func (o *testObserver) counts() (up, down, retried, done int) {
 	return o.up, o.down, o.retried, o.done
 }
 
+// dramFor derives the DRAM timing a coordinator ships on the unit
+// frames of the compiled profile name.
+func dramFor(t *testing.T, name string) *simmem.DRAMConfig {
+	t.Helper()
+	p, ok := machines.ByName(name)
+	if !ok {
+		t.Fatalf("no compiled profile %q", name)
+	}
+	d, err := machines.DRAM(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &d
+}
+
+// TestProtocolRoundTrip: a unit frame keeps every field through the
+// codec, its DRAM timing bit for bit.
 func TestProtocolRoundTrip(t *testing.T) {
 	opts := fastOpts()
+	// Float64s whose shortest decimal forms run to 16 or 17 digits.
+	dram := simmem.DRAMConfig{LatencyNS: 0.1 + 0.2, FillNS: math.Nextafter(471.35483870967744, 1), WritebackNS: 1 / 3.0}
 	in := &wireMsg{
 		Type: msgUnit, V: protoVersion, Seq: 7,
 		Machine: "Linux/i686", Key: "mem_hier", IDs: []string{"figure1", "table6"},
 		Opts: &opts, Extended: true,
 		Timeout: time.Second, Retries: 2, RetryBackoff: 50 * time.Millisecond,
-		MaxRSD: 0.1, QualityRetries: 3,
+		MaxRSD: 0.1, QualityRetries: 3, DRAM: &dram,
 	}
 	var buf bytes.Buffer
 	if err := rpcx.WriteJSON(&buf, in); err != nil {
@@ -165,60 +187,158 @@ func TestProtocolRoundTrip(t *testing.T) {
 		out.Opts.Timing.MinSampleTime != opts.Timing.MinSampleTime {
 		t.Errorf("options did not survive: %+v", out.Opts)
 	}
+	if out.DRAM == nil {
+		t.Fatal("the dram timing did not survive")
+	}
+	for _, f := range []struct {
+		name    string
+		in, out float64
+	}{
+		{"LatencyNS", dram.LatencyNS, out.DRAM.LatencyNS},
+		{"FillNS", dram.FillNS, out.DRAM.FillNS},
+		{"WritebackNS", dram.WritebackNS, out.DRAM.WritebackNS},
+	} {
+		if math.Float64bits(f.in) != math.Float64bits(f.out) {
+			t.Errorf("dram %s: sent %x, received %x", f.name, math.Float64bits(f.in), math.Float64bits(f.out))
+		}
+	}
 }
 
-// TestWorkerServesUnits drives the worker loop directly over in-memory
-// pipes: a well-formed unit produces entries, an unknown machine an
-// error frame, and a version mismatch kills the session.
-func TestWorkerServesUnits(t *testing.T) {
+// serveOne starts a worker session over in-memory pipes. It returns
+// the coordinator's end, a hang-up that closes the stream of units, and
+// the session's exit error.
+func serveOne() (*rpcx.Session, io.Closer, <-chan error) {
 	toWorker, unitW := io.Pipe()
 	resultR, fromWorker := io.Pipe()
 	workErr := make(chan error, 1)
 	go func() { workErr <- work(context.Background(), rpcx.NewSession(toWorker, fromWorker)) }()
-	s := rpcx.NewSession(resultR, unitW)
+	return rpcx.NewSession(resultR, unitW), unitW, workErr
+}
 
-	opts := fastOpts()
-	if err := s.Send(&wireMsg{
-		Type: msgUnit, V: protoVersion, Seq: 1,
-		Machine: testMachines[0], Key: "tlb", IDs: []string{"table16"}, Opts: &opts,
-	}); err != nil {
+// result sends unit u on s and returns its result frame, skipping the
+// event frames before it.
+func result(t *testing.T, s *rpcx.Session, u *wireMsg) *wireMsg {
+	t.Helper()
+	if err := s.Send(u); err != nil {
 		t.Fatal(err)
 	}
-	var res *wireMsg
 	for {
 		m, err := recvMsg(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Type == msgResult {
-			res = m
-			break
+			if m.Seq != u.Seq {
+				t.Fatalf("result for unit %d, want %d", m.Seq, u.Seq)
+			}
+			return m
 		}
 		if m.Type != msgEvent || m.Event == nil {
 			t.Fatalf("unexpected frame %+v", m)
 		}
 	}
-	if res.Seq != 1 || res.Err != "" || res.Record == nil || len(res.Record.Entries) == 0 {
+}
+
+// TestWorkerServesUnits drives the worker loop directly over in-memory
+// pipes: a well-formed unit produces entries; an unknown machine, a
+// unit without a DRAM timing and a unit whose timing simmem refuses
+// each get an error frame and the session goes on; and a version
+// mismatch kills the session.
+func TestWorkerServesUnits(t *testing.T) {
+	s, _, workErr := serveOne()
+	opts := fastOpts()
+	unit := func(seq int, machine string, dram *simmem.DRAMConfig) *wireMsg {
+		return &wireMsg{
+			Type: msgUnit, V: protoVersion, Seq: seq,
+			Machine: machine, Key: "table16", IDs: []string{"table16"}, Opts: &opts, DRAM: dram,
+		}
+	}
+	if res := result(t, s, unit(1, testMachines[0], dramFor(t, testMachines[0]))); res.Err != "" || res.Record == nil || len(res.Record.Entries) == 0 {
 		t.Fatalf("result = %+v", res)
 	}
+	if res := result(t, s, unit(2, "no-such-machine", dramFor(t, testMachines[0]))); !strings.Contains(res.Err, "no-such-machine") {
+		t.Fatalf("want unknown-machine error, got %+v", res)
+	}
+	// testMachines[1] is new to the session, so each frame reaches the
+	// build.
+	if res := result(t, s, unit(3, testMachines[1], nil)); !strings.Contains(res.Err, "dram") {
+		t.Fatalf("want an error naming the missing dram timing, got %+v", res)
+	}
+	bad := *dramFor(t, testMachines[1])
+	bad.WritebackNS = -1
+	if res := result(t, s, unit(4, testMachines[1], &bad)); !strings.Contains(res.Err, "dram timing WritebackNS") {
+		t.Fatalf("want an error naming the dram timing's WritebackNS, got %+v", res)
+	}
+	if res := result(t, s, unit(5, testMachines[1], dramFor(t, testMachines[1]))); res.Err != "" || res.Record == nil || len(res.Record.Entries) == 0 {
+		t.Fatalf("after two refused frames: result = %+v", res)
+	}
 
-	if err := s.Send(&wireMsg{Type: msgUnit, V: protoVersion, Seq: 2, Machine: "no-such-machine", Opts: &opts}); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := recvMsg(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Err == "" || !strings.Contains(res2.Err, "no-such-machine") {
-		t.Fatalf("want unknown-machine error, got %+v", res2)
-	}
-
-	if err := s.Send(&wireMsg{Type: msgUnit, V: protoVersion + 1, Seq: 3, Machine: testMachines[0], Opts: &opts}); err != nil {
+	u := unit(6, testMachines[0], dramFor(t, testMachines[0]))
+	u.V = protoVersion + 1
+	if err := s.Send(u); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-workErr; err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version-mismatch session error, got %v", err)
 	}
+}
+
+// TestWorkerBuildsOnShippedDRAM: a worker assembles the machine on the
+// DRAM timing its unit frame ships and derives none of its own. Table 2
+// on Linux/i686 reads the DRAM fill time (checked in process first), so
+// the same unit with FillNS doubled must return other entries, each
+// equal to an in-process run on that timing.
+func TestWorkerBuildsOnShippedDRAM(t *testing.T) {
+	p, _ := machines.ByName("Linux/i686")
+	shipped := dramFor(t, p.Name)
+	doubled := *shipped
+	doubled.FillNS *= 2
+	opts := core.FastOptions()
+	only := map[string]bool{"table2": true}
+	var local, remote [2][]byte
+	for i, dram := range []*simmem.DRAMConfig{shipped, &doubled} {
+		m, err := machines.BuildWith(p, *dram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec unitRecord
+		if _, err := (&core.Suite{M: m, Opts: opts, Only: only, Cache: &rec}).Run(context.Background(), &results.DB{}); err != nil {
+			t.Fatal(err)
+		}
+		local[i] = entriesJSON(t, rec.Entries)
+
+		// A fresh session each time: a session keeps its machines.
+		s, hangUp, workErr := serveOne()
+		res := result(t, s, &wireMsg{
+			Type: msgUnit, V: protoVersion, Seq: 1,
+			Machine: p.Name, Key: "table2", IDs: []string{"table2"}, Opts: &opts, DRAM: dram,
+		})
+		if res.Err != "" || res.Record == nil {
+			t.Fatalf("FillNS %v: result = %+v", dram.FillNS, res)
+		}
+		remote[i] = entriesJSON(t, res.Record.Entries)
+		hangUp.Close()
+		if err := <-workErr; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(local[0], local[1]) {
+		t.Fatal("table2 on Linux/i686 does not read the DRAM fill time; pick a unit that does")
+	}
+	for i, label := range []string{"shipped", "FillNS doubled"} {
+		if !bytes.Equal(remote[i], local[i]) {
+			t.Errorf("%s timing: the worker's entries differ from an in-process build on it\nworker %s\nlocal  %s", label, remote[i], local[i])
+		}
+	}
+}
+
+func entriesJSON(t *testing.T, entries []results.Entry) []byte {
+	t.Helper()
+	b, err := json.Marshal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestFleetMatchesSerial(t *testing.T) {
@@ -240,6 +360,55 @@ func TestFleetMatchesSerial(t *testing.T) {
 				t.Errorf("fleet database differs from serial (%d vs %d bytes)", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestFleetRunsShadowingFileProfile: a file profile that replaces
+// Linux/i686 under the same name with another ReadBW has the compiled
+// profile's geometry and another DRAM timing. A 2-worker fleet run of
+// table2 must equal the in-process run of the file profile, which
+// differs from the compiled profile's: the coordinator derives the
+// timing it ships from the catalog's profile, never from the compiled
+// profile of the same name.
+func TestFleetRunsShadowingFileProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process runs are slow; skipped with -short")
+	}
+	compiled, _ := machines.ByName("Linux/i686")
+	shadow := compiled
+	shadow.ReadBW *= 1.5
+	path := filepath.Join(t.TempDir(), "i686.json")
+	if err := machines.WriteProfileFile(path, shadow); err != nil {
+		t.Fatal(err)
+	}
+	cat := machines.Default()
+	loaded, err := cat.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	only := map[string]bool{"table2": true}
+	serial := func(p machines.Profile) []byte {
+		m, err := machines.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := &results.DB{}
+		if _, err := (&core.Suite{M: m, Opts: fastOpts(), Only: only}).Run(context.Background(), db); err != nil {
+			t.Fatal(err)
+		}
+		return encode(t, db)
+	}
+	want := serial(loaded)
+	if bytes.Equal(want, serial(compiled)) {
+		t.Fatal("the file profile's table2 equals the compiled profile's; shadow a field table2 reads")
+	}
+	db := &results.DB{}
+	c := &Coordinator{Machines: []string{compiled.Name}, Catalog: cat, Opts: fastOpts(), Only: only, Workers: 2}
+	if _, err := c.Run(context.Background(), db); err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(t, db); !bytes.Equal(got, want) {
+		t.Error("the fleet's table2 differs from the in-process run of the shadowing file profile")
 	}
 }
 

@@ -16,11 +16,13 @@
 //
 // Determinism: a unit's result is exactly what a serial Suite.Run
 // produces for that group — workers build the named machine fresh from
-// its profile and the suite resets it before every attempt — and the
-// coordinator merges unit results in machine × group order, the serial
-// iteration order. A fleet run of any worker count therefore encodes
-// byte-identically to the in-process runs at any GOMAXPROCS, which
-// the golden test pins against the PR-3 SHA-256.
+// its profile, on the DRAM timing the coordinator derived from that
+// profile once per run and ships on every unit frame (so no worker
+// simulates a DRAM stream), and the suite resets it before every
+// attempt — and the coordinator merges unit results in machine × group
+// order, the serial iteration order. A fleet run of any worker count
+// therefore encodes byte-identically to the in-process runs at any
+// GOMAXPROCS, which the golden test pins against the PR-3 SHA-256.
 //
 // Robustness rides the existing seams: a dead or killed worker's
 // in-flight unit is re-dispatched under the PR-1 retry/backoff policy
@@ -36,6 +38,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machines"
+	"repro/internal/simmem"
 )
 
 // protoVersion guards the wire protocol. Local workers are re-execs of
@@ -44,8 +47,10 @@ import (
 // silently divergent results. v2 added ping frames (idle keepalives and
 // in-unit heartbeats), which a v1 endpoint would reject as unexpected;
 // v3 answers a unit with its journal record in place of v2's entries
-// and skipped list.
-const protoVersion = 3
+// and skipped list; v4 ships the machine's DRAM timing on every unit
+// frame (dram), which a v3 worker would not read and a v4 worker
+// requires.
+const protoVersion = 4
 
 // Message types.
 const (
@@ -89,6 +94,12 @@ type wireMsg struct {
 	// golden bytes — are unchanged. Optional fields are JSON-compatible
 	// across the protocol version.
 	Profile *machines.Profile `json:"profile,omitempty"`
+	// DRAM is the machine's DRAM timing, which the coordinator derives
+	// once per run from the catalog profile (machines.DRAM): the worker
+	// assembles the machine on it (machines.BuildWith) and simulates no
+	// DRAM stream. It round-trips exactly, like Record's entries, and a
+	// unit frame without it is refused.
+	DRAM *simmem.DRAMConfig `json:"dram,omitempty"`
 
 	// Result fields: the unit's journal record, exactly as the worker's
 	// suite recorded it (entries, or a skip marker and its error), or

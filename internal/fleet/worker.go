@@ -49,9 +49,10 @@ const heartbeatInterval = 5 * time.Second
 // events stream back as the suite runs, and one result frame answers
 // each unit. It returns nil when the coordinator closes the stream and
 // an error on a protocol or I/O failure. Machines are built fresh from
-// their profiles and cached per name; the suite resets them before
-// every attempt, so a reused machine is indistinguishable from a new
-// one (core.Resetter) and unit results match a serial run exactly.
+// their profiles, on the DRAM timing their unit frame ships, and cached
+// per name; the suite resets them before every attempt, so a reused
+// machine is indistinguishable from a new one (core.Resetter) and unit
+// results match a serial run exactly.
 // Under the worker daemon (ServeWith) s is busy only while it executes
 // a unit: when the daemon drains, the session finishes the unit it is
 // executing (if any) and exits cleanly instead of waiting for the next
@@ -126,7 +127,7 @@ func startHeartbeat(s *rpcx.Session) (stop func()) {
 
 // runUnit executes one work unit and returns its result frame.
 func runUnit(ctx context.Context, m *wireMsg, cache map[string]core.Machine, s *rpcx.Session) *wireMsg {
-	mach, err := machineFor(m.Machine, m.Profile, cache)
+	mach, err := machineFor(m, cache)
 	if err != nil {
 		return &wireMsg{Err: err.Error()}
 	}
@@ -170,21 +171,27 @@ func (u *unitRecord) Store(rec core.JournalRecord) error {
 // machineFor resolves a unit's machine name to a built backend,
 // reusing a previous build when the worker has one. Only simulated
 // profiles are resolvable: they rebuild deterministically from their
-// profile, which is what makes a unit's result a function of
-// (machine name, group) alone on any worker. Compiled built-ins and
-// embedded data files resolve by name; anything else (file-loaded or
-// calibration-candidate profiles) arrives inline on the dispatch frame.
-func machineFor(name string, wire *machines.Profile, cache map[string]core.Machine) (core.Machine, error) {
-	if m, ok := cache[name]; ok {
-		return m, nil
+// profile and DRAM timing, which is what makes a unit's result a
+// function of (machine name, group) alone on any worker. Compiled
+// built-ins and embedded data files resolve by name; anything else
+// (file-loaded or calibration-candidate profiles) arrives inline on the
+// dispatch frame. The DRAM timing always does: the worker assembles the
+// machine on it and derives none, so a frame without one is refused.
+func machineFor(m *wireMsg, cache map[string]core.Machine) (core.Machine, error) {
+	name := m.Machine
+	if m.DRAM == nil {
+		return nil, fmt.Errorf("fleet: unit for %q carries no dram timing", name)
+	}
+	if mach, ok := cache[name]; ok {
+		return mach, nil
 	}
 	var p machines.Profile
 	switch {
-	case wire != nil:
-		if wire.Name != name {
-			return nil, fmt.Errorf("fleet: unit machine %q carries profile %q", name, wire.Name)
+	case m.Profile != nil:
+		if m.Profile.Name != name {
+			return nil, fmt.Errorf("fleet: unit machine %q carries profile %q", name, m.Profile.Name)
 		}
-		p = *wire
+		p = *m.Profile
 	default:
 		var ok bool
 		if p, ok = machines.ByName(name); !ok {
@@ -193,12 +200,12 @@ func machineFor(name string, wire *machines.Profile, cache map[string]core.Machi
 			}
 		}
 	}
-	m, err := machines.Build(p)
+	mach, err := machines.BuildWith(p, *m.DRAM)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: build %q: %w", name, err)
 	}
-	cache[name] = m
-	return m, nil
+	cache[name] = mach
+	return mach, nil
 }
 
 // forwardSink streams the worker suite's events to the coordinator,

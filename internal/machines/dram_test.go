@@ -249,12 +249,94 @@ func TestDRAMMemoIgnoresName(t *testing.T) {
 	}
 }
 
+// sameBits reports whether two DRAM timings are equal bit for bit.
+func sameBits(a, b simmem.DRAMConfig) bool {
+	return math.Float64bits(a.LatencyNS) == math.Float64bits(b.LatencyNS) &&
+		math.Float64bits(a.FillNS) == math.Float64bits(b.FillNS) &&
+		math.Float64bits(a.WritebackNS) == math.Float64bits(b.WritebackNS)
+}
+
+// TestBuildWithMatchesBuild: DRAM derives the timing a Build machine
+// carries, and BuildWith and Clone assemble a machine on a given timing
+// without simulating a stream. Over every catalog profile and one
+// without an issue width, DRAM(p) equals the Build(p) machine's timing
+// bit for bit; BuildWith on p with its clock moved — a geometry new to
+// the process — carries the timing it was given and adds no stream
+// simulation, and so does a clone of that machine. The profile without
+// an issue width must derive the timing of Build's default width of 2,
+// which differs from the width-1 CPU a bare sim.CPUConfig would get.
+func TestBuildWithMatchesBuild(t *testing.T) {
+	var profiles []Profile
+	for _, e := range Default().Entries() {
+		profiles = append(profiles, e.Profile)
+	}
+	if len(profiles) != 26 {
+		t.Fatalf("%d catalog profiles, want 26", len(profiles))
+	}
+	// SGI Indigo2's timing moves between issue widths 1 and 2.
+	bare, ok := Default().ByName("SGI Indigo2")
+	if !ok {
+		t.Fatal("no profile SGI Indigo2")
+	}
+	bare.Name += " without issue width"
+	bare.IssueWidth = 0
+	profiles = append(profiles, bare)
+	timing := func(m *Machine) simmem.DRAMConfig { return m.Hierarchy().Config().DRAM }
+	for _, p := range profiles {
+		want, err := DRAM(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		m, err := Build(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if got := timing(m); !sameBits(got, want) {
+			t.Errorf("%s: Build's machine carries %+v, DRAM derived %+v", p.Name, got, want)
+		}
+		q := p
+		q.MHz *= 1.0291 // a geometry no other test asks for
+		before := priceEntries()
+		shipped, err := BuildWith(q, want)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		clone, err := shipped.Clone()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if n := priceEntries() - before; n != 0 {
+			t.Errorf("%s: BuildWith and Clone on a new geometry simulated %d streams, want 0", p.Name, n)
+		}
+		for label, m := range map[string]*Machine{"BuildWith": shipped, "its clone": clone.(*Machine)} {
+			if got := timing(m); !sameBits(got, want) {
+				t.Errorf("%s: %s carries %+v, want the timing it was given, %+v", p.Name, label, got, want)
+			}
+		}
+	}
+	widths := map[int]simmem.DRAMConfig{}
+	for _, w := range []int{0, 1, 2} {
+		p := bare
+		p.IssueWidth = w
+		d, err := DRAM(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widths[w] = d
+	}
+	if !sameBits(widths[0], widths[2]) || sameBits(widths[0], widths[1]) {
+		t.Errorf("DRAM without an issue width %+v, want width 2's %+v, not width 1's %+v", widths[0], widths[2], widths[1])
+	}
+}
+
 var dramSink simmem.DRAMConfig
 
 // BenchmarkInvertDRAM times one machine's DRAM inversion, read and
 // write target, and reports the stream simulations it took: two for a
 // geometry new to the process ("new", the memo emptied before each
-// op), none for a memo hit ("memo").
+// op), none for a memo hit ("memo"). "shipped" times what a fleet
+// worker does instead: BuildWith on a derived timing, for a geometry
+// new to the process, which simulates no stream.
 func BenchmarkInvertDRAM(b *testing.B) {
 	forget := func() {
 		streamPrices.Range(func(k, _ any) bool { streamPrices.Delete(k); return true })
@@ -292,6 +374,20 @@ func BenchmarkInvertDRAM(b *testing.B) {
 				invert(b)
 			}
 			b.ReportMetric(float64(priceEntries()-before)/float64(b.N), "simulations/op")
+		})
+		b.Run(name+"/shipped", func(b *testing.B) {
+			dram, err := DRAM(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			forget()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildWith(p, dram); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(priceEntries())/float64(b.N), "simulations/op")
 		})
 	}
 }

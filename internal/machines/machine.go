@@ -114,15 +114,16 @@ func (m *Machine) SimStats() map[string]int64 {
 	return sim
 }
 
-// Clone implements core.Cloner by rebuilding the profile from scratch.
-// Build is deterministic, so the clone allocates the same simulated
+// Clone implements core.Cloner by rebuilding the profile from scratch
+// on the original's DRAM timing, which it does not derive again.
+// BuildWith is deterministic, so the clone allocates the same simulated
 // addresses in the same order and charges the same costs as the
 // original would from its pristine state — exactly the state the suite
 // establishes (via Reset) before every experiment. The suite's unit
 // pool (DESIGN.md §6d) runs experiment groups and sweep points on such
 // clones and relies on this for results byte-identical to a serial run.
 func (m *Machine) Clone() (core.Machine, error) {
-	return Build(m.profile)
+	return BuildWith(m.profile, m.mem.Config().DRAM)
 }
 
 // Name returns the profile name.

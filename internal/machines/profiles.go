@@ -106,16 +106,51 @@ type Profile struct {
 	Disk           simdisk.Config
 }
 
-// Build assembles a runnable simulated machine from the profile.
+// Build assembles a runnable simulated machine from the profile: it
+// derives the profile's DRAM timing (DRAM) and assembles the machine on
+// it (BuildWith).
 func Build(p Profile) (*Machine, error) {
+	dram, err := DRAM(p)
+	if err != nil {
+		return nil, err
+	}
+	return BuildWith(p, dram)
+}
+
+// DRAM derives the DRAM timing Build gives p's machine from p's Table-2
+// bandwidth targets, after checking p and applying Build's defaults
+// (the defaulted issue width prices the streams; see invertDRAM). It is
+// a pure function of the profile, so a process that derived it can
+// ship it to another, which assembles the machine with BuildWith and
+// simulates no DRAM stream: what a fleet coordinator does for its
+// workers.
+func DRAM(p Profile) (simmem.DRAMConfig, error) {
+	p, err := withDefaults(p)
+	if err != nil {
+		return simmem.DRAMConfig{}, err
+	}
+	line := p.Caches[0].LineSize
+	if line <= 0 {
+		line = 32
+	}
+	dram, err := invertDRAM(p, line)
+	if err != nil {
+		return simmem.DRAMConfig{}, fmt.Errorf("machines: %s: %w", p.Name, err)
+	}
+	return dram, nil
+}
+
+// withDefaults refuses a profile Build cannot assemble and fills in
+// Build's defaults.
+func withDefaults(p Profile) (Profile, error) {
 	if p.Name == "" {
-		return nil, fmt.Errorf("machines: profile needs a name")
+		return p, fmt.Errorf("machines: profile needs a name")
 	}
 	if p.MHz <= 0 {
-		return nil, fmt.Errorf("machines: %s: needs a clock rate", p.Name)
+		return p, fmt.Errorf("machines: %s: needs a clock rate", p.Name)
 	}
 	if len(p.Caches) == 0 {
-		return nil, fmt.Errorf("machines: %s: needs at least one cache level", p.Name)
+		return p, fmt.Errorf("machines: %s: needs at least one cache level", p.Name)
 	}
 	if p.IssueWidth <= 0 {
 		p.IssueWidth = 2
@@ -123,18 +158,19 @@ func Build(p Profile) (*Machine, error) {
 	if p.DriverUS <= 0 {
 		p.DriverUS = 15
 	}
+	return p, nil
+}
 
+// BuildWith assembles p's machine on the DRAM timing dram, which
+// simmem.New checks. With dram = DRAM(p) it builds exactly Build(p)'s
+// machine, without deriving the timing again.
+func BuildWith(p Profile, dram simmem.DRAMConfig) (*Machine, error) {
+	p, err := withDefaults(p)
+	if err != nil {
+		return nil, err
+	}
 	clk := &sim.Clock{}
 	cpu := sim.NewCPU(clk, sim.CPUConfig{MHz: p.MHz, IssueWidth: p.IssueWidth})
-
-	line := p.Caches[0].LineSize
-	if line <= 0 {
-		line = 32
-	}
-	dram, err := invertDRAM(p, line)
-	if err != nil {
-		return nil, fmt.Errorf("machines: %s: %w", p.Name, err)
-	}
 	mem, err := simmem.New(cpu, simmem.Config{Caches: p.Caches, DRAM: dram, TLB: p.TLB})
 	if err != nil {
 		return nil, fmt.Errorf("machines: %s: %w", p.Name, err)
@@ -271,10 +307,12 @@ func streamPrice(p Profile, write bool) (simmem.StreamPrice, error) {
 // caches: a read from cold, or a write after priming every cache level
 // with dirty lines so that the stream evicts at steady state. The
 // priming is a PriceStream too: it runs once, so a memoized pass would
-// only record marks no later pass compares.
+// only record marks no later pass compares. The scratch hierarchy's own
+// DRAM timing reaches no price (PriceStream takes it out again), so any
+// timing simmem.New accepts will do.
 func simulateStream(p Profile, write bool) (simmem.StreamPrice, error) {
 	cpu := sim.NewCPU(&sim.Clock{}, sim.CPUConfig{MHz: p.MHz, IssueWidth: p.IssueWidth})
-	h, err := simmem.New(cpu, simmem.Config{Caches: p.Caches})
+	h, err := simmem.New(cpu, simmem.Config{Caches: p.Caches, DRAM: simmem.DRAMConfig{LatencyNS: 1}})
 	if err != nil {
 		return simmem.StreamPrice{}, err
 	}

@@ -16,6 +16,7 @@ package simmem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -78,6 +79,24 @@ func (d DRAMConfig) writeback() float64 {
 		return d.WritebackNS
 	}
 	return d.fill()
+}
+
+// check refuses a timing no derivation produces, naming its field: a
+// latency that is not positive, a negative fill or writeback time (zero
+// falls back, as fill and writeback say) or a value that is not finite.
+// New calls it, so a timing from anywhere — a profile's inversion, a
+// fleet unit frame — is checked where it becomes costs.
+func (d DRAMConfig) check() error {
+	// A NaN fails every comparison, so each case refuses it too.
+	switch {
+	case !(d.LatencyNS > 0) || math.IsInf(d.LatencyNS, 0):
+		return fmt.Errorf("simmem: dram timing LatencyNS is %v, want a finite value above 0", d.LatencyNS)
+	case !(d.FillNS >= 0) || math.IsInf(d.FillNS, 0):
+		return fmt.Errorf("simmem: dram timing FillNS is %v, want a finite value of at least 0", d.FillNS)
+	case !(d.WritebackNS >= 0) || math.IsInf(d.WritebackNS, 0):
+		return fmt.Errorf("simmem: dram timing WritebackNS is %v, want a finite value of at least 0", d.WritebackNS)
+	}
+	return nil
 }
 
 // TLBConfig describes the TLB. Entries == 0 disables TLB modeling.
@@ -625,6 +644,9 @@ type Hierarchy struct {
 
 // New assembles a Hierarchy charging time through cpu.
 func New(cpu *sim.CPU, cfg Config) (*Hierarchy, error) {
+	if err := cfg.DRAM.check(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	h := &Hierarchy{
 		cpu:      cpu,

@@ -1,7 +1,9 @@
 package simmem
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -36,15 +38,52 @@ func testHierarchy(t *testing.T, mutate func(*Config)) (*Hierarchy, *sim.Clock) 
 func TestNewValidation(t *testing.T) {
 	clk := &sim.Clock{}
 	cpu := sim.NewCPU(clk, sim.CPUConfig{MHz: 100})
+	dram := DRAMConfig{LatencyNS: 100}
 	bad := []Config{
-		{Caches: []CacheConfig{{Size: 0, LineSize: 32}}},
-		{Caches: []CacheConfig{{Size: 1024, LineSize: 0}}},
-		{Caches: []CacheConfig{{Size: 16, LineSize: 32}}}, // smaller than a line
-		{TLB: TLBConfig{Entries: 8}},                      // TLB without page size
+		{Caches: []CacheConfig{{Size: 0, LineSize: 32}}, DRAM: dram},
+		{Caches: []CacheConfig{{Size: 1024, LineSize: 0}}, DRAM: dram},
+		{Caches: []CacheConfig{{Size: 16, LineSize: 32}}, DRAM: dram}, // smaller than a line
+		{TLB: TLBConfig{Entries: 8}, DRAM: dram},                      // TLB without page size
 	}
 	for i, cfg := range bad {
 		if _, err := New(cpu, cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
+		}
+	}
+}
+
+// TestNewRefusesDRAMTiming: New refuses a DRAM timing no derivation
+// produces, naming the field — a latency that is not positive, a
+// negative fill or writeback time, a value that is not finite — and
+// accepts the zero fill and writeback times that fall back.
+func TestNewRefusesDRAMTiming(t *testing.T) {
+	cpu := sim.NewCPU(&sim.Clock{}, sim.CPUConfig{MHz: 100})
+	caches := []CacheConfig{{Name: "L1", Size: 8 << 10, LineSize: 32, Assoc: 2, LatencyNS: 10}}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		dram  DRAMConfig
+		field string // "" when New accepts the timing
+	}{
+		{DRAMConfig{LatencyNS: 300, FillNS: 100, WritebackNS: 120}, ""},
+		{DRAMConfig{LatencyNS: 300}, ""},
+		{DRAMConfig{LatencyNS: 1e-3, FillNS: 0, WritebackNS: 0}, ""},
+		{DRAMConfig{}, "LatencyNS"},
+		{DRAMConfig{LatencyNS: -300}, "LatencyNS"},
+		{DRAMConfig{LatencyNS: nan}, "LatencyNS"},
+		{DRAMConfig{LatencyNS: inf}, "LatencyNS"},
+		{DRAMConfig{LatencyNS: 300, FillNS: -1}, "FillNS"},
+		{DRAMConfig{LatencyNS: 300, FillNS: nan}, "FillNS"},
+		{DRAMConfig{LatencyNS: 300, FillNS: inf}, "FillNS"},
+		{DRAMConfig{LatencyNS: 300, FillNS: 100, WritebackNS: -1}, "WritebackNS"},
+		{DRAMConfig{LatencyNS: 300, FillNS: 100, WritebackNS: nan}, "WritebackNS"},
+		{DRAMConfig{LatencyNS: 300, FillNS: 100, WritebackNS: math.Inf(-1)}, "WritebackNS"},
+	} {
+		_, err := New(cpu, Config{Caches: caches, DRAM: tc.dram})
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%+v refused: %v", tc.dram, err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), "dram timing "+tc.field+" ")):
+			t.Errorf("%+v: err = %v, want it to name %s", tc.dram, err, tc.field)
 		}
 	}
 }

@@ -66,8 +66,9 @@ func randomPriceGeom(rng *rand.Rand, kind string) priceGeom {
 }
 
 // randomDRAM draws a DRAM timing around the stream's per-chunk issue
-// time: below it (fills hide behind issue), on it, above it, or with
-// FillNS and WritebackNS left 0 for DRAMConfig's fallbacks.
+// time: below it (fills hide behind issue), on it, above it, with
+// FillNS and WritebackNS left 0 for DRAMConfig's fallbacks, or the
+// least timing New accepts.
 func randomDRAM(rng *rand.Rand, issue ptime.Duration) DRAMConfig {
 	ns := issue.Nanoseconds()
 	d := DRAMConfig{LatencyNS: rng.Float64() * 4 * ns}
@@ -81,7 +82,7 @@ func randomDRAM(rng *rand.Rand, issue ptime.Duration) DRAMConfig {
 	case 3:
 		d.FillNS = 0 // falls back to LatencyNS
 	default:
-		d.LatencyNS, d.FillNS = 0, 0 // no DRAM fill time at all
+		d.LatencyNS, d.FillNS = 1e-3, 0 // a one-picosecond DRAM fill
 	}
 	if rng.Intn(4) != 0 {
 		d.WritebackNS = rng.Float64() * 4 * ns // else falls back to fill()
@@ -186,9 +187,10 @@ func TestStreamPriceMatchesSimulation(t *testing.T) {
 // hierarchy is priced, for reads or writes.
 func TestPriceStreamRefusesBypass(t *testing.T) {
 	caches := []CacheConfig{{Name: "L1", Size: 8 << 10, LineSize: 32, Assoc: 2, LatencyNS: 10}}
+	dram := DRAMConfig{LatencyNS: 100}
 	for _, cfg := range []Config{
-		{Caches: caches, NoWriteAllocate: true},
-		{Caches: caches, HWCopy: true},
+		{Caches: caches, DRAM: dram, NoWriteAllocate: true},
+		{Caches: caches, DRAM: dram, HWCopy: true},
 	} {
 		h, err := New(sim.NewCPU(&sim.Clock{}, sim.CPUConfig{MHz: 100}), cfg)
 		if err != nil {
